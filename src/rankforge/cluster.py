@@ -33,6 +33,12 @@ DEFAULT_K = 1000
 MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
 
+# Byte budget of the rows x K distance block in the assignment step and in
+# cosine_sse; memory stays bounded however large n x K grows.
+_BLOCK_BYTES = 4 << 20
+# k-means++ seeding distances below this are recomputed exactly (see _seed_dists).
+_EXACT_BELOW = 1e-9
+
 
 @dataclass
 class ClusteringConfig:
@@ -83,10 +89,19 @@ def _normalized_rows(X: EmbeddingMatrix) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _sq_dists(Xn: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # rows are unit vectors: ||x - c||^2 = 1 - 2 x.c + ||c||^2
-    cross = Xn @ centroids.T
-    return np.maximum(1.0 - 2.0 * cross + np.einsum("ij,ij->i", centroids, centroids), 0.0)
+def _seed_dists(Xn: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of every row to c, from one mat-vec (rows are unit vectors).
+
+    Distances below _EXACT_BELOW are recomputed as sum((x - c)**2), so a row
+    equal to c gets exactly 0 and duplicate points leave no stray mass.
+    """
+    d2 = Xn @ c
+    d2 *= -2.0
+    d2 += 2.0
+    np.maximum(d2, 0.0, out=d2)
+    near = np.flatnonzero(d2 < _EXACT_BELOW)
+    d2[near] = np.sum((Xn[near] - c) ** 2, axis=1)
+    return d2
 
 
 def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,7 +111,7 @@ def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndar
     centroids[0] = Xn[first]
     if K == 1:
         return centroids
-    d2 = np.sum((Xn - centroids[0]) ** 2, axis=1)
+    d2 = _seed_dists(Xn, centroids[0])
     for j in range(1, K):
         total = float(d2.sum())
         if total > 0.0:
@@ -107,8 +122,40 @@ def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndar
             # all remaining mass is zero (duplicate points): fall back to uniform
             idx = int(rng.integers(n))
         centroids[j] = Xn[idx]
-        d2 = np.minimum(d2, np.sum((Xn - centroids[j]) ** 2, axis=1))
+        np.minimum(d2, _seed_dists(Xn, centroids[j]), out=d2)
     return centroids
+
+
+def _row_blocks(n: int, K: int):
+    """Row slices whose rows x K float64 block fits in _BLOCK_BYTES (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (8 * K))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _assign(Xn: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, one row block of distances at a time."""
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    out = np.empty(Xn.shape[0], dtype=np.int64)
+    for rows in _row_blocks(Xn.shape[0], centroids.shape[0]):
+        # rows are unit vectors: ||x - c||^2 = 1 - 2 x.c + ||c||^2
+        d2 = Xn[rows] @ centroids.T
+        d2 *= 2.0
+        np.subtract(1.0, d2, out=d2)
+        d2 += c_sq
+        np.maximum(d2, 0.0, out=d2)
+        out[rows] = d2.argmin(axis=1)
+    return out
+
+
+def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> None:
+    """Each centroid becomes the mean of its members, taken in ascending row order."""
+    order = np.argsort(assignments, kind="stable")
+    ends = np.cumsum(np.bincount(assignments, minlength=centroids.shape[0]))
+    start = 0
+    for k, end in enumerate(ends):
+        centroids[k] = Xn[order[start:end]].mean(axis=0)
+        start = end
 
 
 def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, K: int) -> None:
@@ -134,11 +181,9 @@ def _lloyd(Xn: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator) -> K
     prev_inertia: float | None = None
 
     for _ in range(cfg.max_iters):
-        new_assignments = np.argmin(_sq_dists(Xn, centroids), axis=1)
+        new_assignments = _assign(Xn, centroids)
         _repair_empty(Xn, centroids, new_assignments, K)
-        for k in range(K):
-            members = new_assignments == k
-            centroids[k] = Xn[members].mean(axis=0)
+        _update_centroids(Xn, centroids, new_assignments)
         inertia = float(np.sum((Xn - centroids[new_assignments]) ** 2))
         history.append(inertia)
         if np.array_equal(new_assignments, assignments):
@@ -181,17 +226,20 @@ def cosine_sse(X: EmbeddingMatrix, model: KMeansModel) -> float:
         raise ValidationError(f"matrix dimension {X.d} != model dimension {model.d}")
     if X.n == 0:
         return 0.0
-    rows = X.data.astype(np.float64)
-    row_norms = np.linalg.norm(rows, axis=1)
-    if (row_norms == 0.0).any():
+    if not X.data.any(axis=1).all():
         raise DegenerateVectorError("zero-norm embedding row in cosine_sse")
     cen_norms = np.linalg.norm(model.centroids, axis=1)
-    if (cen_norms == 0.0).all():
+    zero = cen_norms == 0.0
+    if zero.all():
         raise DegenerateClusterError("all centroids have zero norm")
-    safe = np.where(cen_norms == 0.0, 1.0, cen_norms)
-    cos = (rows / row_norms[:, None]) @ (model.centroids / safe[:, None]).T
-    cos[:, cen_norms == 0.0] = -np.inf   # zero-norm centroid is never nearest
-    best = np.clip(cos.max(axis=1), -1.0, 1.0)
+    unit_centroids = model.centroids / np.where(zero, 1.0, cen_norms)[:, None]
+    best = np.empty(X.n, dtype=np.float64)
+    for rows in _row_blocks(X.n, model.K):
+        block = X.data[rows].astype(np.float64)
+        cos = (block / np.linalg.norm(block, axis=1)[:, None]) @ unit_centroids.T
+        cos[:, zero] = -np.inf   # zero-norm centroid is never nearest
+        best[rows] = cos.max(axis=1)
+    np.clip(best, -1.0, 1.0, out=best)
     return float(np.sum(1.0 - best))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,43 +187,41 @@ def sample_without_replacement(p: Sequence[float], n: int, rng: np.random.Genera
 def mmr_select(
     pool_ordinals: Sequence[int],
     sims_to_anchor: Sequence[float],
-    pairwise: Callable[[int, int], float],
+    vectors: np.ndarray,
     lam: float,
     n: int,
 ) -> list[int]:
     """Greedy maximal marginal relevance over a candidate pool.
 
-    Repeatedly picks argmax of lam * sim_to_anchor - (1 - lam) * max
-    similarity to anything already selected; the first pick has no diversity
-    term. Ties break toward the smaller ordinal. Returns at most
-    min(n, pool size) ordinals in selection order.
+    Row i of vectors is the unit vector of pool_ordinals[i]; two candidates'
+    similarity is the dot product of their rows. Repeatedly picks argmax of
+    lam * sim_to_anchor - (1 - lam) * max similarity to anything already
+    selected; the first pick has no diversity term. Ties break toward the
+    smaller ordinal. Returns at most min(n, pool size) ordinals in selection
+    order.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidConfigError(f"lambda must be in [0, 1], got {lam}")
     if n < 1:
         raise InvalidConfigError(f"selection size must be >= 1, got {n}")
     pool = list(pool_ordinals)
-    sims = [float(s) for s in sims_to_anchor]
-    if len(pool) != len(sims):
+    sims = np.asarray(sims_to_anchor, dtype=np.float64)
+    if len(pool) != sims.size:
         raise ValidationError("pool and similarity lengths differ")
-    remaining = list(range(len(pool)))
+    if vectors.ndim != 2 or vectors.shape[0] != len(pool):
+        raise ValidationError("pool and vector row counts differ")
+    ordinals = np.asarray(pool, dtype=np.int64)
+    relevance = lam * sims
+    redundancy = np.full(len(pool), -np.inf)   # max similarity to the picks so far
+    remaining = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
-    while remaining and len(selected) < n:
-        best_pos: int | None = None
-        best_score = -np.inf
-        for i in remaining:
-            if selected:
-                redundancy = max(pairwise(pool[i], pool[j]) for j in selected)
-            else:
-                redundancy = 0.0
-            score = lam * sims[i] - (1.0 - lam) * redundancy
-            if best_pos is None or score > best_score or (
-                score == best_score and pool[i] < pool[best_pos]
-            ):
-                best_pos = i
-                best_score = score
-        selected.append(best_pos)
-        remaining.remove(best_pos)
+    while len(selected) < min(n, len(pool)):
+        score = relevance - (1.0 - lam) * redundancy if selected else relevance
+        ties = np.flatnonzero(remaining & (score == score[remaining].max()))
+        pick = int(ties[np.argmin(ordinals[ties])])
+        selected.append(pick)
+        remaining[pick] = False
+        np.maximum(redundancy, vectors @ vectors[pick], out=redundancy)
     return [pool[i] for i in selected]
 
 
@@ -231,14 +229,15 @@ def _mmr_with_topup(
     pool_positions: list[int],
     sims: np.ndarray,
     probs: np.ndarray,
-    pairwise: Callable[[int, int], float],
+    unit_rows: np.ndarray,
     lam: float,
     n_k: int,
 ) -> list[int]:
-    """MMR over the pooled positions, topped up by softmax probability if short."""
-    chosen = mmr_select(
-        pool_positions, [float(sims[q]) for q in pool_positions], pairwise, lam, n_k
-    )
+    """MMR over the pooled positions, topped up by softmax probability if short.
+
+    sims, probs and unit_rows are indexed by position within the cluster.
+    """
+    chosen = mmr_select(pool_positions, sims[pool_positions], unit_rows[pool_positions], lam, n_k)
     if len(chosen) < n_k:
         in_pool = set(pool_positions)
         extras = sorted(
@@ -279,11 +278,8 @@ def select_representatives(
         member_rows /= np.linalg.norm(member_rows, axis=1)[:, None]
         anchor = int(np.argmax(sims_to_mean))
         anchor_sims = member_rows @ member_rows[anchor]
-
-        def pairwise(a: int, b: int) -> float:
-            return float(member_rows[a] @ member_rows[b])
-
-        chosen = _mmr_with_topup(pool_positions, anchor_sims, probs, pairwise, cfg.mmr_lambda, n_k)
+        chosen = _mmr_with_topup(pool_positions, anchor_sims, probs, member_rows,
+                                 cfg.mmr_lambda, n_k)
         per_cluster.append(
             [
                 SelectedDoc(

@@ -90,7 +90,7 @@ def test_c3_mmr_greedy():
 
             lam = [0.0, 0.25, 0.5, 0.75, 1.0][trial % 5]
             n = int(rng.integers(1, size + 1))
-            got = selection.mmr_select(pool, sims, pairwise, lam, n)
+            got = selection.mmr_select(pool, sims, vecs[pool], lam, n)
             assert got == mmr_oracle(pool, sims, pairwise, lam, n)
 
 

@@ -1,13 +1,16 @@
 """Spherical k-means: objective behavior, invariants, elbow scan, file format."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rankforge import cluster
 from rankforge.cluster import (
     ClusteringConfig,
     KMeansModel,
+    _kmeans_pp_init,
     _repair_empty,
     cosine_sse,
     elbow_scan,
@@ -146,6 +149,82 @@ def test_same_seed_is_deterministic():
     assert a.inertia != c.inertia or not np.array_equal(a.assignments, c.assignments)
 
 
+def _reference_pp_init(Xn, K, rng):
+    """k-means++ seeding with an explicit (x - c)**2 distance per row."""
+    n = Xn.shape[0]
+    centroids = np.empty((K, Xn.shape[1]), dtype=np.float64)
+    centroids[0] = Xn[int(rng.integers(n))]
+    if K == 1:
+        return centroids
+    d2 = np.sum((Xn - centroids[0]) ** 2, axis=1)
+    for j in range(1, K):
+        total = float(d2.sum())
+        if total > 0.0:
+            target = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), target, side="right")), n - 1)
+        else:
+            idx = int(rng.integers(n))
+        centroids[j] = Xn[idx]
+        d2 = np.minimum(d2, np.sum((Xn - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+def _seed_pair(Xn, K, seed):
+    got = _kmeans_pp_init(Xn, K, np.random.default_rng(seed))
+    want = _reference_pp_init(Xn, K, np.random.default_rng(seed))
+    return got, want
+
+
+def test_seeding_matches_reference_on_random_unit_rows():
+    rng = np.random.default_rng(30)
+    for trial in range(60):
+        n = int(rng.integers(2, 400))
+        d = int(rng.integers(2, 130))
+        K = int(rng.integers(1, min(n, 60) + 1))
+        Xn = _normalize(rng.normal(size=(n, d)))
+        got, want = _seed_pair(Xn, K, trial)
+        assert got.tobytes() == want.tobytes(), f"trial {trial}"
+
+
+def test_seeding_matches_reference_on_repeated_rows():
+    # K above the number of distinct rows: once every distinct row is a centre
+    # the remaining mass must be exactly 0, so the uniform fallback draws
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        distinct = int(rng.integers(1, 6))
+        d = int(rng.integers(2, 64))
+        base = _normalize(rng.normal(size=(distinct, d)))
+        Xn = base[rng.integers(0, distinct, size=int(rng.integers(distinct + 1, 40)))]
+        K = int(rng.integers(distinct + 1, Xn.shape[0] + 1))
+        got, want = _seed_pair(Xn, K, trial)
+        assert got.tobytes() == want.tobytes(), f"trial {trial}"
+
+
+def test_blocked_assignment_matches_default(monkeypatch):
+    rng = np.random.default_rng(32)
+    X = _random_matrix(rng, 203, 12)
+    cfg = ClusteringConfig(K=9, seed=5, restarts=2)
+    default = kmeans_fit(X, cfg)
+    for rows in (7, 1):                    # 203 is not a multiple of 7
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", rows * 8 * cfg.K)
+        blocked = kmeans_fit(X, cfg)
+        assert blocked.centroids.tobytes() == default.centroids.tobytes()
+        np.testing.assert_array_equal(blocked.assignments, default.assignments)
+        assert blocked.inertia_history == default.inertia_history
+
+
+def test_kmeans_peak_memory_below_one_distance_matrix():
+    n, K = 8000, 400
+    X = _random_matrix(np.random.default_rng(33), n, 16)
+    tracemalloc.start()
+    try:
+        kmeans_fit(X, ClusteringConfig(K=K, seed=0, restarts=1, max_iters=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * K * 8, f"peak {peak} bytes, one n x K float64 matrix is {n * K * 8}"
+
+
 def test_repair_empty_moves_farthest_point():
     Xn = _normalize(np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [0.0, 1.0]]))
     centroids = np.vstack([Xn[:3].mean(axis=0), [5.0, 5.0]])
@@ -204,6 +283,19 @@ def test_cosine_sse_decreases_with_k():
     for k in (1, 2, 3):
         sses.append(cosine_sse(X, kmeans_fit(X, ClusteringConfig(K=k, seed=0, restarts=3))))
     assert sses[0] > sses[1] > sses[2]
+
+
+def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
+    rng = np.random.default_rng(34)
+    X = _random_matrix(rng, 57, 6)
+    model = kmeans_fit(X, ClusteringConfig(K=4, seed=1))
+    model.centroids[2] = 0.0               # a zero-norm centroid is never nearest
+    others = [0, 1, 3]
+    cos = _normalize(X.data) @ _normalize(model.centroids[others]).T
+    want = float(np.sum(1.0 - np.clip(cos.max(axis=1), -1.0, 1.0)))
+    assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 5 * 8 * model.K)
+    assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
 
 
 def test_save_load_roundtrip(tmp_path):

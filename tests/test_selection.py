@@ -253,14 +253,45 @@ def test_mmr_matches_bruteforce_oracle():
 
         lam = [0.0, 0.25, 0.5, 0.75, 1.0][trial % 5]
         n = int(rng.integers(1, size + 1))
-        assert mmr_select(pool, sims, pairwise, lam, n) == mmr_oracle(pool, sims, pairwise, lam, n)
+        assert mmr_select(pool, sims, vecs[pool], lam, n) == mmr_oracle(pool, sims, pairwise, lam, n)
+
+
+def test_mmr_matches_oracle_on_large_unsorted_pools():
+    # pools up to 400 in draw order (not sorted), d=128, similarities of both signs
+    rng = np.random.default_rng(40)
+    for trial in range(40):
+        size = int(rng.integers(1, 401))
+        pool = rng.choice(1000, size=size, replace=False).tolist()
+        sims = rng.uniform(-1, 1, size=size).tolist()
+        vecs = rng.normal(size=(1000, 128))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+
+        def pairwise(a, b):
+            return float(vecs[a] @ vecs[b])
+
+        lam = [0.0, 0.25, 0.5, 0.75, 1.0][trial % 5]
+        n = int(rng.integers(1, min(size, 30) + 1))
+        assert mmr_select(pool, sims, vecs[pool], lam, n) == mmr_oracle(pool, sims, pairwise, lam, n)
+
+
+def test_mmr_redundancy_can_be_negative():
+    # after the first pick every candidate's redundancy is negative; a floor of
+    # 0 would make lam=0 pick by ordinal instead of by dissimilarity
+    vecs = np.asarray([[1.0, 0.0], [-0.6, 0.8], [-0.8, -0.6], [-1.0, 0.0]])
+    pool = [3, 2, 1, 0]
+    sims = [0.0, 0.0, 0.0, 1.0]
+    got = mmr_select(pool, sims, vecs[pool], 0.0, 2)
+    assert got == [0, 3]
+    assert got == mmr_oracle(pool, sims, lambda a, b: float(vecs[a] @ vecs[b]), 0.0, 2)
 
 
 def test_mmr_lambda_one_is_pure_similarity():
     pool = [10, 20, 30, 40]
     sims = [0.2, 0.9, 0.5, 0.9]
-    got = mmr_select(pool, sims, lambda a, b: 0.0, 1.0, 3)
+    got = mmr_select(pool, sims, np.zeros((4, 2)), 1.0, 3)
     assert got == [20, 40, 30]            # score desc, tie toward smaller ordinal
+    # the tie rule follows the ordinal, not the position in the pool
+    assert mmr_select(pool[::-1], sims[::-1], np.zeros((4, 2)), 1.0, 3) == [20, 40, 30]
 
 
 def test_mmr_lambda_zero_spreads_out():
@@ -269,29 +300,28 @@ def test_mmr_lambda_zero_spreads_out():
     vecs = np.asarray([[1.0, 0.0], [0.99, 0.14], [0.0, 1.0]])
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
 
-    def pairwise(a, b):
-        return float(vecs[a] @ vecs[b])
-
-    got = mmr_select(pool, sims, pairwise, 0.0, 2)
+    got = mmr_select(pool, sims, vecs[pool], 0.0, 2)
     assert got[0] == 0                     # first pick is still the top match
     assert got[1] == 2                     # then the most different one
 
 
 def test_mmr_handles_small_pools_and_bad_args():
-    assert mmr_select([], [], lambda a, b: 0.0, 0.5, 3) == []
-    assert mmr_select([7], [0.5], lambda a, b: 0.0, 0.5, 3) == [7]
+    assert mmr_select([], [], np.zeros((0, 2)), 0.5, 3) == []
+    assert mmr_select([7], [0.5], np.zeros((1, 2)), 0.5, 3) == [7]
     with pytest.raises(InvalidConfigError):
-        mmr_select([1], [0.1], lambda a, b: 0.0, 1.5, 1)
+        mmr_select([1], [0.1], np.zeros((1, 2)), 1.5, 1)
     with pytest.raises(InvalidConfigError):
-        mmr_select([1], [0.1], lambda a, b: 0.0, 0.5, 0)
+        mmr_select([1], [0.1], np.zeros((1, 2)), 0.5, 0)
     with pytest.raises(ValidationError):
-        mmr_select([1, 2], [0.1], lambda a, b: 0.0, 0.5, 1)
+        mmr_select([1, 2], [0.1], np.zeros((2, 2)), 0.5, 1)
+    with pytest.raises(ValidationError):
+        mmr_select([1, 2], [0.1, 0.2], np.zeros((3, 2)), 0.5, 1)
 
 
 def test_mmr_topup_fills_from_probabilities():
     probs = np.asarray([0.1, 0.4, 0.2, 0.3])
     chosen = _mmr_with_topup([0], np.asarray([1.0, 0.0, 0.0, 0.0]), probs,
-                             lambda a, b: 0.0, 1.0, 3)
+                             np.zeros((4, 2)), 1.0, 3)
     assert chosen == [0, 1, 3]             # pool first, then prob desc
 
 
