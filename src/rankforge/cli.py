@@ -168,11 +168,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
     corpus.save_collection(coll, workdir / COLLECTION_FILE)
 
+    tokens = corpus.tokenize_collection(coll)
     if getattr(args, "embeddings", None):
         matrix = _align_external_embeddings(args.embeddings, coll)
     else:
-        matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed)
+        matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed, tokens=tokens)
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=[d.id for d in coll])
+    mine.save_index(mine.build_index(coll, tokens=tokens), workdir / INDEX_FILE)
     print(f"ingest: kept {len(coll)} of {len(raw)} documents, embedding dim {matrix.d}")
     return 0
 
@@ -318,8 +320,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
     coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
     queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
 
-    index = mine.build_index(coll, k1=cfg.bm25_k1, b=cfg.bm25_b)
-    mine.save_index(index, workdir / INDEX_FILE)
+    index = mine.load_index(_require(workdir / INDEX_FILE, "ingest"), k1=cfg.bm25_k1, b=cfg.bm25_b)
+    if index.doc_ids != [doc.id for doc in coll]:
+        raise AlignmentError(
+            f"{INDEX_FILE} does not index the documents of {COLLECTION_FILE}; "
+            "rerun `rankforge ingest`"
+        )
     mcfg = mine.MiningConfig(first_stage_hits=cfg.first_stage_hits, num_negatives=cfg.num_negatives)
     pairs = mine.assemble_pairs(index, coll, queries, mcfg)
     mine.save_pairs(pairs, workdir / PAIRS_FILE)
@@ -341,7 +347,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     rows = selection.load_selected(_require(workdir / SELECTED_FILE, "select"))
     queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
     pairs = mine.load_pairs(_require(workdir / PAIRS_FILE, "mine"))
-    _require(workdir / INDEX_FILE, "mine")
+    _require(workdir / INDEX_FILE, "ingest")
 
     triples = dataset.write_triples(pairs, coll, outdir / TRIPLES_FILE)
     pointwise = dataset.write_pointwise(pairs, coll, outdir / POINTWISE_FILE)
@@ -418,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p, ["seed"])
         return p
 
-    p = stage("ingest", "filter a JSONL corpus and embed it")
+    p = stage("ingest", "filter a JSONL corpus, embed it and index it for BM25")
     p.add_argument("--input", required=True, help="corpus JSONL with _id/title/text")
     p.add_argument("--embeddings", default=None, help="precomputed embedding file (.ids sidecar honored)")
     _add_config_flags(p, ["min_chars", "hash_embed_dim"])
@@ -442,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "max_retries", "request_timeout"])
     p.set_defaults(func=cmd_generate)
 
-    p = stage("mine", "index the collection and mine hard negatives")
+    p = stage("mine", "mine BM25 hard negatives from the ingested index")
     _add_config_flags(p, ["first_stage_hits", "num_negatives", "bm25_k1", "bm25_b"])
     p.set_defaults(func=cmd_mine)
 

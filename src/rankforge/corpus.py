@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MIN_CHARS = 300
 
@@ -105,6 +110,31 @@ def render_document(doc: Document) -> str:
     if doc.title:
         return doc.title + " " + doc.text
     return doc.text
+
+
+class TokenizedCollection(NamedTuple):
+    """Every document's tokens as ids into ``terms``, concatenated in collection order."""
+
+    terms: list[str]        # term id -> term, in first-seen order
+    ids: np.ndarray         # int64 term ids of all documents, back to back
+    lengths: np.ndarray     # int64 token count per document
+
+
+def tokenize_collection(collection: Collection) -> TokenizedCollection:
+    """Tokenize each rendered document once; tokens become ids as they are read."""
+    # imported here: querygen, and through it the mock LLM server, load this
+    # module for ``tokenize`` alone and need not pay for importing numpy
+    import numpy as np
+
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__      # an unseen term gets the next id
+    per_doc = [np.zeros(0, dtype=np.int64)]
+    for doc in collection:
+        tokens = tokenize(render_document(doc))
+        term_ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        per_doc.append(term_ids)
+    lengths = np.array([ids.size for ids in per_doc[1:]], dtype=np.int64)
+    return TokenizedCollection(list(vocab), np.concatenate(per_doc), lengths)
 
 
 def filter_min_length(collection: Collection, min_chars: int = DEFAULT_MIN_CHARS) -> Collection:

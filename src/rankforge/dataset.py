@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Collection, render_document
-from .errors import DataError, FormatError
+from .errors import DataError
 from .mine import TrainingPair
 
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
@@ -103,13 +103,3 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(manifest.to_json())
 
-
-def load_manifest(path: str | Path) -> DatasetManifest:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc.msg})") from exc
-    for key in ("config", "counts", "artifacts"):
-        if key not in obj:
-            raise FormatError(f"{path}: manifest missing `{key}`")
-    return DatasetManifest(config=obj["config"], counts=obj["counts"], artifacts=obj["artifacts"])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Collection, tokenize
+from .corpus import Collection, TokenizedCollection, tokenize, tokenize_collection
 from .errors import (
     AlignmentError,
     DegenerateVectorError,
@@ -28,6 +28,8 @@ from .errors import (
 
 MAGIC = b"DQGEMB01"
 _HEADER = struct.Struct("<8sQI")
+# embed_collection sums rows in blocks whose float64 rows x d slice stays under this
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -109,33 +111,24 @@ def check_alignment(collection: Collection, matrix: EmbeddingMatrix,
                 raise AlignmentError(f"row {i}: sidecar id {row_id!r} != document id {doc.id!r}")
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between u and v, clamped to [-1, 1]."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine similarity of a zero-norm vector")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
 def _token_hash(token: str, seed: int, purpose: bytes) -> int:
     key = struct.pack("<Q", seed % (1 << 64))
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key, person=purpose)
     return int.from_bytes(digest.digest(), "little")
 
 
-def hash_embed(text: str, d: int, seed: int,
-               _cache: dict[str, tuple[int, float]] | None = None) -> np.ndarray:
+def _bucket_and_sign(token: str, d: int, seed: int) -> tuple[int, float]:
+    bucket = _token_hash(token, seed, b"bucket") % d
+    sign = 1.0 if _token_hash(token, seed, b"sign") & 1 else -1.0
+    return bucket, sign
+
+
+def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
     """Deterministic bag-of-hashed-tokens unit vector; a stand-in encoder for tests.
 
     Tokens are hashed to a bucket in [0, d) with a +/-1 sign from a second
     hash, accumulated, and L2-normalized. Identical (text, d, seed) always
-    produce an identical vector. The optional cache only memoizes per-token
-    hashes; it never changes the result.
+    produce an identical vector.
     """
     if d < 8:
         raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
@@ -144,14 +137,7 @@ def hash_embed(text: str, d: int, seed: int,
         raise DegenerateVectorError("hash_embed on text with no tokens")
     vec = np.zeros(d, dtype=np.float64)
     for token in tokens:
-        hit = _cache.get(token) if _cache is not None else None
-        if hit is None:
-            bucket = _token_hash(token, seed, b"bucket") % d
-            sign = 1.0 if _token_hash(token, seed, b"sign") & 1 else -1.0
-            if _cache is not None:
-                _cache[token] = (bucket, sign)
-        else:
-            bucket, sign = hit
+        bucket, sign = _bucket_and_sign(token, d, seed)
         vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
@@ -159,12 +145,37 @@ def hash_embed(text: str, d: int, seed: int,
     return (vec / norm).astype(np.float32)
 
 
-def embed_collection(collection: Collection, d: int, seed: int) -> EmbeddingMatrix:
-    """hash_embed every rendered document; rows follow collection order."""
-    from .corpus import render_document
+def embed_collection(collection: Collection, d: int, seed: int,
+                     tokens: TokenizedCollection | None = None) -> EmbeddingMatrix:
+    """hash_embed every rendered document, a block of rows at a time, in collection order.
 
-    rows = np.zeros((len(collection), d), dtype=np.float32)
-    cache: dict[str, tuple[int, float]] = {}
-    for i, doc in enumerate(collection):
-        rows[i] = hash_embed(render_document(doc), d, seed, _cache=cache)
+    Each distinct term is hashed once. The +/-1 sums are integers, exact in
+    float64 in any order, and so is each row's sum of squares, so every row
+    has the bytes ``hash_embed`` gives for that document. ``tokens`` is the
+    collection's ``tokenize_collection`` result, when the caller has it.
+    """
+    if d < 8:
+        raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
+    if tokens is None:
+        tokens = tokenize_collection(collection)
+    hashed = [_bucket_and_sign(term, d, seed) for term in tokens.terms]
+    bucket = np.array([h[0] for h in hashed], dtype=np.int64)
+    sign = np.array([h[1] for h in hashed], dtype=np.float64)
+    n = len(tokens.lengths)
+    starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
+    rows = np.empty((n, d), dtype=np.float32)
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ids = tokens.ids[starts[lo]:starts[hi]]
+        cells = np.repeat(np.arange(0, (hi - lo) * d, d, dtype=np.int64), tokens.lengths[lo:hi])
+        cells += bucket[ids]
+        sums = np.bincount(cells, weights=sign[ids], minlength=(hi - lo) * d).reshape(hi - lo, d)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
+        degenerate = np.flatnonzero(norms == 0.0)
+        if degenerate.size:
+            first = lo + int(degenerate[0])
+            what = "no tokens" if tokens.lengths[first] == 0 else "tokens that cancel out"
+            raise DegenerateVectorError(f"document {collection[first].id!r} has {what}")
+        rows[lo:hi] = sums / norms[:, None]
     return EmbeddingMatrix(data=rows)

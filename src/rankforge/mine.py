@@ -6,8 +6,10 @@ so the negatives are lexically related yet ranked well below the head of
 the list. When fewer candidates exist the pair is flagged as a shortfall
 rather than dropped.
 
-Index files use magic ``DQGIDX01``; terms are written in sorted order so
-the same collection always serializes to identical bytes.
+Index files (magic ``DQGIDX02``, little-endian) hold u64 document, term and
+posting counts; the doc ids and the sorted terms as UTF-8 tables (u32 byte
+lengths, then the bytes); u32 doc lengths, u64 indptr, u32 ordinals and u32
+term frequencies. k1 and b are not stored: ``load_index`` takes them.
 """
 
 from __future__ import annotations
@@ -15,26 +17,21 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Collection, render_document, tokenize
+from .corpus import Collection, TokenizedCollection, tokenize, tokenize_collection
 from .errors import DataError, DuplicateIdError, FormatError, InvalidConfigError
 from .querygen import SyntheticQuery
 
-MAGIC = b"DQGIDX01"
+MAGIC = b"DQGIDX02"
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
-_HEADER = struct.Struct("<8sQQdd")   # magic, n_docs, n_terms, k1, b
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_POSTING = struct.Struct("<II")      # doc ordinal, term frequency
+_HEADER = struct.Struct("<8sQQQ")   # magic, n_docs, n_terms, n_postings
 
 
 @dataclass
@@ -62,21 +59,22 @@ class TrainingPair:
 
 
 class Bm25Index:
-    """Inverted index scoring with BM25 (Lucene-style idf, k1=0.9, b=0.4)."""
+    """BM25 (Lucene-style idf) over CSR postings of a sorted vocabulary.
 
-    def __init__(
-        self,
-        doc_ids: Sequence[str],
-        doc_lengths: np.ndarray,
-        postings: dict[str, tuple[np.ndarray, np.ndarray]],
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-    ):
+    The postings of ``terms[t]`` are ``ords[indptr[t]:indptr[t + 1]]``,
+    ascending document ordinals, with their term frequencies in ``tfs``.
+    """
+
+    def __init__(self, doc_ids: Sequence[str], doc_lengths: np.ndarray, terms: Sequence[str],
+                 indptr: np.ndarray, ords: np.ndarray, tfs: np.ndarray,
+                 k1: float = DEFAULT_K1, b: float = DEFAULT_B):
         self.doc_ids = list(doc_ids)
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
-        self.postings = postings
-        self.k1 = float(k1)
-        self.b = float(b)
+        self.terms = list(terms)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.ords, self.tfs = ords, tfs
+        self.k1, self.b = float(k1), float(b)
+        self._term_ids = {term: t for t, term in enumerate(self.terms)}
         self.avgdl = float(self.doc_lengths.mean()) if len(self.doc_ids) else 0.0
         # length normalizer is constant per document, so precompute it
         if self.avgdl > 0:
@@ -88,19 +86,18 @@ class Bm25Index:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def idf(self, term: str) -> float:
-        df = len(self.postings[term][0]) if term in self.postings else 0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
         """Score every document; repeated query tokens contribute once per occurrence."""
         scores = np.zeros(self.n_docs, dtype=np.float64)
         for term in query_tokens:
-            if term not in self.postings:
+            t = self._term_ids.get(term)
+            if t is None:
                 continue
-            ords, tfs = self.postings[term]
-            idf = self.idf(term)
-            tf = tfs.astype(np.float64)
+            lo, hi = int(self.indptr[t]), int(self.indptr[t + 1])
+            ords = self.ords[lo:hi]
+            df = hi - lo
+            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+            tf = self.tfs[lo:hi].astype(np.float64)
             scores[ords] += idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
         return scores
 
@@ -108,33 +105,39 @@ class Bm25Index:
         """Top-k ordinals with positive score, ordered by score desc then ordinal asc."""
         scores = self.score_all(tokenize(query_text))
         hits = np.flatnonzero(scores > 0.0)
-        if hits.size == 0:
-            return []
+        if 0 < k < hits.size:
+            # exactly the top k: all above the k-th largest score, then ties at it by ordinal
+            hit_scores = scores[hits]
+            kth = np.partition(hit_scores, hits.size - k)[hits.size - k]
+            above = hits[hit_scores > kth]
+            ties = hits[hit_scores == kth][: k - above.size]
+            hits = np.concatenate((above, ties))
         order = hits[np.lexsort((hits, -scores[hits]))]
-        top = order[:k]
-        return [(int(o), float(scores[o])) for o in top]
+        return [(int(o), float(scores[o])) for o in order[:k]]
 
 
-def build_index(collection: Collection, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
-    """Index the rendered text (title plus body) of every document."""
+def build_index(collection: Collection, tokens: TokenizedCollection | None = None) -> Bm25Index:
+    """Index the rendered title plus body of every document, with default k1 and b.
+
+    ``tokens``, when given, is ``tokenize_collection(collection)``. One sort of
+    ``term_rank * n + ordinal`` keys gives the postings and their term frequencies.
+    """
     if len(collection) == 0:
         raise DataError("cannot build an index over an empty collection")
-    doc_ids = []
-    doc_lengths = np.zeros(len(collection), dtype=np.int64)
-    raw: dict[str, tuple[list[int], list[int]]] = {}
-    for ordinal, doc in enumerate(collection):
-        doc_ids.append(doc.id)
-        tokens = tokenize(render_document(doc))
-        doc_lengths[ordinal] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            ords, tfs = raw.setdefault(term, ([], []))
-            ords.append(ordinal)
-            tfs.append(tf)
-    postings = {
-        term: (np.asarray(ords, dtype=np.int64), np.asarray(tfs, dtype=np.int64))
-        for term, (ords, tfs) in raw.items()
-    }
-    return Bm25Index(doc_ids, doc_lengths, postings, k1=k1, b=b)
+    if tokens is None:
+        tokens = tokenize_collection(collection)
+    n = len(collection)
+    by_term = sorted(range(len(tokens.terms)), key=tokens.terms.__getitem__)
+    rank = np.empty(len(by_term), dtype=np.int64)
+    rank[by_term] = np.arange(len(by_term))
+    keys = rank[tokens.ids]
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), tokens.lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    term_ranks, ords = np.divmod(keys, n)
+    indptr = np.searchsorted(term_ranks, np.arange(len(by_term) + 1))
+    return Bm25Index([doc.id for doc in collection], tokens.lengths,
+                     [tokens.terms[t] for t in by_term], indptr, ords, tfs)
 
 
 def mine_negatives(
@@ -214,81 +217,76 @@ def load_pairs(path: str | Path) -> list[TrainingPair]:
     return pairs
 
 
+def _string_table(strings: Sequence[str]) -> bytes:
+    encoded = [s.encode("utf-8") for s in strings]
+    return np.array([len(e) for e in encoded], dtype="<u4").tobytes() + b"".join(encoded)
+
+
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    """Serialize the index; byte-stable because terms are written sorted."""
+    """Serialize the index; byte-stable because terms and postings are sorted."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.postings), index.k1, index.b))
-        for doc_id, dl in zip(index.doc_ids, index.doc_lengths):
-            encoded = doc_id.encode("utf-8")
-            fh.write(_U16.pack(len(encoded)))
-            fh.write(encoded)
-            fh.write(_U32.pack(int(dl)))
-        for term in sorted(index.postings):
-            ords, tfs = index.postings[term]
-            encoded = term.encode("utf-8")
-            fh.write(_U16.pack(len(encoded)))
-            fh.write(encoded)
-            fh.write(_U64.pack(len(ords)))
-            for o, tf in zip(ords, tfs):
-                fh.write(_POSTING.pack(int(o), int(tf)))
+        fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.terms), len(index.ords)))
+        fh.write(_string_table(index.doc_ids))
+        fh.write(_string_table(index.terms))
+        for values, dtype in ((index.doc_lengths, "<u4"), (index.indptr, "<u8"),
+                              (index.ords, "<u4"), (index.tfs, "<u4")):
+            fh.write(np.asarray(values, dtype=dtype).tobytes())
 
 
-def load_index(path: str | Path) -> Bm25Index:
+def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+    """Read and validate an index file; k1 and b are the caller's."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise FormatError(f"{path}: truncated index header")
-    magic, n_docs, n_terms, k1, b = _HEADER.unpack_from(blob, 0)
+    magic, n_docs, n_terms, nnz = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     offset = _HEADER.size
 
-    def take(fmt: struct.Struct):
+    def take(dtype: str, count: int) -> np.ndarray:
         nonlocal offset
-        if offset + fmt.size > len(blob):
+        end = offset + np.dtype(dtype).itemsize * count
+        if end > len(blob):
             raise FormatError(f"{path}: truncated at byte {offset}")
-        values = fmt.unpack_from(blob, offset)
-        offset += fmt.size
+        values = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        offset = end
         return values
 
-    def take_bytes(n: int) -> bytes:
+    def take_strings(count: int, what: str) -> list[str]:
         nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated at byte {offset}")
-        chunk = blob[offset:offset + n]
-        offset += n
-        return chunk
+        lengths = take("<u4", count)
+        bounds = (offset + np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))).tolist()
+        if bounds[-1] > len(blob):
+            raise FormatError(f"{path}: truncated {what} table")
+        offset = bounds[-1]
+        try:
+            return [blob[s:e].decode("utf-8") for s, e in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} table is not UTF-8") from exc
 
-    doc_ids = []
-    doc_lengths = np.zeros(n_docs, dtype=np.int64)
-    for i in range(n_docs):
-        (id_len,) = take(_U16)
-        doc_ids.append(take_bytes(id_len).decode("utf-8"))
-        (doc_lengths[i],) = take(_U32)
+    doc_ids = take_strings(n_docs, "document id")
     if len(set(doc_ids)) != len(doc_ids):
         raise DuplicateIdError(f"{path}: duplicate document ids in index")
-
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    previous_term = None
-    for _ in range(n_terms):
-        (term_len,) = take(_U16)
-        term = take_bytes(term_len).decode("utf-8")
-        if previous_term is not None and term <= previous_term:
+    terms = take_strings(n_terms, "term")
+    for previous, term in zip(terms, terms[1:]):
+        if term <= previous:
             raise FormatError(f"{path}: terms out of order at {term!r}")
-        previous_term = term
-        (df,) = take(_U64)
-        if df < 1:
-            raise FormatError(f"{path}: term {term!r} has empty postings")
-        ords = np.zeros(df, dtype=np.int64)
-        tfs = np.zeros(df, dtype=np.int64)
-        for j in range(df):
-            o, tf = take(_POSTING)
-            if o >= n_docs:
-                raise FormatError(f"{path}: posting ordinal {o} out of range")
-            if tf < 1:
-                raise FormatError(f"{path}: non-positive term frequency for {term!r}")
-            ords[j] = o
-            tfs[j] = tf
-        postings[term] = (ords, tfs)
+    doc_lengths = take("<u4", n_docs)
+    indptr = take("<u8", n_terms + 1).astype(np.int64)
+    ords = take("<u4", nnz)
+    tfs = take("<u4", nnz)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return Bm25Index(doc_ids, doc_lengths, postings, k1=k1, b=b)
+    if indptr[0] != 0 or (np.diff(indptr) < 1).any():
+        raise FormatError(f"{path}: indptr does not start at 0 and strictly increase")
+    if indptr[-1] != nnz:
+        raise FormatError(f"{path}: indptr ends at {indptr[-1]}, expected {nnz} postings")
+    if nnz and int(ords.max()) >= n_docs:
+        raise FormatError(f"{path}: posting ordinal {int(ords.max())} out of range")
+    if (tfs < 1).any():
+        raise FormatError(f"{path}: non-positive term frequency")
+    unordered = np.diff(ords.astype(np.int64)) <= 0
+    unordered[indptr[1:-1] - 1] = False              # a new term starts its own run
+    if unordered.any():
+        raise FormatError(f"{path}: postings out of order after posting {int(unordered.argmax())}")
+    return Bm25Index(doc_ids, doc_lengths, terms, indptr, ords, tfs, k1=k1, b=b)

@@ -209,6 +209,59 @@ def test_external_embeddings_missing_doc_fails(tmp_path, corpus_file):
                  "--embeddings", ext_path, "--min-chars", "50"]) == 2
 
 
+def _ingest_to_generate(work, corpus_path, *ingest_flags):
+    assert _run(["ingest", "--input", corpus_path, "--workdir", work] + BASE_FLAGS
+                + list(ingest_flags)) == 0
+    assert _run(["cluster", "--workdir", work, "--clusters", "3", "--seed", "7"]) == 0
+    assert _run(["select", "--workdir", work, "--sample-size", "9",
+                 "--sample-rounds", "3", "--seed", "7"]) == 0
+    assert _run(["generate", "--workdir", work, "--seed", "7"]) == 0
+
+
+def test_external_embeddings_ingest_writes_index_for_mine(tmp_path, corpus_file):
+    plain = tmp_path / "plain"
+    assert _run(["ingest", "--input", corpus_file, "--workdir", plain] + BASE_FLAGS) == 0
+    coll = load_collection(plain / cli.COLLECTION_FILE)
+    ext = np.random.default_rng(2).normal(size=(len(coll), 16)).astype(np.float32)
+    ext_path = tmp_path / "ext.bin"
+    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=[d.id for d in coll])
+
+    work = tmp_path / "w"
+    _ingest_to_generate(work, corpus_file, "--embeddings", ext_path)
+    # the index depends on the text only, not on where the vectors came from
+    assert (work / cli.INDEX_FILE).read_bytes() == (plain / cli.INDEX_FILE).read_bytes()
+    assert _run(["mine", "--workdir", work, "--first-stage-hits", "12",
+                 "--num-negatives", "2"]) == 0
+    assert len((work / cli.PAIRS_FILE).read_text().splitlines()) == 9
+
+
+def test_mine_rejects_index_of_another_collection(tmp_path, corpus_file, capsys):
+    work = tmp_path / "w"
+    _ingest_to_generate(work, corpus_file)
+    # the same documents in another order: every query id still resolves,
+    # but the index ordinals no longer point at the collection's documents
+    reordered = tmp_path / "reordered.jsonl"
+    lines = Path(corpus_file).read_text(encoding="utf-8").splitlines(keepends=True)
+    reordered.write_text("".join(reversed(lines)), encoding="utf-8")
+    other = tmp_path / "other"
+    assert _run(["ingest", "--input", reordered, "--workdir", other] + BASE_FLAGS) == 0
+    original = (work / cli.COLLECTION_FILE).read_bytes()
+    (work / cli.COLLECTION_FILE).write_bytes((other / cli.COLLECTION_FILE).read_bytes())
+    capsys.readouterr()
+    assert _run(["mine", "--workdir", work]) == 2
+    assert "index.bin does not index" in capsys.readouterr().err
+    assert not (work / cli.PAIRS_FILE).exists()
+
+    # ingest is the producer of the index
+    (work / cli.COLLECTION_FILE).write_bytes(original)
+    assert _run(["mine", "--workdir", work]) == 0
+    (work / cli.INDEX_FILE).unlink()
+    capsys.readouterr()
+    assert _run(["build", "--workdir", work, "--out", tmp_path / "out"]) == 2
+    assert "index.bin not found; run `rankforge ingest` first" in capsys.readouterr().err
+    assert _run(["mine", "--workdir", work]) == 2
+
+
 def test_eval_subcommand(tmp_path, capsys):
     run_file = tmp_path / "run.txt"
     qrels_file = tmp_path / "qrels.txt"

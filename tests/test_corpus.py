@@ -12,6 +12,7 @@ from rankforge.corpus import (
     render_document,
     save_collection,
     tokenize,
+    tokenize_collection,
 )
 from rankforge.errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
 
@@ -120,3 +121,22 @@ def test_filter_counts_unicode_scalars():
 def test_filter_rejects_negative_min_chars(tiny_collection):
     with pytest.raises(InvalidConfigError):
         filter_min_length(tiny_collection, -1)
+
+
+def test_tokenize_collection_matches_tokenize():
+    docs = [Document(id="a", title="Straße", text="straße Über über"),
+            Document(id="b", title="", text="!!! ..."),
+            Document(id="c", title="Über", text="new words, über new")]
+    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    tokens = tokenize_collection(coll)
+    assert tokens.terms == ["straße", "über", "new", "words"]       # first-seen order
+    assert tokens.lengths.tolist() == [len(tokenize(render_document(d))) for d in docs]
+    assert tokens.lengths.tolist() == [4, 0, 5]
+    ends = tokens.lengths.cumsum()
+    for doc, end, length in zip(docs, ends, tokens.lengths):
+        ids = tokens.ids[end - length:end]
+        assert [tokens.terms[i] for i in ids] == tokenize(render_document(doc))
+    assert tokens.ids.dtype == "int64"
+    empty = tokenize_collection(Collection())
+    assert empty.terms == [] and empty.ids.size == 0 and empty.lengths.size == 0
+

@@ -1,19 +1,19 @@
-"""Embedding file format, alignment checks, cosine, and the hash embedder."""
+"""Embedding file format, alignment checks, and the hash embedder."""
 
+import hashlib
 import struct
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
-from rankforge.corpus import Collection, Document
+from rankforge import embeddings
+from rankforge.corpus import Collection, Document, render_document
 from rankforge.embeddings import (
     MAGIC,
     EmbeddingMatrix,
     check_alignment,
-    cosine_similarity,
     embed_collection,
     hash_embed,
     load_embeddings,
@@ -94,33 +94,6 @@ def test_check_alignment(tmp_path):
         check_alignment(coll, matrix, ids=shuffled)
 
 
-def test_cosine_against_mpmath_oracle():
-    rng = np.random.default_rng(7)
-    mpmath.mp.dps = 50
-    for _ in range(100):
-        d = int(rng.integers(2, 20))
-        u = rng.normal(size=d)
-        v = rng.normal(size=d)
-        got = cosine_similarity(u, v)
-        mu = [mpmath.mpf(float(x)) for x in u]
-        mv = [mpmath.mpf(float(x)) for x in v]
-        dot = mpmath.fsum(a * b for a, b in zip(mu, mv))
-        nu = mpmath.sqrt(mpmath.fsum(a * a for a in mu))
-        nv = mpmath.sqrt(mpmath.fsum(b * b for b in mv))
-        want = float(dot / (nu * nv))
-        assert abs(got - want) < 1e-12
-
-
-def test_cosine_clamps_and_rejects_zero():
-    v = np.ones(4)
-    assert cosine_similarity(v, v) == 1.0
-    assert cosine_similarity(v, -v) == -1.0
-    with pytest.raises(DegenerateVectorError):
-        cosine_similarity(v, np.zeros(4))
-    with pytest.raises(ValidationError):
-        cosine_similarity(np.ones(3), np.ones(4))
-
-
 def test_hash_embed_is_unit_norm_and_seeded():
     a = hash_embed("the quick brown fox", 32, seed=1)
     b = hash_embed("the quick brown fox", 32, seed=1)
@@ -131,19 +104,21 @@ def test_hash_embed_is_unit_norm_and_seeded():
     assert not np.array_equal(a, c)
 
 
-def test_hash_embed_cache_does_not_change_result():
-    cache: dict = {}
-    a = hash_embed("garlic butter sauce garlic", 16, seed=9)
-    b = hash_embed("garlic butter sauce garlic", 16, seed=9, _cache=cache)
-    np.testing.assert_array_equal(a, b)
-    assert cache                                           # cache was actually used
-
-
 def test_hash_embed_rejects_tiny_dim_and_empty_text():
     with pytest.raises(InvalidConfigError):
         hash_embed("words", 4, seed=0)
     with pytest.raises(DegenerateVectorError):
         hash_embed("!!! ...", 16, seed=0)
+
+
+def test_hash_embed_bytes_are_pinned():
+    # fixed outputs of the blake2b bucket/sign hashing; any change to it moves every artifact
+    one = hash_embed("alpha beta gamma delta Straße 東京", 32, seed=5).tobytes()
+    assert hashlib.sha256(one).hexdigest() == (
+        "56e0d28b345584a6e059bfd32d7298addfe311384f14370e244da73c88164616")
+    rows = embed_collection(make_collection(50, seed=3), 64, seed=9).data.tobytes()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "4bd4b5327399373ad134cdfd21aa7ceae1aac265d8843e329b440f7b159624ba")
 
 
 def test_hash_embed_stable_across_processes():
@@ -169,10 +144,69 @@ def test_embed_collection_rows_follow_order():
     coll = make_collection(6, seed=1)
     matrix = embed_collection(coll, 32, seed=3)
     assert matrix.n == 6 and matrix.d == 32
-    from rankforge.corpus import render_document
-
     for i, doc in enumerate(coll):
         np.testing.assert_array_equal(matrix.row(i), hash_embed(render_document(doc), 32, seed=3))
+
+
+def _collection(texts):
+    docs = [Document(id=f"d{i}", title="", text=t) for i, t in enumerate(texts)]
+    return Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+
+
+def _assert_matches_per_document(coll, d, seed, monkeypatch):
+    want = np.stack([hash_embed(render_document(doc), d, seed) for doc in coll]).tobytes()
+    assert embed_collection(coll, d, seed).data.tobytes() == want
+    for rows_per_block in (7, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(embeddings, "_BLOCK_BYTES", rows_per_block * 8 * d)
+            assert embed_collection(coll, d, seed).data.tobytes() == want
+
+
+def test_embed_collection_bytes_match_hash_embed(monkeypatch):
+    coll = make_collection(300, seed=5)
+    for d, seed in ((8, 0), (64, 7), (256, 42)):
+        _assert_matches_per_document(coll, d, seed, monkeypatch)
+
+
+def test_embed_collection_bytes_match_hash_embed_on_unicode(monkeypatch):
+    texts = [
+        "Ünïcödé Straße naïve café, ÜNÏCÖDÉ straße",
+        "東京 タワー 東京 の 夜景",
+        "Ελληνικά κείμενα και ελληνικά",
+        "emoji 🚀 rocket ROCKET  mixed_under_score über",
+        "Ǆ ǅ ǆ titlecase İstanbul ıi",
+    ]
+    _assert_matches_per_document(_collection(texts), 16, 11, monkeypatch)
+
+
+def _cancelling_pair(d, seed):
+    """Two tokens that land in the same bucket with opposite signs."""
+    seen = {}
+    for i in range(1000):
+        token = f"t{i}"
+        one_hot = hash_embed(token, d, seed)          # +/-1 in the token's bucket
+        bucket = int(np.flatnonzero(one_hot)[0])
+        sign = float(one_hot[bucket])
+        other = seen.get((bucket, -sign))
+        if other is not None:
+            return other, token
+        seen[(bucket, sign)] = token
+    raise AssertionError("no cancelling pair found")
+
+
+def test_embed_collection_rejects_degenerate_documents(monkeypatch):
+    with pytest.raises(InvalidConfigError):
+        embed_collection(_collection(["words"]), 4, seed=0)
+    a, b = _cancelling_pair(16, seed=0)
+    with pytest.raises(DegenerateVectorError):
+        hash_embed(f"{a} {b}", 16, seed=0)
+    texts = ["fine words", "more words", "!!! ...", f"{a} {b}"]
+    for rows_per_block in (1000, 2, 1):       # one block, then the bad rows in later blocks
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", rows_per_block * 8 * 16)
+        with pytest.raises(DegenerateVectorError, match="'d2' has no tokens"):
+            embed_collection(_collection(texts), 16, seed=0)
+        with pytest.raises(DegenerateVectorError, match="'d1' has tokens that cancel"):
+            embed_collection(_collection([texts[0], texts[3], texts[2]]), 16, seed=0)
 
 
 def test_embedding_matrix_validates_shape():

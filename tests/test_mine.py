@@ -115,6 +115,36 @@ def test_search_tie_break_by_ordinal():
     assert len({round(s, 12) for _, s in hits}) == 1
 
 
+def _full_sort_top_k(scores, k):
+    hits = np.flatnonzero(scores > 0.0)
+    order = hits[np.lexsort((hits, -scores[hits]))]
+    return [(int(o), float(scores[o])) for o in order[:k]]
+
+
+def test_search_top_k_matches_full_sort_with_ties():
+    index = build_index(_collection_from_texts(["x"] * 40))
+    rng = np.random.default_rng(0)
+    for trial in range(500):
+        # one to five distinct values (zero in some trials), so ties straddle the k-th place
+        n_values = int(rng.integers(1, 6))
+        values = rng.choice([0.0, 0.5, 1.0, 1.25, 3.0], size=n_values, replace=False)
+        scores = rng.choice(values, size=40)
+        index.score_all = lambda tokens, s=scores: s
+        for k in (1, 2, 3, int(rng.integers(1, 45))):
+            assert index.search("x", k) == _full_sort_top_k(scores, k), (trial, k)
+
+
+def test_search_matches_full_sort_on_a_corpus():
+    coll = make_collection(200, seed=6)
+    index = build_index(coll)
+    rng = random.Random(3)
+    words = [w for topic in TOPIC_VOCAB.values() for w in topic]
+    for _ in range(200):
+        query = " ".join(rng.choices(words, k=rng.randint(1, 4)))
+        k = rng.randint(1, 120)
+        assert index.search(query, k) == _full_sort_top_k(index.score_all(tokenize(query)), k)
+
+
 def test_build_index_rejects_empty_collection():
     with pytest.raises(DataError):
         build_index(Collection(docs=[], index={}))
@@ -208,27 +238,54 @@ def test_assemble_pairs_order_and_unknown_id():
 
 # --------------------------------------------------------------- file format
 
+def _index_fields(index):
+    return dict(doc_ids=index.doc_ids, doc_lengths=index.doc_lengths, terms=index.terms,
+                indptr=index.indptr, ords=index.ords, tfs=index.tfs)
+
+
+def test_csr_postings_match_counter_reference():
+    coll = make_collection(30, seed=3)
+    index = build_index(coll)
+    reference: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, doc in enumerate(coll):
+        for term, tf in Counter(tokenize(render_document(doc))).items():
+            reference.setdefault(term, []).append((ordinal, tf))
+    assert index.terms == sorted(reference)
+    for t, term in enumerate(index.terms):
+        lo, hi = index.indptr[t], index.indptr[t + 1]
+        assert list(zip(index.ords[lo:hi].tolist(), index.tfs[lo:hi].tolist())) == reference[term]
+
+
 def test_index_roundtrip_and_byte_stability(tmp_path):
-    coll = make_collection(20, seed=4)
-    index = build_index(coll, k1=1.1, b=0.3)
+    base = make_collection(20, seed=4)
+    docs = [Document(id=f"dök\n{i} ✓" if i % 2 else doc.id, title=doc.title, text=doc.text)
+            for i, doc in enumerate(base)]
+    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    index = build_index(coll)
     path_a = tmp_path / "a.idx"
     save_index(index, path_a)
-    loaded = load_index(path_a)
-    assert loaded.doc_ids == index.doc_ids
-    assert loaded.k1 == index.k1 and loaded.b == index.b
-    np.testing.assert_array_equal(loaded.doc_lengths, index.doc_lengths)
-    assert set(loaded.postings) == set(index.postings)
-    for term in index.postings:
-        np.testing.assert_array_equal(loaded.postings[term][0], index.postings[term][0])
-        np.testing.assert_array_equal(loaded.postings[term][1], index.postings[term][1])
+    loaded = load_index(path_a, k1=1.1, b=0.3)
+    assert loaded.doc_ids == [d.id for d in docs]
+    assert loaded.k1 == 1.1 and loaded.b == 0.3
+    assert loaded.terms == index.terms
+    for name in ("doc_lengths", "indptr", "ords", "tfs"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name), err_msg=name)
 
     path_b = tmp_path / "b.idx"
     save_index(loaded, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
-    # scoring equivalence after the roundtrip
-    query = ["game", "recipe", "orbit"]
-    np.testing.assert_allclose(loaded.score_all(query), index.score_all(query), atol=0)
+    # scoring equivalence after the roundtrip, and k1/b taken at load
+    query = ["game", "recipe", "orbit", "game"]
+    np.testing.assert_array_equal(load_index(path_a).score_all(query), index.score_all(query))
+    want = bm25_oracle([tokenize(render_document(d)) for d in docs], query, k1=1.1, b=0.3)
+    np.testing.assert_allclose(loaded.score_all(query), want, atol=1e-6)
+
+
+def _saved_variant(tmp_path, index, name, **fields):
+    path = tmp_path / f"{name}.idx"
+    save_index(Bm25Index(**{**_index_fields(index), **fields}), path)
+    return path
 
 
 def test_index_load_rejects_corruption(tmp_path):
@@ -236,22 +293,57 @@ def test_index_load_rejects_corruption(tmp_path):
     index = build_index(coll)
     path = tmp_path / "i.idx"
     save_index(index, path)
-    blob = bytearray(path.read_bytes())
+    blob = path.read_bytes()
 
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes(b"WRONGMAG" + bytes(blob[8:]))
-    with pytest.raises(FormatError):
-        load_index(bad)
+    def rejects(data: bytes, match: str, name: str):
+        bad = tmp_path / f"{name}.idx"
+        bad.write_bytes(data)
+        with pytest.raises(FormatError, match=match):
+            load_index(bad)
 
-    short = tmp_path / "short.idx"
-    short.write_bytes(bytes(blob[:-3]))
-    with pytest.raises(FormatError):
-        load_index(short)
+    rejects(b"WRONGMAG" + blob[8:], "bad magic", "magic")
+    rejects(blob[:20], "truncated index header", "header")
+    id_bytes = 32 + 4 * len(coll)                       # header, then the id lengths
+    rejects(blob[:id_bytes + 2], "truncated document id table", "ids")
+    rejects(blob[:id_bytes] + b"\xff" + blob[id_bytes + 1:], "not UTF-8", "utf8")
+    rejects(blob[:-3], "truncated", "short")
+    rejects(blob + b"\x00\x00", "2 trailing bytes", "trailing")
 
-    trailing = tmp_path / "trail.idx"
-    trailing.write_bytes(bytes(blob) + b"\x00\x00")
-    with pytest.raises(FormatError):
-        load_index(trailing)
+    def variant_rejects(match: str, name: str, **fields):
+        with pytest.raises(FormatError, match=match):
+            load_index(_saved_variant(tmp_path, index, name, **fields))
+
+    terms = list(index.terms)
+    terms[1], terms[2] = terms[2], terms[1]
+    variant_rejects("terms out of order", "terms", terms=terms)
+
+    indptr = index.indptr.copy()
+    indptr[1], indptr[2] = indptr[2], indptr[1]
+    variant_rejects("strictly increase", "monotone", indptr=indptr)
+
+    variant_rejects("expected", "nnz", ords=index.ords[:-1], tfs=index.tfs[:-1])
+
+    ords = index.ords.copy()
+    ords[-1] = len(coll)
+    variant_rejects("out of range", "range", ords=ords)
+
+    tfs = index.tfs.copy()
+    tfs[0] = 0
+    variant_rejects("term frequency", "tf0", tfs=tfs)
+
+    t = int(np.flatnonzero(np.diff(index.indptr) >= 2)[0])   # a term in two documents
+    ords = index.ords.copy()
+    lo = index.indptr[t]
+    ords[lo], ords[lo + 1] = ords[lo + 1], ords[lo]
+    variant_rejects("postings out of order", "order", ords=ords)
+
+
+def test_index_load_rejects_duplicate_doc_ids(tmp_path):
+    index = build_index(make_collection(5, seed=2))
+    doc_ids = list(index.doc_ids)
+    doc_ids[3] = doc_ids[1]
+    with pytest.raises(DuplicateIdError):
+        load_index(_saved_variant(tmp_path, index, "dup", doc_ids=doc_ids))
 
 
 def test_pairs_roundtrip(tmp_path):
