@@ -6,8 +6,9 @@ outputs land in a working directory under fixed names, so a pipeline can
 be resumed from any stage by rerunning only the later commands.
 
 Configuration resolves in three layers: built-in defaults, then a flat
-``key=value`` config file (``--config``), then command line flags. The
-effective configuration is echoed into the manifest at the build stage.
+``key=value`` config file (``--config``), then command line flags. It is
+validated once, before any stage runs, and echoed into the manifest at the
+build stage.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 endpoint error.
 """
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import cluster as clustering
 from . import corpus, dataset, embeddings, evaluation, mine, querygen, selection
+from .config import PipelineConfig
 from .errors import (
     AlignmentError,
     DataError,
@@ -50,36 +52,8 @@ POINTWISE_FILE = "pointwise.jsonl"
 MANIFEST_FILE = "manifest.json"
 
 
-@dataclasses.dataclass
-class PipelineConfig:
-    """Every tunable of the pipeline with its default."""
-
-    min_chars: int = 300
-    hash_embed_dim: int = 256
-    clusters: int = 1000
-    kmeans_restarts: int = 3
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-4
-    sample_size: int = 1000
-    softmax_temperature: float = 1.0
-    mmr_lambda: float = 1.0
-    sample_rounds: int = 5
-    shots: int = 3
-    decode_temperature: float = 0.0
-    max_new_tokens: int = 64
-    max_doc_chars: int = 2048
-    first_stage_hits: int = 100
-    num_negatives: int = 4
-    bm25_k1: float = 0.9
-    bm25_b: float = 0.4
-    seed: int = 42
-    threads: int = 4
-    max_retries: int = 3
-    request_timeout: float = 30.0
-    endpoint: str = "mock:deterministic"
-    model: str = querygen.DEFAULT_MODEL
-    ndcg_k: int = 10
-    recall_k: int = 100
+# field name -> the type of its default: int, float or str
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
 
 
 def _parse_config_file(path: str | Path) -> dict[str, str]:
@@ -96,36 +70,29 @@ def _parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _apply_entries(cfg: PipelineConfig, entries: dict[str, str], source: str) -> None:
+def _typed_entries(entries: dict[str, str], source: str) -> dict[str, object]:
+    values: dict[str, object] = {}
     for key, raw in entries.items():
-        if not hasattr(cfg, key):
+        if key not in _FIELD_TYPES:
             raise InvalidConfigError(f"{source}: unknown config key {key!r}")
-        current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):
-                value: object = raw.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
+            values[key] = _FIELD_TYPES[key](raw)
         except ValueError:
             raise InvalidConfigError(f"{source}: invalid value for {key}: {raw!r}") from None
-        setattr(cfg, key, value)
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, then config file entries, then explicit flags."""
-    cfg = PipelineConfig()
+    """Defaults, then config file entries, then explicit flags; validated once."""
+    values: dict[str, object] = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        _apply_entries(cfg, _parse_config_file(config_path), str(config_path))
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f.name, None)
+        values.update(_typed_entries(_parse_config_file(config_path), str(config_path)))
+    for name in _FIELD_TYPES:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+            values[name] = value
+    return PipelineConfig(**values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,8 +124,7 @@ def _load_ingested(workdir: Path) -> tuple[corpus.Collection, embeddings.Embeddi
     return coll, matrix
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args, create=True)
     raw = corpus.load_collection(args.input)
     coll = corpus.filter_min_length(raw, cfg.min_chars)
@@ -202,18 +168,12 @@ def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings
     return embeddings.EmbeddingMatrix(data=rows)
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
     coll, matrix = _load_ingested(workdir)
 
     if getattr(args, "k_scan", None):
-        k_values = _parse_k_scan(args.k_scan)
-        base = clustering.ClusteringConfig(
-            K=k_values[0], seed=cfg.seed, max_iters=cfg.kmeans_max_iters,
-            tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts,
-        )
-        result = clustering.elbow_scan(matrix, k_values, base)
+        result = clustering.elbow_scan(matrix, _parse_k_scan(args.k_scan), cfg)
         with open(workdir / ELBOW_FILE, "w", encoding="utf-8") as fh:
             json.dump(
                 {"points": [{"k": k, "sse": sse} for k, sse in result.points],
@@ -230,11 +190,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             print("no elbow suggestion (need at least 3 scanned K values)")
         return 0
 
-    ccfg = clustering.ClusteringConfig(
-        K=cfg.clusters, seed=cfg.seed, max_iters=cfg.kmeans_max_iters,
-        tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts,
-    )
-    model = clustering.kmeans_fit(matrix, ccfg)
+    model = clustering.kmeans_fit(matrix, cfg)
     clustering.save_model(model, workdir / KMEANS_FILE)
     print(
         f"cluster: K={model.K} inertia={model.inertia:.6f} "
@@ -256,8 +212,7 @@ def _parse_k_scan(text: str) -> list[int]:
     return values
 
 
-def cmd_select(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
     coll, matrix = _load_ingested(workdir)
     model = clustering.load_model(_require(workdir / KMEANS_FILE, "cluster"))
@@ -265,18 +220,13 @@ def cmd_select(args: argparse.Namespace) -> int:
         raise AlignmentError(
             f"model covers {len(model.assignments)} documents, collection has {len(coll)}"
         )
-    scfg = selection.SamplingConfig(
-        sample_size=cfg.sample_size, seed=cfg.seed, temperature=cfg.softmax_temperature,
-        rounds=cfg.sample_rounds, mmr_lambda=cfg.mmr_lambda,
-    )
-    selected = selection.select_representatives(matrix, model, scfg)
+    selected = selection.select_representatives(matrix, model, cfg)
     selection.save_selected(selected, coll, workdir / SELECTED_FILE)
     print(f"select: {len(selected)} documents across {model.K} clusters")
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
     coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
     rows = selection.load_selected(_require(workdir / SELECTED_FILE, "select"))
@@ -285,15 +235,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     examples_path = getattr(args, "examples", None) or querygen.builtin_examples_path("wikipedia")
     template = querygen.load_template(template_path)
     examples = querygen.load_examples(examples_path)
-    settings = querygen.GenerationSettings(
-        temperature=cfg.decode_temperature, max_new_tokens=cfg.max_new_tokens,
-        max_doc_chars=cfg.max_doc_chars, shots=cfg.shots, concurrency=cfg.threads,
-        max_retries=cfg.max_retries, request_timeout=cfg.request_timeout,
-    )
-    settings.validate()
-    if len(examples) < settings.shots:
-        raise DataError(f"{examples_path} has {len(examples)} examples, need {settings.shots}")
-    examples = examples[: settings.shots]
+    if len(examples) < cfg.shots:
+        raise DataError(f"{examples_path} has {len(examples)} examples, need {cfg.shots}")
+    examples = examples[: cfg.shots]
 
     prompts = []
     for row in rows:
@@ -303,19 +247,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         prompts.append(
             querygen.QueryPrompt(
                 doc_id=doc.id,
-                text=querygen.build_prompt(template, examples, corpus.render_document(doc), settings),
+                text=querygen.build_prompt(template, examples, corpus.render_document(doc), cfg),
             )
         )
-    client = querygen.make_client(cfg.endpoint, model=cfg.model)
-    queries = querygen.generate_queries(client, prompts, settings)
+    client = querygen.make_client(cfg.endpoint, cfg.model)
+    queries = querygen.generate_queries(client, prompts, cfg)
     querygen.save_queries(queries, workdir / QUERIES_FILE)
     dropped = len(prompts) - len(queries)
     print(f"generate: {len(queries)} queries from {len(prompts)} prompts ({dropped} dropped)")
     return 0
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
     coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
     queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
@@ -326,8 +269,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             f"{INDEX_FILE} does not index the documents of {COLLECTION_FILE}; "
             "rerun `rankforge ingest`"
         )
-    mcfg = mine.MiningConfig(first_stage_hits=cfg.first_stage_hits, num_negatives=cfg.num_negatives)
-    pairs = mine.assemble_pairs(index, coll, queries, mcfg)
+    pairs = mine.assemble_pairs(index, coll, queries, cfg)
     mine.save_pairs(pairs, workdir / PAIRS_FILE)
     shortfalls = sum(1 for p in pairs if p.shortfall)
     negatives = sum(len(p.negative_doc_ids) for p in pairs)
@@ -335,8 +277,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -384,8 +325,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     run = evaluation.load_run(args.run)
     qrels = evaluation.load_qrels(args.qrels)
     report = evaluation.evaluate(run, qrels, ndcg_k=cfg.ndcg_k, recall_k=cfg.recall_k)
@@ -395,9 +335,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run_all(args: argparse.Namespace) -> int:
+def cmd_run_all(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     for step in (cmd_ingest, cmd_cluster, cmd_select, cmd_generate, cmd_mine, cmd_build):
-        code = step(args)
+        code = step(args, cfg)
         if code != 0:
             return code
     return 0
@@ -405,10 +345,9 @@ def cmd_run_all(args: argparse.Namespace) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
     """Expose selected PipelineConfig fields as flags (default None = not set)."""
-    types = {f.name: type(getattr(PipelineConfig(), f.name)) for f in dataclasses.fields(PipelineConfig)}
     for name in names:
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, type=types[name], default=None)
+        parser.add_argument(flag, dest=name, type=_FIELD_TYPES[name], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.add_argument("--template", default=None)
     p.add_argument("--examples", default=None)
-    _add_config_flags(p, [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "seed"])
+    _add_config_flags(p, [name for name in _FIELD_TYPES if name != "seed"])
     p.set_defaults(func=cmd_run_all)
 
     return parser
@@ -484,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 Rows are L2-normalized internally, so the squared-Euclidean training
 objective and the cosine-based SSE used for the elbow scan order models the
 same way. Initialization is k-means++ with a seeded generator; every run is
-reproducible from (matrix, config) alone.
+reproducible from (matrix, config) alone: the config's ``clusters``, ``seed``,
+``kmeans_restarts``, ``kmeans_max_iters`` and ``kmeans_tol``.
 
 Model files are binary: magic ``DQGKMC01``, K (u32 LE), d (u32 LE),
 n (u64 LE), inertia (f64 LE), centroids (K*d f32 LE, row-major),
@@ -12,12 +13,14 @@ assignments (n u32 LE).
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
@@ -28,8 +31,6 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_K = 1000
-
 MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
 
@@ -38,25 +39,6 @@ _HEADER = struct.Struct("<8sIIQd")
 _BLOCK_BYTES = 4 << 20
 # k-means++ seeding distances below this are recomputed exactly (see _seed_dists).
 _EXACT_BELOW = 1e-9
-
-
-@dataclass
-class ClusteringConfig:
-    K: int
-    seed: int = 0
-    max_iters: int = 100
-    tol: float = 1e-4          # relative inertia change between iterations
-    restarts: int = 3
-
-    def validate(self, n: int) -> None:
-        if self.K < 1:
-            raise InvalidConfigError(f"K must be >= 1, got {self.K}")
-        if self.K > n:
-            raise InvalidConfigError(f"K ({self.K}) exceeds row count ({n})")
-        if self.max_iters < 1:
-            raise InvalidConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise InvalidConfigError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass
@@ -171,16 +153,16 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
         centroids[k] = Xn[p]
 
 
-def _lloyd(Xn: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator) -> KMeansModel:
+def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMeansModel:
     n = Xn.shape[0]
-    K = cfg.K
+    K = cfg.clusters
     centroids = _kmeans_pp_init(Xn, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     converged = False
     prev_inertia: float | None = None
 
-    for _ in range(cfg.max_iters):
+    for _ in range(cfg.kmeans_max_iters):
         new_assignments = _assign(Xn, centroids)
         _repair_empty(Xn, centroids, new_assignments, K)
         _update_centroids(Xn, centroids, new_assignments)
@@ -191,7 +173,7 @@ def _lloyd(Xn: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator) -> K
             assignments = new_assignments
             break
         assignments = new_assignments
-        if prev_inertia is not None and prev_inertia - inertia <= cfg.tol * prev_inertia:
+        if prev_inertia is not None and prev_inertia - inertia <= cfg.kmeans_tol * prev_inertia:
             converged = True
             break
         prev_inertia = inertia
@@ -206,12 +188,13 @@ def _lloyd(Xn: np.ndarray, cfg: ClusteringConfig, rng: np.random.Generator) -> K
     )
 
 
-def kmeans_fit(X: EmbeddingMatrix, cfg: ClusteringConfig) -> KMeansModel:
-    """Fit spherical k-means; best of cfg.restarts seeded runs by inertia."""
-    cfg.validate(X.n)
+def kmeans_fit(X: EmbeddingMatrix, cfg: PipelineConfig) -> KMeansModel:
+    """Fit spherical k-means; best of cfg.kmeans_restarts seeded runs by inertia."""
+    if cfg.clusters > X.n:
+        raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({X.n})")
     Xn = _normalized_rows(X)
     best: KMeansModel | None = None
-    for restart in range(cfg.restarts):
+    for restart in range(cfg.kmeans_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
         model = _lloyd(Xn, cfg, rng)
         if best is None or model.inertia < best.inertia:
@@ -249,16 +232,15 @@ class ElbowResult:
     knee: int | None                   # K maximizing the discrete second difference
 
 
-def elbow_scan(X: EmbeddingMatrix, k_values: list[int], cfg: ClusteringConfig) -> ElbowResult:
-    """Fit one model per K (shared seed policy) and locate the SSE knee."""
+def elbow_scan(X: EmbeddingMatrix, k_values: list[int], cfg: PipelineConfig) -> ElbowResult:
+    """Fit one model per K (cfg with its clusters replaced) and locate the SSE knee."""
     if not k_values:
         raise InvalidConfigError("k_values must be non-empty")
     if any(b <= a for a, b in zip(k_values, k_values[1:])):
         raise InvalidConfigError("k_values must be strictly ascending")
     points: list[tuple[int, float]] = []
     for k in k_values:
-        model = kmeans_fit(X, ClusteringConfig(K=k, seed=cfg.seed, max_iters=cfg.max_iters,
-                                               tol=cfg.tol, restarts=cfg.restarts))
+        model = kmeans_fit(X, dataclasses.replace(cfg, clusters=k))
         points.append((k, cosine_sse(X, model)))
     knee: int | None = None
     if len(points) >= 3:

@@ -11,14 +11,12 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_MIN_CHARS = 300
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -62,16 +60,15 @@ class Collection:
 def _validate_doc(doc_id: str, title: str, text: str, line_number: int) -> None:
     if not doc_id:
         raise FormatError("empty `_id`", line_number)
+    if doc_id.splitlines() != [doc_id]:
+        # the embeddings `.ids` sidecar holds one id per line
+        raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
     if "\x00" in title or "\x00" in text:
         raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
 
 
-def load_collection(path: str | Path, fmt: str = "jsonl") -> Collection:
-    """Load a corpus file into a Collection, preserving file order."""
-    if fmt != "jsonl":
-        raise InvalidConfigError(f"unsupported corpus format: {fmt!r}")
-    docs: list[Document] = []
-    index: dict[str, int] = {}
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -82,18 +79,26 @@ def load_collection(path: str | Path, fmt: str = "jsonl") -> Collection:
                 raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
             if not isinstance(obj, dict):
                 raise FormatError("expected a JSON object", line_number)
-            if "_id" not in obj:
-                raise FormatError("missing `_id` field", line_number)
-            if "text" not in obj:
-                raise FormatError("missing `text` field", line_number)
-            doc_id = str(obj["_id"])
-            title = str(obj.get("title") or "")
-            text = str(obj["text"])
-            _validate_doc(doc_id, title, text, line_number)
-            if doc_id in index:
-                raise DuplicateIdError(f"duplicate `_id` {doc_id!r} at line {line_number}")
-            index[doc_id] = len(docs)
-            docs.append(Document(id=doc_id, title=title, text=text))
+            yield line_number, obj
+
+
+def load_collection(path: str | Path) -> Collection:
+    """Load a corpus file into a Collection, preserving file order."""
+    docs: list[Document] = []
+    index: dict[str, int] = {}
+    for line_number, obj in read_jsonl(path):
+        if "_id" not in obj:
+            raise FormatError("missing `_id` field", line_number)
+        if "text" not in obj:
+            raise FormatError("missing `text` field", line_number)
+        doc_id = str(obj["_id"])
+        title = str(obj.get("title") or "")
+        text = str(obj["text"])
+        _validate_doc(doc_id, title, text, line_number)
+        if doc_id in index:
+            raise DuplicateIdError(f"duplicate `_id` {doc_id!r} at line {line_number}")
+        index[doc_id] = len(docs)
+        docs.append(Document(id=doc_id, title=title, text=text))
     return Collection(docs=docs, index=index)
 
 
@@ -137,7 +142,7 @@ def tokenize_collection(collection: Collection) -> TokenizedCollection:
     return TokenizedCollection(list(vocab), np.concatenate(per_doc), lengths)
 
 
-def filter_min_length(collection: Collection, min_chars: int = DEFAULT_MIN_CHARS) -> Collection:
+def filter_min_length(collection: Collection, min_chars: int) -> Collection:
     """Drop documents whose rendered string is shorter than min_chars.
 
     Length counts Unicode scalar values of the rendered title+text string.

@@ -23,31 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Collection, TokenizedCollection, tokenize, tokenize_collection
-from .errors import DataError, DuplicateIdError, FormatError, InvalidConfigError
+from .config import PipelineConfig
+from .corpus import Collection, TokenizedCollection, read_jsonl, tokenize, tokenize_collection
+from .errors import DataError, DuplicateIdError, FormatError
 from .querygen import SyntheticQuery
 
 MAGIC = b"DQGIDX02"
-DEFAULT_K1 = 0.9
-DEFAULT_B = 0.4
 
 _HEADER = struct.Struct("<8sQQQ")   # magic, n_docs, n_terms, n_postings
-
-
-@dataclass
-class MiningConfig:
-    first_stage_hits: int = 100
-    num_negatives: int = 4
-
-    def validate(self) -> None:
-        if self.first_stage_hits < 2:
-            raise InvalidConfigError(
-                f"first_stage_hits must be >= 2, got {self.first_stage_hits}"
-            )
-        if not 1 <= self.num_negatives < self.first_stage_hits:
-            raise InvalidConfigError(
-                f"num_negatives must be in [1, first_stage_hits), got {self.num_negatives}"
-            )
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,7 @@ class Bm25Index:
 
     def __init__(self, doc_ids: Sequence[str], doc_lengths: np.ndarray, terms: Sequence[str],
                  indptr: np.ndarray, ords: np.ndarray, tfs: np.ndarray,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B):
+                 k1: float = PipelineConfig.bm25_k1, b: float = PipelineConfig.bm25_b):
         self.doc_ids = list(doc_ids)
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         self.terms = list(terms)
@@ -141,7 +124,7 @@ def build_index(collection: Collection, tokens: TokenizedCollection | None = Non
 
 
 def mine_negatives(
-    index: Bm25Index, query_text: str, positive_ordinal: int, cfg: MiningConfig
+    index: Bm25Index, query_text: str, positive_ordinal: int, cfg: PipelineConfig
 ) -> tuple[list[int], bool]:
     """Tail of the top-x candidates minus the positive; flags when under quota."""
     hits = index.search(query_text, cfg.first_stage_hits)
@@ -155,10 +138,9 @@ def assemble_pairs(
     index: Bm25Index,
     collection: Collection,
     queries: Sequence[SyntheticQuery],
-    cfg: MiningConfig,
+    cfg: PipelineConfig,
 ) -> list[TrainingPair]:
     """One training pair per query, in query order."""
-    cfg.validate()
     pairs = []
     for q in queries:
         try:
@@ -195,25 +177,18 @@ def save_pairs(pairs: Sequence[TrainingPair], path: str | Path) -> None:
 
 def load_pairs(path: str | Path) -> list[TrainingPair]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            for key in ("query", "positive_doc_id", "negative_doc_ids", "shortfall"):
-                if key not in obj:
-                    raise FormatError(f"pair record missing `{key}`", line_number)
-            pairs.append(
-                TrainingPair(
-                    query_text=obj["query"],
-                    positive_doc_id=obj["positive_doc_id"],
-                    negative_doc_ids=tuple(obj["negative_doc_ids"]),
-                    shortfall=bool(obj["shortfall"]),
-                )
+    for line_number, obj in read_jsonl(path):
+        for key in ("query", "positive_doc_id", "negative_doc_ids", "shortfall"):
+            if key not in obj:
+                raise FormatError(f"pair record missing `{key}`", line_number)
+        pairs.append(
+            TrainingPair(
+                query_text=obj["query"],
+                positive_doc_id=obj["positive_doc_id"],
+                negative_doc_ids=tuple(obj["negative_doc_ids"]),
+                shortfall=bool(obj["shortfall"]),
             )
+        )
     return pairs
 
 
@@ -233,7 +208,8 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
             fh.write(np.asarray(values, dtype=dtype).tobytes())
 
 
-def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+def load_index(path: str | Path, k1: float = PipelineConfig.bm25_k1,
+               b: float = PipelineConfig.bm25_b) -> Bm25Index:
     """Read and validate an index file; k1 and b are the caller's."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:

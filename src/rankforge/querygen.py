@@ -19,14 +19,15 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 import requests
 
-from .corpus import tokenize
+from .config import PipelineConfig
+from .corpus import read_jsonl, tokenize
 from .errors import (
     AggregateGenerationError,
     EmptyQueryError,
@@ -39,7 +40,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "RANKFORGE_API_KEY"
-DEFAULT_MODEL = "llama-2-7b-chat"
+BACKOFF_BASE = 0.5    # seconds; the wait before retry i is BACKOFF_BASE * 2**i
+STOP = ("\n",)        # stop sequences of every request (a JSON list on the wire)
 
 _SLOT_RE = re.compile(r"\{(document|query)\}")
 _QUOTE_CHARS = "\"'`“”‘’"
@@ -73,27 +75,6 @@ class SyntheticQuery:
     model_name: str
 
 
-@dataclass
-class GenerationSettings:
-    temperature: float = 0.0       # greedy decoding by default
-    max_new_tokens: int = 64
-    max_doc_chars: int = 2048
-    shots: int = 3
-    request_timeout: float = 30.0
-    max_retries: int = 3
-    concurrency: int = 4
-    backoff_base: float = 0.5
-    stop: list[str] = field(default_factory=lambda: ["\n"])
-
-    def validate(self) -> None:
-        if self.temperature < 0:
-            raise InvalidConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.shots < 0:
-            raise InvalidConfigError(f"shots must be >= 0, got {self.shots}")
-        if self.max_doc_chars < 1:
-            raise InvalidConfigError("max_doc_chars must be >= 1")
-
-
 def builtin_template_path() -> Path:
     return Path(str(resources.files("rankforge") / "templates" / "inpars.json"))
 
@@ -121,19 +102,12 @@ def load_template(path: str | Path) -> PromptTemplate:
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            if "document" not in obj or "query" not in obj:
-                raise FormatError("example needs `document` and `query` fields", line_number)
-            if not obj["document"] or not obj["query"]:
-                raise FormatError("example fields must be non-empty", line_number)
-            examples.append(FewShotExample(document_text=obj["document"], query=obj["query"]))
+    for line_number, obj in read_jsonl(path):
+        if "document" not in obj or "query" not in obj:
+            raise FormatError("example needs `document` and `query` fields", line_number)
+        if not obj["document"] or not obj["query"]:
+            raise FormatError("example fields must be non-empty", line_number)
+        examples.append(FewShotExample(document_text=obj["document"], query=obj["query"]))
     return examples
 
 
@@ -162,13 +136,16 @@ def build_prompt(
     tmpl: PromptTemplate,
     examples: Sequence[FewShotExample],
     target_doc: str,
-    settings: GenerationSettings,
+    cfg: PipelineConfig,
 ) -> str:
-    """Assemble preamble, rendered examples, and the target block into one prompt."""
+    """Assemble preamble, rendered examples, and the target block into one prompt.
+
+    Reads ``shots`` and ``max_doc_chars`` from cfg.
+    """
     if tmpl.target_block_format.count("{document}") != 1:
         raise TemplateError("target block must contain {document} exactly once")
-    if len(examples) != settings.shots:
-        raise InvalidConfigError(f"expected {settings.shots} examples, got {len(examples)}")
+    if len(examples) != cfg.shots:
+        raise InvalidConfigError(f"expected {cfg.shots} examples, got {len(examples)}")
     if examples and (
         "{document}" not in tmpl.example_block_format
         or "{query}" not in tmpl.example_block_format
@@ -179,7 +156,7 @@ def build_prompt(
         parts.append(tmpl.preamble)
     for ex in examples:
         parts.append(_render(tmpl.example_block_format, {"document": ex.document_text, "query": ex.query}))
-    doc = truncate_at_whitespace(target_doc, settings.max_doc_chars)
+    doc = truncate_at_whitespace(target_doc, cfg.max_doc_chars)
     parts.append(_render(tmpl.target_block_format, {"document": doc}))
     return tmpl.example_separator.join(parts)
 
@@ -208,37 +185,37 @@ def deterministic_completion(prompt: str) -> str:
 class HttpCompletionClient:
     """Completion client for an HTTP JSON endpoint, with retries and backoff."""
 
-    def __init__(self, endpoint: str, model: str = DEFAULT_MODEL, api_key: str | None = None):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
 
-    def complete(self, prompt: str, settings: GenerationSettings) -> str:
+    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
         payload = {
             "model": self.model,
             "prompt": prompt,
-            "temperature": settings.temperature,
-            "max_tokens": settings.max_new_tokens,
-            "stop": settings.stop,
+            "temperature": cfg.decode_temperature,
+            "max_tokens": cfg.max_new_tokens,
+            "stop": STOP,
         }
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(settings.max_retries + 1):
+        for attempt in range(cfg.max_retries + 1):
             try:
                 resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=settings.request_timeout
+                    self.endpoint, json=payload, headers=headers, timeout=cfg.request_timeout
                 )
                 resp.raise_for_status()
                 body = resp.json()
                 return str(body["choices"][0]["text"])
             except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
-                if attempt < settings.max_retries:
-                    time.sleep(settings.backoff_base * (2 ** attempt))
+                if attempt < cfg.max_retries:
+                    time.sleep(BACKOFF_BASE * (2 ** attempt))
         raise EndpointError(
-            f"request failed after {settings.max_retries + 1} attempts: {last_error}"
+            f"request failed after {cfg.max_retries + 1} attempts: {last_error}"
         )
 
 
@@ -248,14 +225,14 @@ class MockCompletionClient:
     def __init__(self, model: str = "mock"):
         self.model = model
 
-    def complete(self, prompt: str, settings: GenerationSettings) -> str:
+    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
         text = deterministic_completion(prompt)
-        for stop in settings.stop:
+        for stop in STOP:
             text = text.split(stop)[0]
         return text
 
 
-def make_client(endpoint: str, model: str = DEFAULT_MODEL):
+def make_client(endpoint: str, model: str):
     """Pick the client for an endpoint; `mock:` prefixes run in process."""
     if endpoint.startswith("mock:"):
         return MockCompletionClient(model=model)
@@ -263,17 +240,17 @@ def make_client(endpoint: str, model: str = DEFAULT_MODEL):
 
 
 def generate_queries(client, prompts: Sequence[QueryPrompt],
-                     settings: GenerationSettings) -> list[SyntheticQuery]:
-    """One completion per prompt with bounded fan-out; output follows input order.
+                     cfg: PipelineConfig) -> list[SyntheticQuery]:
+    """One completion per prompt, cfg.threads at a time; output follows input order.
 
     Items that fail transport after retries or parse to an empty query are
     dropped and logged; the call only raises when every request failed.
     """
     results: list[SyntheticQuery | None] = [None] * len(prompts)
     transport_failures = 0
-    with ThreadPoolExecutor(max_workers=max(1, settings.concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         futures = {
-            pool.submit(client.complete, prompts[i].text, settings): i
+            pool.submit(client.complete, prompts[i].text, cfg): i
             for i in range(len(prompts))
         }
         for fut in as_completed(futures):
@@ -309,22 +286,15 @@ def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:
 
 def load_queries(path: str | Path) -> list[SyntheticQuery]:
     queries = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            if "doc_id" not in obj or "query" not in obj:
-                raise FormatError("query record needs `doc_id` and `query`", line_number)
-            queries.append(
-                SyntheticQuery(
-                    doc_id=obj["doc_id"],
-                    query_text=obj["query"],
-                    raw_completion=obj.get("raw", obj["query"]),
-                    model_name=obj.get("model", "unknown"),
-                )
+    for line_number, obj in read_jsonl(path):
+        if "doc_id" not in obj or "query" not in obj:
+            raise FormatError("query record needs `doc_id` and `query`", line_number)
+        queries.append(
+            SyntheticQuery(
+                doc_id=obj["doc_id"],
+                query_text=obj["query"],
+                raw_completion=obj.get("raw", obj["query"]),
+                model_name=obj.get("model", "unknown"),
             )
+        )
     return queries

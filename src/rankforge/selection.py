@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import KMeansModel
-from .corpus import Collection
+from .config import PipelineConfig
+from .corpus import Collection, read_jsonl
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
@@ -40,23 +41,6 @@ class Allocation:
     total: int
     cluster_sizes: np.ndarray
     collection_size: int
-
-
-@dataclass
-class SamplingConfig:
-    sample_size: int            # N, total documents to select
-    seed: int = 0
-    temperature: float = 1.0    # softmax temperature
-    rounds: int = 5             # independent sampling rounds pooled before MMR
-    mmr_lambda: float = 1.0     # 1.0 = pure similarity to anchor, 0.0 = pure diversity
-
-    def validate(self) -> None:
-        if self.temperature <= 0:
-            raise InvalidConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.rounds < 1:
-            raise InvalidConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.mmr_lambda <= 1.0:
-            raise InvalidConfigError(f"mmr_lambda must be in [0, 1], got {self.mmr_lambda}")
 
 
 @dataclass(frozen=True)
@@ -225,49 +209,29 @@ def mmr_select(
     return [pool[i] for i in selected]
 
 
-def _mmr_with_topup(
-    pool_positions: list[int],
-    sims: np.ndarray,
-    probs: np.ndarray,
-    unit_rows: np.ndarray,
-    lam: float,
-    n_k: int,
-) -> list[int]:
-    """MMR over the pooled positions, topped up by softmax probability if short.
-
-    sims, probs and unit_rows are indexed by position within the cluster.
-    """
-    chosen = mmr_select(pool_positions, sims[pool_positions], unit_rows[pool_positions], lam, n_k)
-    if len(chosen) < n_k:
-        in_pool = set(pool_positions)
-        extras = sorted(
-            (q for q in range(len(probs)) if q not in in_pool),
-            key=lambda q: (-probs[q], q),
-        )
-        chosen.extend(extras[: n_k - len(chosen)])
-    return chosen
-
-
 def _round_rng(seed: int, cluster: int, round_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cluster, round_index)))
 
 
 def select_representatives(
-    X: EmbeddingMatrix, model: KMeansModel, cfg: SamplingConfig
+    X: EmbeddingMatrix, model: KMeansModel, cfg: PipelineConfig
 ) -> SelectedSet:
-    """Run the full per-cluster sampling and diversification pass."""
-    cfg.validate()
+    """Run the full per-cluster sampling and diversification pass.
+
+    Reads ``sample_size``, ``seed``, ``softmax_temperature``, ``sample_rounds``
+    and ``mmr_lambda`` from cfg.
+    """
     allocation = allocate_sizes(model.cluster_sizes(), cfg.sample_size)
     per_cluster: list[list[SelectedDoc]] = []
     for k in range(model.K):
         members = model.members(k)
         sims_to_mean = centroid_similarities(X, model, k)
-        probs = softmax_probabilities(sims_to_mean, cfg.temperature)
+        probs = softmax_probabilities(sims_to_mean, cfg.softmax_temperature)
         n_k = int(allocation.sizes[k])
 
         pool_positions: list[int] = []
         seen: set[int] = set()
-        for r in range(cfg.rounds):
+        for r in range(cfg.sample_rounds):
             rng = _round_rng(cfg.seed, k, r)
             for pos in sample_without_replacement(probs, n_k, rng):
                 if pos not in seen:
@@ -278,8 +242,9 @@ def select_representatives(
         member_rows /= np.linalg.norm(member_rows, axis=1)[:, None]
         anchor = int(np.argmax(sims_to_mean))
         anchor_sims = member_rows @ member_rows[anchor]
-        chosen = _mmr_with_topup(pool_positions, anchor_sims, probs, member_rows,
-                                 cfg.mmr_lambda, n_k)
+        # every round draws n_k distinct positions, so MMR always finds n_k in the pool
+        chosen = mmr_select(pool_positions, anchor_sims[pool_positions],
+                            member_rows[pool_positions], cfg.mmr_lambda, n_k)
         per_cluster.append(
             [
                 SelectedDoc(
@@ -312,15 +277,8 @@ def save_selected(selected: SelectedSet, collection: Collection, path: str | Pat
 def load_selected(path: str | Path) -> list[dict]:
     """Read a selection JSONL back into a list of per-document records."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            if "doc_id" not in obj or "cluster" not in obj:
-                raise FormatError("missing doc_id or cluster field", line_number)
-            records.append(obj)
+    for line_number, obj in read_jsonl(path):
+        if "doc_id" not in obj or "cluster" not in obj:
+            raise FormatError("missing doc_id or cluster field", line_number)
+        records.append(obj)
     return records

@@ -18,10 +18,11 @@ import pytest
 from mpmath import mp
 
 from rankforge import cli, cluster, selection
+from rankforge.config import PipelineConfig
 from rankforge.corpus import tokenize
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.evaluation import Qrels, Run, evaluate, ndcg_at_k, recall_at_k
-from rankforge.mine import MiningConfig, build_index, mine_negatives
+from rankforge.mine import build_index, mine_negatives
 from tests.conftest import blob_matrix, make_collection, write_corpus_jsonl
 from tests.test_evaluation import ndcg_oracle, recall_oracle
 from tests.test_mine import bm25_oracle, _collection_from_texts
@@ -101,19 +102,19 @@ def test_c4_kmeans_behavior():
         X = EmbeddingMatrix(data=blob_matrix(rng, centers, per_blob=40, noise=0.05)[0])
 
         for seed in range(3):
-            cfg = cluster.ClusteringConfig(K=5, seed=seed, restarts=1)
+            cfg = PipelineConfig(clusters=5, seed=seed, kmeans_restarts=1)
             model = cluster.kmeans_fit(X, cfg)
             history = model.inertia_history
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
         small = EmbeddingMatrix(data=rng.normal(size=(8, 6)).astype(np.float32))
-        exact = cluster.kmeans_fit(small, cluster.ClusteringConfig(K=8, seed=0))
+        exact = cluster.kmeans_fit(small, PipelineConfig(clusters=8, seed=0))
         assert exact.inertia <= 1e-10
 
-        scan = cluster.elbow_scan(X, [1, 2, 3, 4, 5, 6], cluster.ClusteringConfig(K=1, seed=0))
+        scan = cluster.elbow_scan(X, [1, 2, 3, 4, 5, 6], PipelineConfig(clusters=1, seed=0))
         assert scan.knee == 3
 
-        cfg = cluster.ClusteringConfig(K=4, seed=9)
+        cfg = PipelineConfig(clusters=4, seed=9)
         a, b = cluster.kmeans_fit(X, cfg), cluster.kmeans_fit(X, cfg)
         np.testing.assert_array_equal(a.assignments, b.assignments)
         np.testing.assert_array_equal(a.centroids, b.centroids)
@@ -144,7 +145,7 @@ def test_c6_negative_mining_invariants():
         for _ in range(10_000):
             x = rng.randint(2, 12)
             num_neg = rng.randint(1, x - 1)
-            cfg = MiningConfig(first_stage_hits=x, num_negatives=num_neg)
+            cfg = PipelineConfig(first_stage_hits=x, num_negatives=num_neg)
             query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
             positive = rng.randrange(len(texts))
             negatives, shortfall = mine_negatives(index, query, positive, cfg)

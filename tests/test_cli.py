@@ -66,11 +66,34 @@ def test_stagewise_pipeline_and_resume(tmp_path, corpus_file, capsys):
     assert manifest["counts"]["negatives"] <= 18
 
 
+# the manifest's config block for SMALL_PIPELINE, as written before the
+# per-stage config classes were folded into PipelineConfig
+SMALL_PIPELINE_CONFIG = {
+    "bm25_b": 0.4, "bm25_k1": 0.9, "clusters": 3, "decode_temperature": 0.0,
+    "endpoint": "mock:deterministic", "first_stage_hits": 12, "hash_embed_dim": 64,
+    "kmeans_max_iters": 100, "kmeans_restarts": 3, "kmeans_tol": 0.0001, "max_doc_chars": 2048,
+    "max_new_tokens": 64, "max_retries": 3, "min_chars": 50, "mmr_lambda": 1.0,
+    "model": "llama-2-7b-chat", "ndcg_k": 10, "num_negatives": 2, "recall_k": 100,
+    "request_timeout": 30.0, "sample_rounds": 3, "sample_size": 9, "seed": 7, "shots": 3,
+    "softmax_temperature": 1.0, "threads": 4,
+}
+
+
 def test_run_all_matches_stagewise(tmp_path, corpus_file):
     work_a, out_a = tmp_path / "wa", tmp_path / "oa"
     assert _run(["run-all", "--input", corpus_file, "--workdir", work_a,
                  "--out", out_a] + SMALL_PIPELINE) == 0
-    assert json.loads((out_a / cli.MANIFEST_FILE).read_text())["counts"]["selected"] == 9
+    manifest = json.loads((out_a / cli.MANIFEST_FILE).read_text())
+    assert manifest["counts"]["selected"] == 9
+    assert manifest["config"] == SMALL_PIPELINE_CONFIG
+
+
+def test_stage_flags_are_not_checked_against_other_stages_defaults(tmp_path, corpus_file):
+    # select runs with the default clusters=1000, which it never reads
+    work = tmp_path / "w"
+    assert _run(["ingest", "--input", corpus_file, "--workdir", work] + BASE_FLAGS) == 0
+    assert _run(["cluster", "--workdir", work, "--clusters", "3"]) == 0
+    assert _run(["select", "--workdir", work, "--sample-size", "5"]) == 0
 
 
 def test_manifests_byte_identical_across_cwds(tmp_path, corpus_file, monkeypatch):
@@ -127,6 +150,12 @@ def test_config_file_errors(tmp_path, corpus_file):
     assert _run(["ingest", "--input", corpus_file, "--workdir", tmp_path / "w",
                  "--config", badval]) == 2
 
+    out_of_bounds = tmp_path / "nan.cfg"
+    out_of_bounds.write_text("kmeans_tol=nan\n", encoding="utf-8")
+    assert _run(["ingest", "--input", corpus_file, "--workdir", tmp_path / "w",
+                 "--config", out_of_bounds]) == 2
+    assert not (tmp_path / "w").exists()
+
 
 def test_k_scan_writes_elbow(tmp_path, corpus_file, capsys):
     work = tmp_path / "w"
@@ -173,6 +202,21 @@ def test_endpoint_failure_exits_three(tmp_path, corpus_file, capsys):
                  "--max-retries", "0", "--request-timeout", "2"])
     assert code == 3
     assert "endpoint error" in capsys.readouterr().err
+
+
+def test_ingest_rejects_ids_the_sidecar_cannot_hold(tmp_path, capsys):
+    # the `.ids` sidecar is one id per line; str.splitlines splits on all of these
+    docs = make_collection(6, seed=2)
+    for brk in ("\n", "\r", "\x85", "\u2028"):
+        corpus_path = tmp_path / "c.jsonl"
+        with open(corpus_path, "w", encoding="utf-8") as fh:
+            for i, doc in enumerate(docs):
+                doc_id = doc.id + brk + "x" if i == 4 else doc.id
+                fh.write(json.dumps({"_id": doc_id, "title": doc.title, "text": doc.text}) + "\n")
+        work = tmp_path / "w"
+        assert _run(["ingest", "--input", corpus_path, "--workdir", work, "--min-chars", "50"]) == 2
+        assert "line 5: `_id`" in capsys.readouterr().err
+        assert not (work / cli.COLLECTION_FILE).exists()
 
 
 def test_external_embeddings_reordered_sidecar(tmp_path):

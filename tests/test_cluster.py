@@ -8,7 +8,6 @@ import pytest
 
 from rankforge import cluster
 from rankforge.cluster import (
-    ClusteringConfig,
     KMeansModel,
     _kmeans_pp_init,
     _repair_empty,
@@ -18,6 +17,7 @@ from rankforge.cluster import (
     load_model,
     save_model,
 )
+from rankforge.config import PipelineConfig
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.errors import (
     DegenerateVectorError,
@@ -45,7 +45,7 @@ def test_inertia_history_non_increasing_randomized():
         d = int(rng.integers(2, 10))
         K = int(rng.integers(1, min(n, 9)))
         X = _random_matrix(rng, n, d)
-        model = kmeans_fit(X, ClusteringConfig(K=K, seed=trial, restarts=2))
+        model = kmeans_fit(X, PipelineConfig(clusters=K, seed=trial, kmeans_restarts=2))
         hist = model.inertia_history
         assert hist, "history must not be empty"
         for a, b in zip(hist, hist[1:]):
@@ -59,7 +59,7 @@ def test_every_cluster_nonempty_and_sizes_sum():
         n = int(rng.integers(10, 50))
         K = int(rng.integers(2, min(n, 12)))
         X = _random_matrix(rng, n, 4)
-        model = kmeans_fit(X, ClusteringConfig(K=K, seed=trial))
+        model = kmeans_fit(X, PipelineConfig(clusters=K, seed=trial))
         sizes = model.cluster_sizes()
         assert sizes.min() >= 1
         assert sizes.sum() == n
@@ -69,7 +69,7 @@ def test_every_cluster_nonempty_and_sizes_sum():
 def test_centroids_are_member_means():
     rng = np.random.default_rng(2)
     X = _random_matrix(rng, 40, 5)
-    model = kmeans_fit(X, ClusteringConfig(K=6, seed=0))
+    model = kmeans_fit(X, PipelineConfig(clusters=6, seed=0))
     Xn = _normalize(X.data)
     for k in range(model.K):
         members = model.members(k)
@@ -81,7 +81,8 @@ def test_assignments_are_nearest_centroid_at_fixpoint():
     centers = np.eye(4) * 3.0
     data, _ = blob_matrix(rng, centers, per_blob=12, noise=0.05)
     X = EmbeddingMatrix(data=data)
-    model = kmeans_fit(X, ClusteringConfig(K=4, seed=1, tol=0.0, max_iters=200))
+    model = kmeans_fit(X, PipelineConfig(clusters=4, seed=1, kmeans_tol=0.0,
+                                         kmeans_max_iters=200))
     Xn = _normalize(X.data)
     d2 = ((Xn[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
     assigned = d2[np.arange(len(Xn)), model.assignments]
@@ -91,7 +92,7 @@ def test_assignments_are_nearest_centroid_at_fixpoint():
 def test_k_equals_n_gives_zero_inertia():
     rng = np.random.default_rng(9)
     X = _random_matrix(rng, 12, 6)
-    model = kmeans_fit(X, ClusteringConfig(K=12, seed=4, restarts=1))
+    model = kmeans_fit(X, PipelineConfig(clusters=12, seed=4, kmeans_restarts=1))
     assert model.inertia <= 1e-10
     assert sorted(model.assignments.tolist()) == list(range(12))
 
@@ -99,7 +100,7 @@ def test_k_equals_n_gives_zero_inertia():
 def test_k_one_gives_global_mean():
     rng = np.random.default_rng(10)
     X = _random_matrix(rng, 20, 3)
-    model = kmeans_fit(X, ClusteringConfig(K=1, seed=0))
+    model = kmeans_fit(X, PipelineConfig(clusters=1, seed=0))
     assert set(model.assignments.tolist()) == {0}
     np.testing.assert_allclose(model.centroids[0], _normalize(X.data).mean(axis=0), atol=1e-12)
 
@@ -125,7 +126,8 @@ def test_exhaustive_two_cluster_oracle():
             inertia += float(((part - mean) ** 2).sum())
         best = min(best, inertia)
 
-    model = kmeans_fit(X, ClusteringConfig(K=2, seed=0, restarts=10, tol=0.0))
+    model = kmeans_fit(X, PipelineConfig(clusters=2, seed=0, kmeans_restarts=10,
+                                         kmeans_tol=0.0))
     assert model.inertia >= best - 1e-9    # can never beat the global optimum
     assert abs(model.inertia - best) <= 1e-9
 
@@ -133,19 +135,19 @@ def test_exhaustive_two_cluster_oracle():
 def test_more_restarts_never_hurt():
     rng = np.random.default_rng(13)
     X = _random_matrix(rng, 30, 4)
-    one = kmeans_fit(X, ClusteringConfig(K=5, seed=7, restarts=1))
-    three = kmeans_fit(X, ClusteringConfig(K=5, seed=7, restarts=3))
+    one = kmeans_fit(X, PipelineConfig(clusters=5, seed=7, kmeans_restarts=1))
+    three = kmeans_fit(X, PipelineConfig(clusters=5, seed=7, kmeans_restarts=3))
     assert three.inertia <= one.inertia    # restart 0 is shared by construction
 
 
 def test_same_seed_is_deterministic():
     rng = np.random.default_rng(14)
     X = _random_matrix(rng, 25, 4)
-    a = kmeans_fit(X, ClusteringConfig(K=4, seed=3))
-    b = kmeans_fit(X, ClusteringConfig(K=4, seed=3))
+    a = kmeans_fit(X, PipelineConfig(clusters=4, seed=3))
+    b = kmeans_fit(X, PipelineConfig(clusters=4, seed=3))
     np.testing.assert_array_equal(a.assignments, b.assignments)
     assert a.centroids.tobytes() == b.centroids.tobytes()
-    c = kmeans_fit(X, ClusteringConfig(K=4, seed=4))
+    c = kmeans_fit(X, PipelineConfig(clusters=4, seed=4))
     assert a.inertia != c.inertia or not np.array_equal(a.assignments, c.assignments)
 
 
@@ -203,10 +205,10 @@ def test_seeding_matches_reference_on_repeated_rows():
 def test_blocked_assignment_matches_default(monkeypatch):
     rng = np.random.default_rng(32)
     X = _random_matrix(rng, 203, 12)
-    cfg = ClusteringConfig(K=9, seed=5, restarts=2)
+    cfg = PipelineConfig(clusters=9, seed=5, kmeans_restarts=2)
     default = kmeans_fit(X, cfg)
     for rows in (7, 1):                    # 203 is not a multiple of 7
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", rows * 8 * cfg.K)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", rows * 8 * cfg.clusters)
         blocked = kmeans_fit(X, cfg)
         assert blocked.centroids.tobytes() == default.centroids.tobytes()
         np.testing.assert_array_equal(blocked.assignments, default.assignments)
@@ -218,7 +220,8 @@ def test_kmeans_peak_memory_below_one_distance_matrix():
     X = _random_matrix(np.random.default_rng(33), n, 16)
     tracemalloc.start()
     try:
-        kmeans_fit(X, ClusteringConfig(K=K, seed=0, restarts=1, max_iters=2))
+        kmeans_fit(X, PipelineConfig(clusters=K, seed=0, kmeans_restarts=1,
+                                     kmeans_max_iters=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,14 +244,14 @@ def test_validate_rejects_bad_config():
     rng = np.random.default_rng(1)
     X = _random_matrix(rng, 5, 3)
     with pytest.raises(InvalidConfigError):
-        kmeans_fit(X, ClusteringConfig(K=0))
+        PipelineConfig(clusters=0)
     with pytest.raises(InvalidConfigError):
-        kmeans_fit(X, ClusteringConfig(K=6))
+        kmeans_fit(X, PipelineConfig(clusters=6, seed=0))
     with pytest.raises(InvalidConfigError):
-        kmeans_fit(X, ClusteringConfig(K=2, restarts=0))
+        PipelineConfig(clusters=2, kmeans_restarts=0)
     with pytest.raises(DegenerateVectorError):
         kmeans_fit(EmbeddingMatrix(data=np.zeros((3, 2), dtype=np.float32)),
-                   ClusteringConfig(K=1))
+                   PipelineConfig(clusters=1, seed=0))
 
 
 def test_elbow_scan_finds_three_blobs():
@@ -256,7 +259,8 @@ def test_elbow_scan_finds_three_blobs():
     centers = np.eye(3) * 2.0
     data, _ = blob_matrix(rng, centers, per_blob=15, noise=0.05)
     X = EmbeddingMatrix(data=data)
-    result = elbow_scan(X, [1, 2, 3, 4, 5, 6], ClusteringConfig(K=1, seed=0, restarts=3))
+    result = elbow_scan(X, [1, 2, 3, 4, 5, 6],
+                        PipelineConfig(clusters=1, seed=0, kmeans_restarts=3))
     assert [k for k, _ in result.points] == [1, 2, 3, 4, 5, 6]
     sses = [sse for _, sse in result.points]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))
@@ -266,12 +270,12 @@ def test_elbow_scan_finds_three_blobs():
 def test_elbow_scan_needs_three_points_for_knee():
     rng = np.random.default_rng(4)
     X = _random_matrix(rng, 10, 3)
-    result = elbow_scan(X, [2, 3], ClusteringConfig(K=2, seed=0, restarts=1))
+    result = elbow_scan(X, [2, 3], PipelineConfig(clusters=2, seed=0, kmeans_restarts=1))
     assert result.knee is None
     with pytest.raises(InvalidConfigError):
-        elbow_scan(X, [3, 2], ClusteringConfig(K=2, seed=0))
+        elbow_scan(X, [3, 2], PipelineConfig(clusters=2, seed=0))
     with pytest.raises(InvalidConfigError):
-        elbow_scan(X, [], ClusteringConfig(K=2, seed=0))
+        elbow_scan(X, [], PipelineConfig(clusters=2, seed=0))
 
 
 def test_cosine_sse_decreases_with_k():
@@ -281,14 +285,15 @@ def test_cosine_sse_decreases_with_k():
     X = EmbeddingMatrix(data=data)
     sses = []
     for k in (1, 2, 3):
-        sses.append(cosine_sse(X, kmeans_fit(X, ClusteringConfig(K=k, seed=0, restarts=3))))
+        model = kmeans_fit(X, PipelineConfig(clusters=k, seed=0, kmeans_restarts=3))
+        sses.append(cosine_sse(X, model))
     assert sses[0] > sses[1] > sses[2]
 
 
 def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
     rng = np.random.default_rng(34)
     X = _random_matrix(rng, 57, 6)
-    model = kmeans_fit(X, ClusteringConfig(K=4, seed=1))
+    model = kmeans_fit(X, PipelineConfig(clusters=4, seed=1))
     model.centroids[2] = 0.0               # a zero-norm centroid is never nearest
     others = [0, 1, 3]
     cos = _normalize(X.data) @ _normalize(model.centroids[others]).T
@@ -301,7 +306,7 @@ def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     X = _random_matrix(rng, 20, 4)
-    model = kmeans_fit(X, ClusteringConfig(K=3, seed=2))
+    model = kmeans_fit(X, PipelineConfig(clusters=3, seed=2))
     path = tmp_path / "m.bin"
     save_model(model, path)
     loaded = load_model(path)
@@ -319,7 +324,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_load_rejects_corrupt_files(tmp_path):
     rng = np.random.default_rng(18)
     X = _random_matrix(rng, 10, 3)
-    model = kmeans_fit(X, ClusteringConfig(K=2, seed=0))
+    model = kmeans_fit(X, PipelineConfig(clusters=2, seed=0))
     path = tmp_path / "m.bin"
     save_model(model, path)
     blob = bytearray(path.read_bytes())

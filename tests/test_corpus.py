@@ -58,6 +58,9 @@ def test_load_rejects_bad_json_with_line_number(tmp_path):
     with pytest.raises(FormatError) as err:
         load_collection(path)
     assert "line 2" in str(err.value)
+    path.write_text('{"_id": "a", "text": "ok"}\n\n"_id text"\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 3: expected a JSON object"):
+        load_collection(path)
 
 
 def test_load_rejects_duplicate_ids(tmp_path):

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rankforge.config import PipelineConfig
 from rankforge.corpus import Collection, Document, render_document, tokenize
 from rankforge.errors import (
     DataError,
@@ -16,7 +17,6 @@ from rankforge.errors import (
 )
 from rankforge.mine import (
     Bm25Index,
-    MiningConfig,
     TrainingPair,
     assemble_pairs,
     build_index,
@@ -168,7 +168,7 @@ def _ranked_fixture():
 def test_mine_negatives_takes_tail_of_candidates():
     coll = _ranked_fixture()
     index = build_index(coll)
-    cfg = MiningConfig(first_stage_hits=10, num_negatives=2)
+    cfg = PipelineConfig(first_stage_hits=10, num_negatives=2)
     hits = [o for o, _ in index.search("quantum computer", 10)]
     assert hits[0] == 0
     negatives, shortfall = mine_negatives(index, "quantum computer", 0, cfg)
@@ -180,7 +180,7 @@ def test_mine_negatives_takes_tail_of_candidates():
 def test_mine_negatives_flags_shortfall():
     coll = _collection_from_texts(["alpha beta", "alpha gamma"])
     index = build_index(coll)
-    cfg = MiningConfig(first_stage_hits=10, num_negatives=4)
+    cfg = PipelineConfig(first_stage_hits=10, num_negatives=4)
     negatives, shortfall = mine_negatives(index, "alpha", 0, cfg)
     assert negatives == [1]
     assert shortfall
@@ -198,7 +198,7 @@ def test_mine_negatives_invariants_bulk():
     for trial in range(trials):
         x = rng.randint(2, 12)
         num_neg = rng.randint(1, x - 1)
-        cfg = MiningConfig(first_stage_hits=x, num_negatives=num_neg)
+        cfg = PipelineConfig(first_stage_hits=x, num_negatives=num_neg)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
         positive = rng.randrange(len(coll))
         negatives, shortfall = mine_negatives(index, query, positive, cfg)
@@ -213,12 +213,12 @@ def test_mine_negatives_invariants_bulk():
 
 def test_mining_config_validation():
     with pytest.raises(InvalidConfigError):
-        MiningConfig(first_stage_hits=1, num_negatives=1).validate()
+        PipelineConfig(first_stage_hits=1, num_negatives=1)
     with pytest.raises(InvalidConfigError):
-        MiningConfig(first_stage_hits=10, num_negatives=0).validate()
+        PipelineConfig(first_stage_hits=10, num_negatives=0)
     with pytest.raises(InvalidConfigError):
-        MiningConfig(first_stage_hits=10, num_negatives=10).validate()
-    MiningConfig().validate()                      # defaults are valid
+        PipelineConfig(first_stage_hits=10, num_negatives=10)
+    PipelineConfig()                               # defaults are valid
 
 
 def test_assemble_pairs_order_and_unknown_id():
@@ -228,12 +228,13 @@ def test_assemble_pairs_order_and_unknown_id():
         SyntheticQuery(doc_id="d1", query_text="quantum computer", raw_completion="", model_name="m"),
         SyntheticQuery(doc_id="d0", query_text="quantum", raw_completion="", model_name="m"),
     ]
-    pairs = assemble_pairs(index, coll, queries, MiningConfig(first_stage_hits=5, num_negatives=2))
+    cfg = PipelineConfig(first_stage_hits=5, num_negatives=2)
+    pairs = assemble_pairs(index, coll, queries, cfg)
     assert [p.positive_doc_id for p in pairs] == ["d1", "d0"]
     assert all(p.positive_doc_id not in p.negative_doc_ids for p in pairs)
     bad = [SyntheticQuery(doc_id="nope", query_text="q", raw_completion="", model_name="m")]
     with pytest.raises(DataError):
-        assemble_pairs(index, coll, bad, MiningConfig())
+        assemble_pairs(index, coll, bad, PipelineConfig())
 
 
 # --------------------------------------------------------------- file format
@@ -359,4 +360,7 @@ def test_pairs_roundtrip(tmp_path):
 
     path.write_text('{"query": "x"}\n', encoding="utf-8")
     with pytest.raises(FormatError):
+        load_pairs(path)
+    path.write_text('"query positive_doc_id negative_doc_ids shortfall"\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 1: expected a JSON object"):
         load_pairs(path)

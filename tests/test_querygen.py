@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from rankforge import querygen
+from rankforge.config import PipelineConfig
 from rankforge.errors import (
     AggregateGenerationError,
     EmptyQueryError,
@@ -16,7 +18,6 @@ from rankforge.errors import (
 from rankforge.mockllm import MockLLMServer
 from rankforge.querygen import (
     FewShotExample,
-    GenerationSettings,
     HttpCompletionClient,
     MockCompletionClient,
     PromptTemplate,
@@ -27,6 +28,7 @@ from rankforge.querygen import (
     deterministic_completion,
     generate_queries,
     load_examples,
+    load_queries,
     load_template,
     make_client,
     parse_completion,
@@ -45,10 +47,15 @@ EXAMPLES = [
 ]
 
 
-def _settings(**kw) -> GenerationSettings:
-    base = dict(shots=2, max_doc_chars=2048, max_retries=0, backoff_base=0.0)
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.0)
+
+
+def _settings(**kw) -> PipelineConfig:
+    base = dict(shots=2, max_doc_chars=2048, max_retries=0)
     base.update(kw)
-    return GenerationSettings(**base)
+    return PipelineConfig(**base)
 
 
 # ------------------------------------------------------------ prompt building
@@ -155,6 +162,19 @@ def test_load_examples_errors(tmp_path):
     path.write_text('{"document": "", "query": "q"}\n', encoding="utf-8")
     with pytest.raises(FormatError):
         load_examples(path)
+    path.write_text('"document query"\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 1: expected a JSON object"):
+        load_examples(path)
+
+
+def test_load_queries_rejects_bad_lines(tmp_path):
+    path = tmp_path / "q.jsonl"
+    path.write_text('{"doc_id": "a", "query": "q"}\n\n{"doc_id": "b"}\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 3: query record needs"):
+        load_queries(path)
+    path.write_text('{"doc_id": "a", "query": "q"}\n"doc_id query"\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: expected a JSON object"):
+        load_queries(path)
 
 
 # ---------------------------------------------------------------- generation
@@ -168,7 +188,7 @@ class FlakyClient:
         self.attempts: dict[str, int] = {}
         self.lock = threading.Lock()
 
-    def complete(self, prompt: str, settings: GenerationSettings) -> str:
+    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
         with self.lock:
             seen = self.attempts.get(prompt, 0)
             self.attempts[prompt] = seen + 1
@@ -182,7 +202,7 @@ class SelectiveClient:
 
     model = "selective"
 
-    def complete(self, prompt: str, settings: GenerationSettings) -> str:
+    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
         if "FAIL" in prompt:
             raise EndpointError("permanent")
         if "BLANK" in prompt:
@@ -194,7 +214,7 @@ def test_generate_queries_preserves_input_order():
     client = MockCompletionClient()
     prompts = [QueryPrompt(doc_id=f"d{i}", text=f"Document: topic {i} words here\nQuery:")
                for i in range(40)]
-    out = generate_queries(client, prompts, _settings(concurrency=8))
+    out = generate_queries(client, prompts, _settings(threads=8))
     assert [q.doc_id for q in out] == [p.doc_id for p in prompts]
     assert all(q.query_text for q in out)
     assert all(q.model_name == "mock" for q in out)
@@ -203,7 +223,7 @@ def test_generate_queries_preserves_input_order():
 def test_generate_queries_drops_failures_and_blanks():
     prompts = [QueryPrompt("ok1", "alpha one"), QueryPrompt("bad", "FAIL two"),
                QueryPrompt("blank", "BLANK three"), QueryPrompt("ok2", "delta four")]
-    out = generate_queries(SelectiveClient(), prompts, _settings(concurrency=2))
+    out = generate_queries(SelectiveClient(), prompts, _settings(threads=2))
     assert [q.doc_id for q in out] == ["ok1", "ok2"]
     assert out[0].query_text == "answer for one"
 
@@ -211,7 +231,7 @@ def test_generate_queries_drops_failures_and_blanks():
 def test_generate_queries_raises_when_all_fail():
     prompts = [QueryPrompt("a", "FAIL"), QueryPrompt("b", "FAIL")]
     with pytest.raises(AggregateGenerationError) as err:
-        generate_queries(SelectiveClient(), prompts, _settings(concurrency=2))
+        generate_queries(SelectiveClient(), prompts, _settings(threads=2))
     assert err.value.failed == 2
 
 
@@ -229,8 +249,8 @@ def test_deterministic_completion_is_stable():
 
 
 def test_make_client_dispatch():
-    assert isinstance(make_client("mock:anything"), MockCompletionClient)
-    assert isinstance(make_client("http://example.test/v1"), HttpCompletionClient)
+    assert isinstance(make_client("mock:anything", "m"), MockCompletionClient)
+    assert isinstance(make_client("http://example.test/v1", "m"), HttpCompletionClient)
 
 
 # ------------------------------------------------------------- HTTP endpoint
@@ -240,7 +260,7 @@ def test_http_client_against_mock_server():
         client = HttpCompletionClient(server.endpoint, model="m")
         prompts = [QueryPrompt(f"d{i}", f"Document: alpha beta {i}\nRelevant Query:")
                    for i in range(6)]
-        out = generate_queries(client, prompts, _settings(concurrency=3))
+        out = generate_queries(client, prompts, _settings(threads=3))
         direct = [deterministic_completion(p.text) for p in prompts]
         assert [q.query_text for q in out] == [parse_completion(t) for t in direct]
 
@@ -277,8 +297,8 @@ def test_mock_server_rejects_bad_json():
 
 def test_generation_settings_validate():
     with pytest.raises(InvalidConfigError):
-        GenerationSettings(temperature=-0.1).validate()
+        PipelineConfig(decode_temperature=-0.1)
     with pytest.raises(InvalidConfigError):
-        GenerationSettings(shots=-1).validate()
+        PipelineConfig(shots=-1)
     with pytest.raises(InvalidConfigError):
-        GenerationSettings(max_doc_chars=0).validate()
+        PipelineConfig(max_doc_chars=0)

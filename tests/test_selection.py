@@ -6,6 +6,7 @@ sort-based greedy for MMR.
 """
 
 import bisect
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from rankforge.cluster import KMeansModel
+from rankforge.config import PipelineConfig
 from rankforge.corpus import Collection, Document
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.errors import (
@@ -25,8 +27,6 @@ from rankforge.errors import (
     ValidationError,
 )
 from rankforge.selection import (
-    SamplingConfig,
-    _mmr_with_topup,
     _round_rng,
     allocate_sizes,
     centroid_similarities,
@@ -318,13 +318,6 @@ def test_mmr_handles_small_pools_and_bad_args():
         mmr_select([1, 2], [0.1, 0.2], np.zeros((3, 2)), 0.5, 1)
 
 
-def test_mmr_topup_fills_from_probabilities():
-    probs = np.asarray([0.1, 0.4, 0.2, 0.3])
-    chosen = _mmr_with_topup([0], np.asarray([1.0, 0.0, 0.0, 0.0]), probs,
-                             np.zeros((4, 2)), 1.0, 3)
-    assert chosen == [0, 1, 3]             # pool first, then prob desc
-
-
 # ------------------------------------------------- centroid similarities
 
 def _manual_model(assignments: list[int], K: int, d: int) -> KMeansModel:
@@ -371,9 +364,9 @@ def _fit_fixture(seed=0):
     centers = np.asarray([[2.0, 0.0, 0.0, 0.5], [0.0, 2.0, 0.5, 0.0]])
     data, labels = blob_matrix(rng, centers, per_blob=16, noise=0.15)
     X = EmbeddingMatrix(data=data)
-    from rankforge.cluster import ClusteringConfig, kmeans_fit
+    from rankforge.cluster import kmeans_fit
 
-    model = kmeans_fit(X, ClusteringConfig(K=2, seed=1, restarts=3, tol=0.0))
+    model = kmeans_fit(X, PipelineConfig(clusters=2, seed=1, kmeans_restarts=3, kmeans_tol=0.0))
     return X, model
 
 
@@ -387,12 +380,12 @@ def oracle_select_representatives(X, model, cfg):
         mean = raw.mean(axis=0)
         sims = raw @ mean / (np.linalg.norm(raw, axis=1) * np.linalg.norm(mean))
         sims = np.clip(sims, -1.0, 1.0)
-        z = sims / cfg.temperature
+        z = sims / cfg.softmax_temperature
         e = np.exp(z - z.max())
         probs = e / e.sum()
 
         pool, seen = [], set()
-        for r in range(cfg.rounds):
+        for r in range(cfg.sample_rounds):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k, r)))
             weights = probs.copy()
             for _ in range(sizes[k]):
@@ -432,8 +425,8 @@ def fraction_allocation_capped(c, total):
 def test_select_representatives_matches_oracle():
     X, model = _fit_fixture()
     for lam, temperature, rounds in [(1.0, 1.0, 5), (0.7, 0.8, 3), (0.0, 2.0, 1)]:
-        cfg = SamplingConfig(sample_size=10, seed=11, temperature=temperature,
-                             rounds=rounds, mmr_lambda=lam)
+        cfg = PipelineConfig(sample_size=10, seed=11, softmax_temperature=temperature,
+                             sample_rounds=rounds, mmr_lambda=lam)
         got = select_representatives(X, model, cfg)
         want = oracle_select_representatives(X, model, cfg)
         assert [[d.ordinal for d in cluster] for cluster in got.per_cluster] == want
@@ -441,7 +434,8 @@ def test_select_representatives_matches_oracle():
 
 def test_select_representatives_invariants():
     X, model = _fit_fixture(seed=3)
-    cfg = SamplingConfig(sample_size=12, seed=2, temperature=1.0, rounds=5, mmr_lambda=0.5)
+    cfg = PipelineConfig(sample_size=12, seed=2, softmax_temperature=1.0, sample_rounds=5,
+                         mmr_lambda=0.5)
     selected = select_representatives(X, model, cfg)
     from rankforge.selection import allocate_sizes as alloc
 
@@ -462,12 +456,12 @@ def test_select_representatives_invariants():
 
 def test_select_representatives_deterministic():
     X, model = _fit_fixture(seed=5)
-    cfg = SamplingConfig(sample_size=8, seed=9, temperature=0.7, rounds=4, mmr_lambda=0.3)
+    cfg = PipelineConfig(sample_size=8, seed=9, softmax_temperature=0.7, sample_rounds=4,
+                         mmr_lambda=0.3)
     a = select_representatives(X, model, cfg)
     b = select_representatives(X, model, cfg)
     assert [(d.ordinal, d.prob) for d in a.flatten()] == [(d.ordinal, d.prob) for d in b.flatten()]
-    c = select_representatives(X, model, SamplingConfig(sample_size=8, seed=10,
-                                                        temperature=0.7, rounds=4, mmr_lambda=0.3))
+    c = select_representatives(X, model, dataclasses.replace(cfg, seed=10))
     assert [d.ordinal for d in a.flatten()] != [d.ordinal for d in c.flatten()]
 
 
@@ -475,7 +469,7 @@ def test_selected_roundtrip(tmp_path):
     X, model = _fit_fixture(seed=7)
     docs = [Document(id=f"d{i}", title="", text="x") for i in range(X.n)]
     coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
-    cfg = SamplingConfig(sample_size=6, seed=1)
+    cfg = PipelineConfig(sample_size=6, seed=1)
     selected = select_representatives(X, model, cfg)
     path = tmp_path / "sel.jsonl"
     save_selected(selected, coll, path)
@@ -499,12 +493,15 @@ def test_load_selected_rejects_bad_lines(tmp_path):
     path.write_text('{"cluster": 0}\n', encoding="utf-8")
     with pytest.raises(FormatError):
         load_selected(path)
+    path.write_text('{"doc_id": "a", "cluster": 0}\n"doc_id cluster"\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: expected a JSON object"):
+        load_selected(path)
 
 
 def test_sampling_config_validation():
     with pytest.raises(InvalidConfigError):
-        SamplingConfig(sample_size=5, temperature=0.0).validate()
+        PipelineConfig(sample_size=5, softmax_temperature=0.0)
     with pytest.raises(InvalidConfigError):
-        SamplingConfig(sample_size=5, rounds=0).validate()
+        PipelineConfig(sample_size=5, sample_rounds=0)
     with pytest.raises(InvalidConfigError):
-        SamplingConfig(sample_size=5, mmr_lambda=1.1).validate()
+        PipelineConfig(sample_size=5, mmr_lambda=1.1)
