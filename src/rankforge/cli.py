@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 
 COLLECTION_FILE = "collection.jsonl"
 EMBEDDINGS_FILE = "embeddings.bin"
+IDS_FILE = EMBEDDINGS_FILE + ".ids"
 KMEANS_FILE = "kmeans.bin"
 SELECTED_FILE = "selected.jsonl"
 QUERIES_FILE = "queries.jsonl"
@@ -115,32 +116,25 @@ def _workdir(args: argparse.Namespace, create: bool = False) -> Path:
     return workdir
 
 
-def _load_ingested(workdir: Path) -> tuple[corpus.Collection, embeddings.EmbeddingMatrix]:
-    coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
-    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
-    ids_path = workdir / (EMBEDDINGS_FILE + ".ids")
-    ids = embeddings.load_ids(ids_path) if ids_path.exists() else None
-    embeddings.check_alignment(coll, matrix, ids)
-    return coll, matrix
-
-
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args, create=True)
     raw = corpus.load_collection(args.input)
     coll = corpus.filter_min_length(raw, cfg.min_chars)
     if len(coll) == 0:
         raise DataError(
             f"no documents of {len(raw)} pass the {cfg.min_chars}-character length filter"
         )
-    corpus.save_collection(coll, workdir / COLLECTION_FILE)
-
+    # build every artifact before writing any: a failure leaves the last ingest intact
     tokens = corpus.tokenize_collection(coll)
     if getattr(args, "embeddings", None):
         matrix = _align_external_embeddings(args.embeddings, coll)
     else:
         matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed, tokens=tokens)
-    embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=[d.id for d in coll])
-    mine.save_index(mine.build_index(coll, tokens=tokens), workdir / INDEX_FILE)
+    index = mine.build_index(coll, tokens=tokens)
+
+    workdir = _workdir(args, create=True)
+    corpus.save_collection(coll, workdir / COLLECTION_FILE)
+    embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
+    mine.save_index(index, workdir / INDEX_FILE)
     print(f"ingest: kept {len(coll)} of {len(raw)} documents, embedding dim {matrix.d}")
     return 0
 
@@ -170,7 +164,7 @@ def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings
 
 def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
-    coll, matrix = _load_ingested(workdir)
+    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
 
     if getattr(args, "k_scan", None):
         result = clustering.elbow_scan(matrix, _parse_k_scan(args.k_scan), cfg)
@@ -195,7 +189,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     print(
         f"cluster: K={model.K} inertia={model.inertia:.6f} "
         f"iters={len(model.inertia_history)} converged={model.converged} "
-        f"(docs={len(coll)})"
+        f"(docs={matrix.n})"
     )
     return 0
 
@@ -214,14 +208,16 @@ def _parse_k_scan(text: str) -> list[int]:
 
 def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
-    coll, matrix = _load_ingested(workdir)
+    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
+    ids = embeddings.load_ids(_require(workdir / IDS_FILE, "ingest"))
     model = clustering.load_model(_require(workdir / KMEANS_FILE, "cluster"))
-    if len(model.assignments) != len(coll):
+    if not (matrix.n == len(ids) == len(model.assignments)):
         raise AlignmentError(
-            f"model covers {len(model.assignments)} documents, collection has {len(coll)}"
+            f"{EMBEDDINGS_FILE} has {matrix.n} rows, {IDS_FILE} {len(ids)} ids and "
+            f"{KMEANS_FILE} {len(model.assignments)} assignments; rerun the stale stage"
         )
     selected = selection.select_representatives(matrix, model, cfg)
-    selection.save_selected(selected, coll, workdir / SELECTED_FILE)
+    selection.save_selected(selected, ids, workdir / SELECTED_FILE)
     print(f"select: {len(selected)} documents across {model.K} clusters")
     return 0
 
@@ -260,16 +256,13 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
-    coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
     queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
-
     index = mine.load_index(_require(workdir / INDEX_FILE, "ingest"), k1=cfg.bm25_k1, b=cfg.bm25_b)
-    if index.doc_ids != [doc.id for doc in coll]:
+    if index.doc_ids != embeddings.load_ids(_require(workdir / IDS_FILE, "ingest")):
         raise AlignmentError(
-            f"{INDEX_FILE} does not index the documents of {COLLECTION_FILE}; "
-            "rerun `rankforge ingest`"
+            f"{INDEX_FILE} does not index the documents of {IDS_FILE}; rerun `rankforge ingest`"
         )
-    pairs = mine.assemble_pairs(index, coll, queries, cfg)
+    pairs = mine.assemble_pairs(index, queries, cfg)
     mine.save_pairs(pairs, workdir / PAIRS_FILE)
     shortfalls = sum(1 for p in pairs if p.shortfall)
     negatives = sum(len(p.negative_doc_ids) for p in pairs)
@@ -279,9 +272,6 @@ def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = _workdir(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
     matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
     model = clustering.load_model(_require(workdir / KMEANS_FILE, "cluster"))
@@ -289,6 +279,8 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
     pairs = mine.load_pairs(_require(workdir / PAIRS_FILE, "mine"))
     _require(workdir / INDEX_FILE, "ingest")
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     triples = dataset.write_triples(pairs, coll, outdir / TRIPLES_FILE)
     pointwise = dataset.write_pointwise(pairs, coll, outdir / POINTWISE_FILE)
@@ -312,7 +304,7 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     outdir_as_given = Path(args.out)
     manifest.add_artifact("collection", workdir_as_given / COLLECTION_FILE)
     manifest.add_artifact("embeddings", workdir_as_given / EMBEDDINGS_FILE)
-    manifest.add_artifact("embedding_ids", workdir_as_given / (EMBEDDINGS_FILE + ".ids"))
+    manifest.add_artifact("embedding_ids", workdir_as_given / IDS_FILE)
     manifest.add_artifact("kmeans_model", workdir_as_given / KMEANS_FILE)
     manifest.add_artifact("selected", workdir_as_given / SELECTED_FILE)
     manifest.add_artifact("queries", workdir_as_given / QUERIES_FILE)

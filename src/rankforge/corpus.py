@@ -49,9 +49,6 @@ class Collection:
     def __getitem__(self, ordinal: int) -> Document:
         return self.docs[ordinal]
 
-    def ordinal(self, doc_id: str) -> int:
-        return self.index[doc_id]
-
     def get(self, doc_id: str) -> Document | None:
         pos = self.index.get(doc_id)
         return None if pos is None else self.docs[pos]

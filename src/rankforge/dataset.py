@@ -33,10 +33,10 @@ def sanitize_field(text: str) -> str:
 
 
 def _doc_text(collection: Collection, doc_id: str) -> str:
-    try:
-        return render_document(collection[collection.ordinal(doc_id)])
-    except KeyError:
-        raise DataError(f"pair references unknown document id {doc_id!r}") from None
+    doc = collection.get(doc_id)
+    if doc is None:
+        raise DataError(f"pair references unknown document id {doc_id!r}")
+    return render_document(doc)
 
 
 def write_triples(pairs: Sequence[TrainingPair], collection: Collection, path: str | Path) -> int:

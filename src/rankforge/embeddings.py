@@ -3,8 +3,8 @@
 The on-disk format is binary: 8-byte magic ``DQGEMB01``, row count n as
 unsigned 64-bit little-endian, dimension d as unsigned 32-bit little-endian,
 then n*d little-endian 32-bit floats in row-major order. An optional
-``<path>.ids`` sidecar (one document id per line, UTF-8) allows integrity
-checks against the collection the rows were encoded from.
+``<path>.ids`` sidecar (one document id per line, UTF-8) names the document
+of each row.
 """
 
 from __future__ import annotations
@@ -96,19 +96,12 @@ def load_ids(path: str | Path) -> list[str]:
     return [line for line in text.splitlines() if line]
 
 
-def check_alignment(collection: Collection, matrix: EmbeddingMatrix,
-                    ids: list[str] | None = None) -> None:
-    """Verify row count (and, when ids are given, row identity) against a collection."""
+def check_alignment(collection: Collection, matrix: EmbeddingMatrix) -> None:
+    """Verify that there is one embedding row per document of the collection."""
     if matrix.n != len(collection):
         raise AlignmentError(
             f"embedding rows ({matrix.n}) != collection size ({len(collection)})"
         )
-    if ids is not None:
-        if len(ids) != len(collection):
-            raise AlignmentError(f"sidecar ids ({len(ids)}) != collection size ({len(collection)})")
-        for i, (doc, row_id) in enumerate(zip(collection, ids)):
-            if doc.id != row_id:
-                raise AlignmentError(f"row {i}: sidecar id {row_id!r} != document id {doc.id!r}")
 
 
 def _token_hash(token: str, seed: int, purpose: bytes) -> int:

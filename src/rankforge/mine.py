@@ -102,8 +102,9 @@ class Bm25Index:
 def build_index(collection: Collection, tokens: TokenizedCollection | None = None) -> Bm25Index:
     """Index the rendered title plus body of every document, with default k1 and b.
 
-    ``tokens``, when given, is ``tokenize_collection(collection)``. One sort of
-    ``term_rank * n + ordinal`` keys gives the postings and their term frequencies.
+    ``tokens``, when given, is ``tokenize_collection(collection)``. One in-place
+    sort of ``term_rank * n + ordinal`` keys gives the postings (the starts of
+    runs of equal keys) and their term frequencies (the run lengths).
     """
     if len(collection) == 0:
         raise DataError("cannot build an index over an empty collection")
@@ -116,9 +117,16 @@ def build_index(collection: Collection, tokens: TokenizedCollection | None = Non
     keys = rank[tokens.ids]
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), tokens.lengths)
-    keys, tfs = np.unique(keys, return_counts=True)
-    term_ranks, ords = np.divmod(keys, n)
-    indptr = np.searchsorted(term_ranks, np.arange(len(by_term) + 1))
+    keys.sort()
+    run_start = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    tfs = np.diff(starts, append=keys.size)
+    keys = keys[starts]                 # one key per posting; frees the per-token keys
+    del run_start, starts
+    ords = keys % n
+    keys //= n                          # now the term rank of each posting
+    indptr = np.searchsorted(keys, np.arange(len(by_term) + 1))
     return Bm25Index([doc.id for doc in collection], tokens.lengths,
                      [tokens.terms[t] for t in by_term], indptr, ords, tfs)
 
@@ -135,18 +143,15 @@ def mine_negatives(
 
 
 def assemble_pairs(
-    index: Bm25Index,
-    collection: Collection,
-    queries: Sequence[SyntheticQuery],
-    cfg: PipelineConfig,
+    index: Bm25Index, queries: Sequence[SyntheticQuery], cfg: PipelineConfig
 ) -> list[TrainingPair]:
-    """One training pair per query, in query order."""
+    """One training pair per query, in query order; positives are looked up in the index."""
+    ordinals = {doc_id: o for o, doc_id in enumerate(index.doc_ids)}
     pairs = []
     for q in queries:
-        try:
-            positive = collection.ordinal(q.doc_id)
-        except KeyError:
-            raise DataError(f"query references unknown document id {q.doc_id!r}") from None
+        positive = ordinals.get(q.doc_id)
+        if positive is None:
+            raise DataError(f"query references unknown document id {q.doc_id!r}")
         negatives, shortfall = mine_negatives(index, q.query_text, positive, cfg)
         pairs.append(
             TrainingPair(
@@ -181,6 +186,11 @@ def load_pairs(path: str | Path) -> list[TrainingPair]:
         for key in ("query", "positive_doc_id", "negative_doc_ids", "shortfall"):
             if key not in obj:
                 raise FormatError(f"pair record missing `{key}`", line_number)
+        if not isinstance(obj["negative_doc_ids"], list):
+            raise FormatError("`negative_doc_ids` is not a list", line_number)
+        strings = [obj["query"], obj["positive_doc_id"], *obj["negative_doc_ids"]]
+        if not all(isinstance(v, str) for v in strings):
+            raise FormatError("pair record has a query or id that is not a string", line_number)
         pairs.append(
             TrainingPair(
                 query_text=obj["query"],

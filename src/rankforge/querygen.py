@@ -289,6 +289,8 @@ def load_queries(path: str | Path) -> list[SyntheticQuery]:
     for line_number, obj in read_jsonl(path):
         if "doc_id" not in obj or "query" not in obj:
             raise FormatError("query record needs `doc_id` and `query`", line_number)
+        if not (isinstance(obj["doc_id"], str) and isinstance(obj["query"], str)):
+            raise FormatError("query record's `doc_id` and `query` must be strings", line_number)
         queries.append(
             SyntheticQuery(
                 doc_id=obj["doc_id"],

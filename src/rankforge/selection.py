@@ -23,7 +23,7 @@ import numpy as np
 
 from .cluster import KMeansModel
 from .config import PipelineConfig
-from .corpus import Collection, read_jsonl
+from .corpus import read_jsonl
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
@@ -260,12 +260,12 @@ def select_representatives(
     return SelectedSet(per_cluster=per_cluster)
 
 
-def save_selected(selected: SelectedSet, collection: Collection, path: str | Path) -> None:
-    """Persist a SelectedSet as JSONL, one record per selected document."""
+def save_selected(selected: SelectedSet, ids: Sequence[str], path: str | Path) -> None:
+    """Persist a SelectedSet as JSONL, one record per document; ``ids[o]`` names row ``o``."""
     with open(path, "w", encoding="utf-8") as fh:
         for doc in selected.flatten():
             obj = {
-                "doc_id": collection[doc.ordinal].id,
+                "doc_id": ids[doc.ordinal],
                 "cluster": doc.cluster,
                 "d_i": doc.centroid_sim,
                 "prob": doc.prob,
@@ -280,5 +280,7 @@ def load_selected(path: str | Path) -> list[dict]:
     for line_number, obj in read_jsonl(path):
         if "doc_id" not in obj or "cluster" not in obj:
             raise FormatError("missing doc_id or cluster field", line_number)
+        if not isinstance(obj["doc_id"], str):
+            raise FormatError("`doc_id` is not a string", line_number)
         records.append(obj)
     return records

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankforge import cli
+from rankforge import cli, corpus
 from rankforge.corpus import load_collection
 from rankforge.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from tests.conftest import child_pythonpath, make_collection, write_corpus_jsonl
@@ -29,6 +29,22 @@ def corpus_file(tmp_path) -> Path:
 
 def _run(argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def _ingest_to_generate(work, corpus_path, *ingest_flags):
+    """The first four stages with SMALL_PIPELINE's settings, each given the flags it takes."""
+    assert _run(["ingest", "--input", corpus_path, "--workdir", work, "--seed", "7"]
+                + BASE_FLAGS + list(ingest_flags)) == 0
+    assert _run(["cluster", "--workdir", work, "--clusters", "3", "--seed", "7"]) == 0
+    assert _run(["select", "--workdir", work, "--sample-size", "9",
+                 "--sample-rounds", "3", "--seed", "7"]) == 0
+    assert _run(["generate", "--workdir", work, "--seed", "7"]) == 0
+
+
+def _mine_and_build(work, out):
+    assert _run(["mine", "--workdir", work, "--first-stage-hits", "12",
+                 "--num-negatives", "2", "--seed", "7"]) == 0
+    assert _run(["build", "--workdir", work, "--out", out, "--seed", "7"]) == 0
 
 
 def test_stagewise_pipeline_and_resume(tmp_path, corpus_file, capsys):
@@ -86,6 +102,64 @@ def test_run_all_matches_stagewise(tmp_path, corpus_file):
     manifest = json.loads((out_a / cli.MANIFEST_FILE).read_text())
     assert manifest["counts"]["selected"] == 9
     assert manifest["config"] == SMALL_PIPELINE_CONFIG
+
+    work_s, out_s = tmp_path / "ws", tmp_path / "os"
+    _ingest_to_generate(work_s, corpus_file)
+    _mine_and_build(work_s, out_s)
+    stagewise = json.loads((out_s / cli.MANIFEST_FILE).read_text())
+    assert stagewise["counts"] == manifest["counts"]
+    digests = {name: a["sha256"] for name, a in manifest["artifacts"].items()}
+    assert {name: a["sha256"] for name, a in stagewise["artifacts"].items()} == digests
+    assert len(digests) == 10
+    # `config` is left out: a stagewise `build` is given only its own flags,
+    # so it echoes the defaults of every other stage's settings (ROADMAP item 6)
+
+
+def test_run_all_parses_the_collection_three_times(tmp_path, corpus_file, monkeypatch):
+    parsed = []
+    load_collection = corpus.load_collection
+
+    def counting(path):
+        parsed.append(Path(path).name)
+        return load_collection(path)
+
+    monkeypatch.setattr(corpus, "load_collection", counting)
+    assert _run(["run-all", "--input", corpus_file, "--workdir", tmp_path / "w",
+                 "--out", tmp_path / "o"] + SMALL_PIPELINE) == 0
+    # ingest reads the input; generate and build read the text they emit
+    assert parsed == ["corpus.jsonl", cli.COLLECTION_FILE, cli.COLLECTION_FILE]
+
+
+def test_cluster_select_and_mine_do_not_read_the_collection(tmp_path, corpus_file):
+    work = tmp_path / "w"
+    assert _run(["run-all", "--input", corpus_file, "--workdir", work,
+                 "--out", tmp_path / "o"] + SMALL_PIPELINE) == 0
+    produced = {name: (work / name).read_bytes()
+                for name in (cli.KMEANS_FILE, cli.SELECTED_FILE, cli.PAIRS_FILE)}
+    for name in produced:
+        (work / name).unlink()
+    (work / cli.COLLECTION_FILE).rename(tmp_path / cli.COLLECTION_FILE)
+
+    assert _run(["cluster", "--workdir", work, "--clusters", "3", "--seed", "7"]) == 0
+    assert _run(["select", "--workdir", work, "--sample-size", "9",
+                 "--sample-rounds", "3", "--seed", "7"]) == 0
+    assert _run(["mine", "--workdir", work, "--first-stage-hits", "12",
+                 "--num-negatives", "2", "--seed", "7"]) == 0
+    for name, data in produced.items():
+        assert (work / name).read_bytes() == data, name
+    assert _run(["generate", "--workdir", work]) == 2      # prompts need the text
+
+
+def test_readme_artifacts_table_lists_every_file(tmp_path, corpus_file):
+    work, out = tmp_path / "w", tmp_path / "o"
+    assert _run(["run-all", "--input", corpus_file, "--workdir", work,
+                 "--out", out] + SMALL_PIPELINE) == 0
+    assert _run(["cluster", "--workdir", work, "--k-scan", "2,3"]) == 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Artifacts\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`|]+)` \|", section, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {p.name for p in work.iterdir()} | {p.name for p in out.iterdir()}
 
 
 def test_stage_flags_are_not_checked_against_other_stages_defaults(tmp_path, corpus_file):
@@ -253,15 +327,6 @@ def test_external_embeddings_missing_doc_fails(tmp_path, corpus_file):
                  "--embeddings", ext_path, "--min-chars", "50"]) == 2
 
 
-def _ingest_to_generate(work, corpus_path, *ingest_flags):
-    assert _run(["ingest", "--input", corpus_path, "--workdir", work] + BASE_FLAGS
-                + list(ingest_flags)) == 0
-    assert _run(["cluster", "--workdir", work, "--clusters", "3", "--seed", "7"]) == 0
-    assert _run(["select", "--workdir", work, "--sample-size", "9",
-                 "--sample-rounds", "3", "--seed", "7"]) == 0
-    assert _run(["generate", "--workdir", work, "--seed", "7"]) == 0
-
-
 def test_external_embeddings_ingest_writes_index_for_mine(tmp_path, corpus_file):
     plain = tmp_path / "plain"
     assert _run(["ingest", "--input", corpus_file, "--workdir", plain] + BASE_FLAGS) == 0
@@ -283,27 +348,87 @@ def test_mine_rejects_index_of_another_collection(tmp_path, corpus_file, capsys)
     work = tmp_path / "w"
     _ingest_to_generate(work, corpus_file)
     # the same documents in another order: every query id still resolves,
-    # but the index ordinals no longer point at the collection's documents
+    # but the index ordinals no longer match the ids of the embedding rows
     reordered = tmp_path / "reordered.jsonl"
     lines = Path(corpus_file).read_text(encoding="utf-8").splitlines(keepends=True)
     reordered.write_text("".join(reversed(lines)), encoding="utf-8")
     other = tmp_path / "other"
     assert _run(["ingest", "--input", reordered, "--workdir", other] + BASE_FLAGS) == 0
-    original = (work / cli.COLLECTION_FILE).read_bytes()
-    (work / cli.COLLECTION_FILE).write_bytes((other / cli.COLLECTION_FILE).read_bytes())
+    original = (work / cli.INDEX_FILE).read_bytes()
+    (work / cli.INDEX_FILE).write_bytes((other / cli.INDEX_FILE).read_bytes())
     capsys.readouterr()
     assert _run(["mine", "--workdir", work]) == 2
-    assert "index.bin does not index" in capsys.readouterr().err
+    assert "index.bin does not index the documents of embeddings.bin.ids" in capsys.readouterr().err
     assert not (work / cli.PAIRS_FILE).exists()
 
-    # ingest is the producer of the index
-    (work / cli.COLLECTION_FILE).write_bytes(original)
-    assert _run(["mine", "--workdir", work]) == 0
+    # the collection is read for its text, by id: its order no longer matters
+    (work / cli.INDEX_FILE).write_bytes(original)
+    _mine_and_build(work, tmp_path / "out")
+    (work / cli.COLLECTION_FILE).write_bytes((other / cli.COLLECTION_FILE).read_bytes())
+    _mine_and_build(work, tmp_path / "out_reordered")
+    for name in (cli.TRIPLES_FILE, cli.POINTWISE_FILE):
+        assert (tmp_path / "out_reordered" / name).read_bytes() == \
+            (tmp_path / "out" / name).read_bytes(), name
+
+    # ingest is the producer of the index; a failed build makes no --out
     (work / cli.INDEX_FILE).unlink()
     capsys.readouterr()
-    assert _run(["build", "--workdir", work, "--out", tmp_path / "out"]) == 2
+    assert _run(["build", "--workdir", work, "--out", tmp_path / "out_failed"]) == 2
     assert "index.bin not found; run `rankforge ingest` first" in capsys.readouterr().err
+    assert not (tmp_path / "out_failed").exists()
     assert _run(["mine", "--workdir", work]) == 2
+
+
+def test_select_rejects_embeddings_or_model_of_another_ingest(tmp_path, corpus_file, capsys):
+    work, other = tmp_path / "w", tmp_path / "other"
+    assert _run(["ingest", "--input", corpus_file, "--workdir", work] + BASE_FLAGS) == 0
+    assert _run(["cluster", "--workdir", work, "--clusters", "3"]) == 0
+    smaller = write_corpus_jsonl(make_collection(44, seed=1), tmp_path / "smaller.jsonl")
+    assert _run(["ingest", "--input", smaller, "--workdir", other] + BASE_FLAGS) == 0
+    assert _run(["cluster", "--workdir", other, "--clusters", "3"]) == 0
+    capsys.readouterr()
+
+    for name, message in [
+        (cli.EMBEDDINGS_FILE, "embeddings.bin has 44 rows, embeddings.bin.ids 45 ids and "
+                              "kmeans.bin 45 assignments"),
+        (cli.KMEANS_FILE, "embeddings.bin has 45 rows, embeddings.bin.ids 45 ids and "
+                          "kmeans.bin 44 assignments"),
+    ]:
+        original = (work / name).read_bytes()
+        (work / name).write_bytes((other / name).read_bytes())
+        assert _run(["select", "--workdir", work, "--sample-size", "6"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (work / cli.SELECTED_FILE).exists()
+        (work / name).write_bytes(original)
+    assert _run(["select", "--workdir", work, "--sample-size", "6"]) == 0
+
+
+def test_failed_ingest_leaves_the_previous_ingest_intact(tmp_path, capsys):
+    work = tmp_path / "w"
+    first = write_corpus_jsonl(make_collection(60, seed=4), tmp_path / "first.jsonl")
+    assert _run(["ingest", "--input", first, "--workdir", work] + BASE_FLAGS) == 0
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+
+    # the 41st document passes the length filter but has no tokens to embed
+    second = tmp_path / "second.jsonl"
+    with open(second, "w", encoding="utf-8") as fh:
+        for i, doc in enumerate(make_collection(60, seed=5)):
+            record = {"_id": "punct", "text": "!" * 400} if i == 40 else \
+                {"_id": doc.id, "title": doc.title, "text": doc.text}
+            fh.write(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert _run(["ingest", "--input", second, "--workdir", work] + BASE_FLAGS) == 2
+    assert "document 'punct' has no tokens" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    # external vectors that miss the kept documents
+    ext_path = tmp_path / "ext.bin"
+    ext = np.random.default_rng(3).normal(size=(3, 8)).astype(np.float32)
+    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=["a", "b", "c"])
+    assert _run(["ingest", "--input", first, "--workdir", work,
+                 "--embeddings", ext_path] + BASE_FLAGS) == 2
+    assert "no embedding row for document" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 def test_eval_subcommand(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_load_save_roundtrip(tmp_path):
     assert len(coll) == 3
     assert coll[0].id == "a" and coll[0].title == "T"
     assert coll[1].title == ""                      # missing title defaults empty
-    assert coll.ordinal("c") == 2
+    assert coll.get("c") is coll[2]
     assert coll.get("missing") is None
 
     out = tmp_path / "copy.jsonl"
@@ -111,7 +111,7 @@ def test_filter_min_length_boundary():
     coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
     kept = filter_min_length(coll, 10)
     assert [d.id for d in kept] == ["keep", "title"]
-    assert kept.ordinal("title") == 1                       # ordinals reassigned
+    assert kept.get("title") is kept[1]                     # ordinals reassigned
 
 
 def test_filter_counts_unicode_scalars():

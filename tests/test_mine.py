@@ -1,5 +1,6 @@
 """BM25 scoring against an independent oracle, negative mining, index format."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -229,12 +230,12 @@ def test_assemble_pairs_order_and_unknown_id():
         SyntheticQuery(doc_id="d0", query_text="quantum", raw_completion="", model_name="m"),
     ]
     cfg = PipelineConfig(first_stage_hits=5, num_negatives=2)
-    pairs = assemble_pairs(index, coll, queries, cfg)
+    pairs = assemble_pairs(index, queries, cfg)
     assert [p.positive_doc_id for p in pairs] == ["d1", "d0"]
     assert all(p.positive_doc_id not in p.negative_doc_ids for p in pairs)
     bad = [SyntheticQuery(doc_id="nope", query_text="q", raw_completion="", model_name="m")]
     with pytest.raises(DataError):
-        assemble_pairs(index, coll, bad, PipelineConfig())
+        assemble_pairs(index, bad, PipelineConfig())
 
 
 # --------------------------------------------------------------- file format
@@ -364,3 +365,13 @@ def test_pairs_roundtrip(tmp_path):
     path.write_text('"query positive_doc_id negative_doc_ids shortfall"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 1: expected a JSON object"):
         load_pairs(path)
+    good = '{"query": "q", "positive_doc_id": "a", "negative_doc_ids": ["b"], "shortfall": false}'
+    for field, value, match in [("query", "5", "not a string"),
+                                ("positive_doc_id", "null", "not a string"),
+                                ("negative_doc_ids", "[1]", "not a string"),
+                                ("negative_doc_ids", "7", "not a list")]:
+        bad = json.loads(good)
+        bad[field] = json.loads(value)
+        path.write_text(good + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"line 2: .*{match}"):
+            load_pairs(path)

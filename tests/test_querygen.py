@@ -175,6 +175,10 @@ def test_load_queries_rejects_bad_lines(tmp_path):
     path.write_text('{"doc_id": "a", "query": "q"}\n"doc_id query"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 2: expected a JSON object"):
         load_queries(path)
+    for bad in ('{"doc_id": ["x"], "query": "q"}', '{"doc_id": "a", "query": 5}'):
+        path.write_text('{"doc_id": "a", "query": "q"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: .* must be strings"):
+            load_queries(path)
 
 
 # ---------------------------------------------------------------- generation

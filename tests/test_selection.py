@@ -17,7 +17,6 @@ import pytest
 
 from rankforge.cluster import KMeansModel
 from rankforge.config import PipelineConfig
-from rankforge.corpus import Collection, Document
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.errors import (
     DegenerateClusterError,
@@ -467,12 +466,11 @@ def test_select_representatives_deterministic():
 
 def test_selected_roundtrip(tmp_path):
     X, model = _fit_fixture(seed=7)
-    docs = [Document(id=f"d{i}", title="", text="x") for i in range(X.n)]
-    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    ids = [f"d{i}" for i in range(X.n)]
     cfg = PipelineConfig(sample_size=6, seed=1)
     selected = select_representatives(X, model, cfg)
     path = tmp_path / "sel.jsonl"
-    save_selected(selected, coll, path)
+    save_selected(selected, ids, path)
     rows = load_selected(path)
     assert len(rows) == 6
     flat = selected.flatten()
@@ -495,6 +493,10 @@ def test_load_selected_rejects_bad_lines(tmp_path):
         load_selected(path)
     path.write_text('{"doc_id": "a", "cluster": 0}\n"doc_id cluster"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 2: expected a JSON object"):
+        load_selected(path)
+    path.write_text('{"doc_id": "a", "cluster": 0}\n{"doc_id": {"a": 1}, "cluster": 0}\n',
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: `doc_id` is not a string"):
         load_selected(path)
 
 
