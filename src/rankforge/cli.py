@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -59,15 +58,14 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConf
 
 def _parse_config_file(path: str | Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FormatError("expected key=value", line_number)
-            key, _, value = stripped.partition("=")
-            entries[key.strip()] = value.strip()
+    for line_number, line in corpus.read_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise FormatError("expected key=value", line_number)
+        key, _, value = stripped.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -168,13 +166,8 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
     if getattr(args, "k_scan", None):
         result = clustering.elbow_scan(matrix, _parse_k_scan(args.k_scan), cfg)
-        with open(workdir / ELBOW_FILE, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"points": [{"k": k, "sse": sse} for k, sse in result.points],
-                 "knee": result.knee},
-                fh, indent=2,
-            )
-            fh.write("\n")
+        points = [{"k": k, "sse": sse} for k, sse in result.points]
+        corpus.write_json(workdir / ELBOW_FILE, {"points": points, "knee": result.knee}, indent=2)
         print(f"{'K':>6} {'cosine_sse':>14}")
         for k, sse in result.points:
             print(f"{k:>6} {sse:>14.4f}")

@@ -14,6 +14,7 @@ assignments (n u32 LE).
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
+from .corpus import replacing
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
@@ -255,25 +257,26 @@ def elbow_scan(X: EmbeddingMatrix, k_values: list[int], cfg: PipelineConfig) -> 
 
 def save_model(model: KMeansModel, path: str | Path) -> None:
     n = int(model.assignments.shape[0])
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, model.K, model.d, n, model.inertia))
         fh.write(np.ascontiguousarray(model.centroids, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(model.assignments, dtype="<u4").tobytes())
 
 
 def load_model(path: str | Path) -> KMeansModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file too short for header")
-    magic, K, d, n, inertia = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    expected = K * d * 4 + n * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise SizeMismatchError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    centroids = np.frombuffer(payload[: K * d * 4], dtype="<f4").reshape(K, d).astype(np.float64)
-    assignments = np.frombuffer(payload[K * d * 4:], dtype="<u4").astype(np.int64)
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: file too short for header")
+        magic, K, d, n, inertia = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        expected = K * d * 4 + n * 4
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != expected:
+            raise SizeMismatchError(f"{path}: expected {expected} payload bytes, found {found}")
+        centroids = np.fromfile(fh, dtype="<f4", count=K * d).reshape(K, d).astype(np.float64)
+        assignments = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     if n and (assignments >= K).any():
         raise ValidationError(f"{path}: assignment out of range [0, {K})")
     return KMeansModel(K=K, centroids=centroids, assignments=assignments, inertia=inertia)

@@ -1,17 +1,21 @@
 """Ingest, validate, filter, and render the target document collection.
 
 Corpus files are JSONL in the BEIR convention: one object per line with
-`_id` (required), `title` (optional), and `text` (required).
+`_id` (required), `title` (optional), and `text` (required). Every artifact
+of the package is written through ``replacing`` here, so it is on disk whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import secrets
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
 
@@ -64,19 +68,63 @@ def _validate_doc(doc_id: str, title: str, text: str, line_number: int) -> None:
         raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a UTF-8 text file; lines end at ``\\n``."""
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                yield line_number, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line_number) from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            if not isinstance(obj, dict):
-                raise FormatError("expected a JSON object", line_number)
-            yield line_number, obj
+    for line_number, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+        if not isinstance(obj, dict):
+            raise FormatError("expected a JSON object", line_number)
+        yield line_number, obj
+
+
+@contextmanager
+def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write ``path`` whole or not at all, through a temp file in the same directory.
+
+    Text mode is UTF-8 with ``\\n`` line ends. The temp file replaces ``path``
+    when the block completes and is deleted if the block raises. There is no
+    fsync: this guards against a process that fails or dies, not power loss.
+    """
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict], **dumps) -> int:
+    """Write one ``json.dumps(record, **dumps)`` line per record; returns the count."""
+    count = 0
+    with replacing(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, **dumps) + "\n")
+            count += 1
+    return count
+
+
+def write_json(path: str | Path, obj: object, **dumps) -> None:
+    """Write ``json.dumps(obj, **dumps)`` and a final newline."""
+    with replacing(path) as fh:
+        fh.write(json.dumps(obj, **dumps) + "\n")
 
 
 def load_collection(path: str | Path) -> Collection:
@@ -101,10 +149,8 @@ def load_collection(path: str | Path) -> Collection:
 
 def save_collection(collection: Collection, path: str | Path) -> None:
     """Write a Collection back to JSONL; values round-trip byte-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in collection:
-            obj = {"_id": doc.id, "title": doc.title, "text": doc.text}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    records = ({"_id": doc.id, "title": doc.title, "text": doc.text} for doc in collection)
+    write_jsonl(path, records, ensure_ascii=False)
 
 
 def render_document(doc: Document) -> str:

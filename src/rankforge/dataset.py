@@ -14,13 +14,12 @@ two runs with the same seed and inputs produce byte-identical manifests.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Collection, render_document
+from .corpus import Collection, render_document, replacing, write_json, write_jsonl
 from .errors import DataError
 from .mine import TrainingPair
 
@@ -42,7 +41,7 @@ def _doc_text(collection: Collection, doc_id: str) -> str:
 def write_triples(pairs: Sequence[TrainingPair], collection: Collection, path: str | Path) -> int:
     """Write the triples TSV; returns the number of rows."""
     rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         for pair in pairs:
             query = sanitize_field(pair.query_text)
             positive = sanitize_field(_doc_text(collection, pair.positive_doc_id))
@@ -55,21 +54,13 @@ def write_triples(pairs: Sequence[TrainingPair], collection: Collection, path: s
 
 def write_pointwise(pairs: Sequence[TrainingPair], collection: Collection, path: str | Path) -> int:
     """Write the pointwise JSONL; returns the number of records."""
-    records = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            labeled = [(pair.positive_doc_id, 1)]
-            labeled.extend((neg_id, 0) for neg_id in pair.negative_doc_ids)
-            for doc_id, label in labeled:
-                obj = {
-                    "query": pair.query_text,
-                    "doc_id": doc_id,
-                    "doc_text": _doc_text(collection, doc_id),
-                    "label": label,
-                }
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-                records += 1
-    return records
+    records = (
+        {"query": pair.query_text, "doc_id": doc_id,
+         "doc_text": _doc_text(collection, doc_id), "label": label}
+        for pair in pairs
+        for doc_id, label in [(pair.positive_doc_id, 1)] + [(n, 0) for n in pair.negative_doc_ids]
+    )
+    return write_jsonl(path, records, ensure_ascii=False, sort_keys=True)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -94,12 +85,7 @@ class DatasetManifest:
             "bytes": p.stat().st_size,
         }
 
-    def to_json(self) -> str:
-        obj = {"config": self.config, "counts": self.counts, "artifacts": self.artifacts}
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
+    write_json(path, asdict(manifest), sort_keys=True, indent=2)
 

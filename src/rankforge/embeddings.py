@@ -10,13 +10,15 @@ of each row.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Collection, TokenizedCollection, tokenize, tokenize_collection
+from .corpus import (Collection, TokenizedCollection, read_lines, replacing, tokenize,
+                     tokenize_collection)
 from .errors import (
     AlignmentError,
     DegenerateVectorError,
@@ -57,43 +59,45 @@ class EmbeddingMatrix:
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an embedding file, validating magic, shape, and finiteness."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file too short for header")
-    magic, n, d = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if d < 1:
-        raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-    expected = n * d * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise SizeMismatchError(
-            f"{path}: declared {n}x{d} needs {expected} payload bytes, found {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    finite = np.isfinite(data).all(axis=1) if n else np.ones(0, dtype=bool)
-    if n and not finite.all():
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: file too short for header")
+        magic, n, d = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if d < 1:
+            raise FormatError(f"{path}: dimension must be >= 1, got {d}")
+        expected = n * d * 4
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != expected:
+            raise SizeMismatchError(
+                f"{path}: declared {n}x{d} needs {expected} payload bytes, found {found}"
+            )
+        data = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
+    # max and min are NaN or infinite exactly when a value of the row is, without an n x d mask
+    finite = np.isfinite(data.max(axis=1)) & np.isfinite(data.min(axis=1))
+    if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise ValidationError(f"{path}: non-finite value in row {bad}")
-    return EmbeddingMatrix(data=data.copy())
+    return EmbeddingMatrix(data=data)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, ids: list[str] | None = None) -> None:
     """Write the binary format; optionally emit the `.ids` sidecar."""
-    with open(path, "wb") as fh:
+    if ids is not None and len(ids) != matrix.n:
+        raise SizeMismatchError(f"{len(ids)} ids for {matrix.n} rows")
+    with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, matrix.n, matrix.d))
         fh.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
     if ids is not None:
-        if len(ids) != matrix.n:
-            raise SizeMismatchError(f"{len(ids)} ids for {matrix.n} rows")
-        Path(str(path) + ".ids").write_text("".join(i + "\n" for i in ids), encoding="utf-8")
+        with replacing(str(path) + ".ids") as fh:
+            fh.write("".join(i + "\n" for i in ids))
 
 
 def load_ids(path: str | Path) -> list[str]:
-    """Read an `.ids` sidecar: one id per line."""
-    text = Path(path).read_text(encoding="utf-8")
-    return [line for line in text.splitlines() if line]
+    """Read an `.ids` sidecar: one id per line (any ``str.splitlines`` break ends one)."""
+    return [doc_id for _, line in read_lines(path) for doc_id in line.splitlines() if doc_id]
 
 
 def check_alignment(collection: Collection, matrix: EmbeddingMatrix) -> None:

@@ -9,12 +9,12 @@ column in the file is ignored.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .corpus import read_lines, write_json
 from .errors import FormatError
 
 
@@ -36,25 +36,29 @@ class Run:
         return [doc_id for doc_id, _ in ordered]
 
 
+def _columns(path: str | Path, count: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank line; each must have ``count`` fields."""
+    for line_number, line in read_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != count:
+            raise FormatError(f"expected {count} fields, got {len(fields)}", line_number)
+        yield line_number, fields
+
+
 def load_qrels(path: str | Path) -> Qrels:
     """Read 4-column TREC qrels: query_id, iteration, doc_id, relevance."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise FormatError(f"expected 4 fields, got {len(fields)}", line_number)
-            query_id, _, doc_id, rel_text = fields
-            try:
-                rel = int(rel_text)
-            except ValueError:
-                raise FormatError(f"relevance {rel_text!r} is not an integer", line_number) from None
-            judgments = qrels.by_query.setdefault(query_id, {})
-            if doc_id in judgments:
-                raise FormatError(f"duplicate judgment for ({query_id}, {doc_id})", line_number)
-            judgments[doc_id] = rel
+    for line_number, (query_id, _, doc_id, rel_text) in _columns(path, 4):
+        try:
+            rel = int(rel_text)
+        except ValueError:
+            raise FormatError(f"relevance {rel_text!r} is not an integer", line_number) from None
+        judgments = qrels.by_query.setdefault(query_id, {})
+        if doc_id in judgments:
+            raise FormatError(f"duplicate judgment for ({query_id}, {doc_id})", line_number)
+        judgments[doc_id] = rel
     return qrels
 
 
@@ -62,24 +66,17 @@ def load_run(path: str | Path) -> Run:
     """Read 6-column TREC run: query_id, Q0, doc_id, rank, score, tag."""
     run = Run()
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise FormatError(f"expected 6 fields, got {len(fields)}", line_number)
-            query_id, _, doc_id, _, score_text, _ = fields
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise FormatError(f"score {score_text!r} is not a number", line_number) from None
-            if not math.isfinite(score):
-                raise FormatError(f"score {score_text!r} is not finite", line_number)
-            if (query_id, doc_id) in seen:
-                raise FormatError(f"duplicate hit for ({query_id}, {doc_id})", line_number)
-            seen.add((query_id, doc_id))
-            run.by_query.setdefault(query_id, []).append((doc_id, score))
+    for line_number, (query_id, _, doc_id, _, score_text, _) in _columns(path, 6):
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise FormatError(f"score {score_text!r} is not a number", line_number) from None
+        if not math.isfinite(score):
+            raise FormatError(f"score {score_text!r} is not finite", line_number)
+        if (query_id, doc_id) in seen:
+            raise FormatError(f"duplicate hit for ({query_id}, {doc_id})", line_number)
+        seen.add((query_id, doc_id))
+        run.by_query.setdefault(query_id, []).append((doc_id, score))
     return run
 
 
@@ -116,18 +113,6 @@ class EvalReport:
     mean_ndcg: float
     mean_recall: float
     evaluated_queries: int
-
-    def to_json(self) -> str:
-        obj = {
-            "ndcg_k": self.ndcg_k,
-            "recall_k": self.recall_k,
-            "mean_ndcg": self.mean_ndcg,
-            "mean_recall": self.mean_recall,
-            "evaluated_queries": self.evaluated_queries,
-            "ndcg_per_query": self.ndcg_per_query,
-            "recall_per_query": self.recall_per_query,
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def evaluate(run: Run, qrels: Qrels, ndcg_k: int = 10, recall_k: int = 100) -> EvalReport:
@@ -170,5 +155,4 @@ def format_report(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
+    write_json(path, asdict(report), sort_keys=True, indent=2)

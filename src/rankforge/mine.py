@@ -14,7 +14,6 @@ term frequencies. k1 and b are not stored: ``load_index`` takes them.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import Collection, TokenizedCollection, read_jsonl, tokenize, tokenize_collection
+from .corpus import (Collection, TokenizedCollection, read_jsonl, replacing, tokenize,
+                     tokenize_collection, write_jsonl)
 from .errors import DataError, DuplicateIdError, FormatError
 from .querygen import SyntheticQuery
 
@@ -165,19 +165,9 @@ def assemble_pairs(
 
 
 def save_pairs(pairs: Sequence[TrainingPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "query": p.query_text,
-                        "positive_doc_id": p.positive_doc_id,
-                        "negative_doc_ids": list(p.negative_doc_ids),
-                        "shortfall": p.shortfall,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"query": p.query_text, "positive_doc_id": p.positive_doc_id,
+                        "negative_doc_ids": list(p.negative_doc_ids), "shortfall": p.shortfall}
+                       for p in pairs))
 
 
 def load_pairs(path: str | Path) -> list[TrainingPair]:
@@ -209,7 +199,7 @@ def _string_table(strings: Sequence[str]) -> bytes:
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
     """Serialize the index; byte-stable because terms and postings are sorted."""
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.terms), len(index.ords)))
         fh.write(_string_table(index.doc_ids))
         fh.write(_string_table(index.terms))

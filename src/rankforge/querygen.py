@@ -19,7 +19,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +27,7 @@ from typing import Sequence
 import requests
 
 from .config import PipelineConfig
-from .corpus import read_jsonl, tokenize
+from .corpus import read_jsonl, read_lines, tokenize, write_jsonl
 from .errors import (
     AggregateGenerationError,
     EmptyQueryError,
@@ -84,20 +84,17 @@ def builtin_examples_path(name: str) -> Path:
 
 
 def load_template(path: str | Path) -> PromptTemplate:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [
-        f
-        for f in ("preamble", "example_block_format", "target_block_format", "example_separator")
-        if f not in obj
-    ]
-    if missing:
-        raise TemplateError(f"{path}: missing template fields {missing}")
-    return PromptTemplate(
-        preamble=obj["preamble"],
-        example_block_format=obj["example_block_format"],
-        target_block_format=obj["target_block_format"],
-        example_separator=obj["example_separator"],
-    )
+    try:
+        obj = json.loads("".join(line for _, line in read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise TemplateError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise TemplateError(f"{path}: expected a JSON object")
+    names = [f.name for f in fields(PromptTemplate)]
+    bad = [name for name in names if not isinstance(obj.get(name), str)]
+    if bad:
+        raise TemplateError(f"{path}: template fields {bad} are missing or not strings")
+    return PromptTemplate(**{name: obj[name] for name in names})
 
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
@@ -105,6 +102,8 @@ def load_examples(path: str | Path) -> list[FewShotExample]:
     for line_number, obj in read_jsonl(path):
         if "document" not in obj or "query" not in obj:
             raise FormatError("example needs `document` and `query` fields", line_number)
+        if not (isinstance(obj["document"], str) and isinstance(obj["query"], str)):
+            raise FormatError("example `document` and `query` must be strings", line_number)
         if not obj["document"] or not obj["query"]:
             raise FormatError("example fields must be non-empty", line_number)
         examples.append(FewShotExample(document_text=obj["document"], query=obj["query"]))
@@ -279,9 +278,8 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
 
 def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:
     """Persist queries as JSONL {doc_id, query, model}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps({"doc_id": q.doc_id, "query": q.query_text, "model": q.model_name}) + "\n")
+    write_jsonl(path, ({"doc_id": q.doc_id, "query": q.query_text, "model": q.model_name}
+                       for q in queries))
 
 
 def load_queries(path: str | Path) -> list[SyntheticQuery]:

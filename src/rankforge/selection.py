@@ -14,7 +14,6 @@ produce identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +22,7 @@ import numpy as np
 
 from .cluster import KMeansModel
 from .config import PipelineConfig
-from .corpus import read_jsonl
+from .corpus import read_jsonl, write_jsonl
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
@@ -262,16 +261,9 @@ def select_representatives(
 
 def save_selected(selected: SelectedSet, ids: Sequence[str], path: str | Path) -> None:
     """Persist a SelectedSet as JSONL, one record per document; ``ids[o]`` names row ``o``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in selected.flatten():
-            obj = {
-                "doc_id": ids[doc.ordinal],
-                "cluster": doc.cluster,
-                "d_i": doc.centroid_sim,
-                "prob": doc.prob,
-                "rank_in_cluster": doc.rank_in_cluster,
-            }
-            fh.write(json.dumps(obj) + "\n")
+    write_jsonl(path, ({"doc_id": ids[doc.ordinal], "cluster": doc.cluster, "d_i": doc.centroid_sim,
+                        "prob": doc.prob, "rank_in_cluster": doc.rank_in_cluster}
+                       for doc in selected.flatten()))
 
 
 def load_selected(path: str | Path) -> list[dict]:

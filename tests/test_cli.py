@@ -266,6 +266,35 @@ def test_exit_codes(tmp_path, corpus_file, capsys):
     assert _run(["ingest", "--input", corpus_file, "--workdir", tmp_path / "w2",
                  "--min-chars", "100000"]) == 2
 
+    # text inputs that are not UTF-8, and template or examples files of the wrong shape
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes('{"_id": "a", "text": "café"}\n'.encode("latin-1"))
+    ext = tmp_path / "ext.bin"
+    save_embeddings(EmbeddingMatrix(data=np.ones((1, 8), dtype=np.float32)), ext, ids=["a"])
+    Path(str(ext) + ".ids").write_bytes(latin1.read_bytes())
+    bad_template = tmp_path / "template.json"
+    bad_template.write_text('{"preamble": ', encoding="utf-8")
+    bad_examples = tmp_path / "examples.jsonl"
+    bad_examples.write_text('{"document": 5, "query": "q"}\n', encoding="utf-8")
+    work = tmp_path / "w3"
+    assert _run(["ingest", "--input", corpus_file, "--workdir", work] + BASE_FLAGS) == 0
+    assert _run(["cluster", "--workdir", work, "--clusters", "3"]) == 0
+    assert _run(["select", "--workdir", work, "--sample-size", "6"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["ingest", "--input", latin1, "--workdir", tmp_path / "w4"],
+        ["ingest", "--input", corpus_file, "--workdir", tmp_path / "w4", "--embeddings", ext],
+        ["cluster", "--workdir", work, "--config", latin1],
+        ["eval", "--run", latin1, "--qrels", latin1],
+        ["generate", "--workdir", work, "--template", latin1],
+        ["generate", "--workdir", work, "--examples", latin1],
+        ["generate", "--workdir", work, "--template", bad_template],
+        ["generate", "--workdir", work, "--examples", bad_examples],
+    ):
+        assert _run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
 
 def test_endpoint_failure_exits_three(tmp_path, corpus_file, capsys):
     work = tmp_path / "w"
@@ -429,6 +458,27 @@ def test_failed_ingest_leaves_the_previous_ingest_intact(tmp_path, capsys):
                  "--embeddings", ext_path] + BASE_FLAGS) == 2
     assert "no embedding row for document" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_failed_build_leaves_the_previous_build_intact(tmp_path, corpus_file, capsys):
+    work, out = tmp_path / "w", tmp_path / "o"
+    assert _run(["run-all", "--input", corpus_file, "--workdir", work,
+                 "--out", out] + SMALL_PIPELINE) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {cli.TRIPLES_FILE, cli.POINTWISE_FILE, cli.MANIFEST_FILE}
+
+    # the last negative of the last pair names a document that is not in the collection
+    pairs_path = work / cli.PAIRS_FILE
+    *head, last = pairs_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    pair = json.loads(last)
+    pair["negative_doc_ids"][-1] = "no-such-doc"
+    pairs_path.write_text("".join(head) + json.dumps(pair) + "\n", encoding="utf-8")
+    work_files = {p.name for p in work.iterdir()}
+    capsys.readouterr()
+    assert _run(["build", "--workdir", work, "--out", out, "--seed", "7"]) == 2
+    assert "unknown document id 'no-such-doc'" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name for p in work.iterdir()} == work_files
 
 
 def test_eval_subcommand(tmp_path, capsys):

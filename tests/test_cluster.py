@@ -24,6 +24,7 @@ from rankforge.errors import (
     FormatError,
     InvalidConfigError,
     SizeMismatchError,
+    ValidationError,
 )
 from tests.conftest import blob_matrix
 
@@ -338,11 +339,14 @@ def test_load_rejects_corrupt_files(tmp_path):
     short.write_bytes(bytes(blob[:-4]))
     with pytest.raises(SizeMismatchError):
         load_model(short)
+    short.write_bytes(bytes(blob[:20]))
+    with pytest.raises(FormatError, match="too short for header"):
+        load_model(short)
 
     # corrupt one assignment so it points past K
     bad_assign = bytearray(blob)
     bad_assign[-4:] = (10_000).to_bytes(4, "little")
     bad_path = tmp_path / "range.bin"
     bad_path.write_bytes(bytes(bad_assign))
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="assignment out of range"):
         load_model(bad_path)

@@ -1,15 +1,19 @@
-"""Collection loading, validation, rendering, and length filtering."""
+"""Collection loading, validation, rendering, and length filtering; artifact writing."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from rankforge import corpus
 from rankforge.corpus import (
     Collection,
     Document,
     filter_min_length,
     load_collection,
     render_document,
+    replacing,
     save_collection,
     tokenize,
     tokenize_collection,
@@ -60,6 +64,10 @@ def test_load_rejects_bad_json_with_line_number(tmp_path):
     assert "line 2" in str(err.value)
     path.write_text('{"_id": "a", "text": "ok"}\n\n"_id text"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 3: expected a JSON object"):
+        load_collection(path)
+    # Latin-1 "café" on line 2
+    path.write_bytes(b'{"_id": "a", "text": "ok"}\n{"_id": "b", "text": "caf\xe9"}\n')
+    with pytest.raises(FormatError, match="line 2: .* is not UTF-8 text"):
         load_collection(path)
 
 
@@ -143,3 +151,50 @@ def test_tokenize_collection_matches_tokenize():
     empty = tokenize_collection(Collection())
     assert empty.terms == [] and empty.ids.size == 0 and empty.lengths.size == 0
 
+
+
+def test_replacing_writes_whole_or_not_at_all(tmp_path):
+    existing = tmp_path / "existing.bin"
+    existing.write_bytes(b"old bytes")
+    absent = tmp_path / "absent.txt"
+    for path, payload in ((existing, b"new"), (absent, "new")):
+        with pytest.raises(RuntimeError):
+            with replacing(path, binary=path is existing) as fh:
+                fh.write(payload)
+                raise RuntimeError("fails mid-write")
+    assert existing.read_bytes() == b"old bytes"
+    assert not absent.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["existing.bin"]
+
+    with replacing(existing) as fh:
+        fh.write("café\n")
+        assert existing.read_bytes() == b"old bytes"    # replaced only when the block completes
+    assert existing.read_bytes() == "café\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["existing.bin"]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "open":
+        # builtin open(file, mode); Path.open(mode); a mode that is not a literal counts as writing
+        args = call.args[1:] if isinstance(func, ast.Name) else call.args
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else None)
+        if mode is None:
+            return False
+        return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+    if name == "dump":
+        return True
+    return name in ("write_text", "write_bytes", "tofile")
+
+
+def test_only_corpus_writes_files():
+    # every artifact reaches disk through corpus.replacing, so this decision stays in one module
+    package = Path(corpus.__file__).parent
+    writers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    ]
+    assert writers == []

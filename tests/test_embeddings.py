@@ -39,7 +39,13 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_embeddings(path)
     assert loaded.n == 7 and loaded.d == 5
     np.testing.assert_array_equal(loaded.data, data)
+    assert loaded.data.flags.writeable
     assert load_ids(str(path) + ".ids") == [f"d{i}" for i in range(7)]
+
+    # an id list of the wrong length is refused before either file is touched
+    with pytest.raises(SizeMismatchError):
+        save_embeddings(EmbeddingMatrix(data=data[:3]), path, ids=[f"d{i}" for i in range(7)])
+    np.testing.assert_array_equal(load_embeddings(path).data, data)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -56,6 +62,12 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 12)
     with pytest.raises(FormatError):
+        load_embeddings(path)
+    path.write_bytes(MAGIC + b"\x00" * 11)                  # one byte short of a header
+    with pytest.raises(FormatError, match="too short for header"):
+        load_embeddings(path)
+    path.write_bytes(struct.pack("<8sQI", MAGIC, 0, 0))
+    with pytest.raises(FormatError, match="dimension must be >= 1"):
         load_embeddings(path)
 
 

@@ -151,6 +151,14 @@ def test_load_template_missing_field(tmp_path):
     path.write_text(json.dumps({"preamble": "x"}), encoding="utf-8")
     with pytest.raises(TemplateError):
         load_template(path)
+    fields = json.loads(builtin_template_path().read_text(encoding="utf-8"))
+    for bad in ('{"preamble": ', json.dumps(dict(fields, preamble=5)), json.dumps(list(fields))):
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(TemplateError):
+            load_template(path)
+    path.write_bytes(json.dumps(fields).encode("utf-8") + b"\n\"caf\xe9\"\n")
+    with pytest.raises(FormatError, match="line 2: .* is not UTF-8 text"):
+        load_template(path)
 
 
 def test_load_examples_errors(tmp_path):
@@ -165,6 +173,10 @@ def test_load_examples_errors(tmp_path):
     path.write_text('"document query"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 1: expected a JSON object"):
         load_examples(path)
+    for bad in ('{"document": 5, "query": "q"}', '{"document": "d", "query": ["q"]}'):
+        path.write_text('{"document": "d", "query": "q"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: .* must be strings"):
+            load_examples(path)
 
 
 def test_load_queries_rejects_bad_lines(tmp_path):
