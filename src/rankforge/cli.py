@@ -240,7 +240,10 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             )
         )
     client = querygen.make_client(cfg.endpoint, cfg.model)
-    queries = querygen.generate_queries(client, prompts, cfg)
+    try:
+        queries = querygen.generate_queries(client, prompts, cfg)
+    finally:
+        client.close()
     querygen.save_queries(queries, workdir / QUERIES_FILE)
     dropped = len(prompts) - len(queries)
     print(f"generate: {len(queries)} queries from {len(prompts)} prompts ({dropped} dropped)")

@@ -18,11 +18,20 @@ from .querygen import deterministic_completion
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Keep-alive; without TCP_NODELAY the body, written after the headers,
+    # waits for the client's delayed ACK (about 40 ms a reply).
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def do_POST(self):  # noqa: N802 (http.server API name)
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
             body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+            if not isinstance(body, dict):
+                raise ValueError("body is not a JSON object")
+        except ValueError:
             self._reply(400, {"error": "invalid JSON body"})
             return
         text = deterministic_completion(str(body.get("prompt", "")))
@@ -35,6 +44,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if status >= 400:
+            # the request body may be unread, and would be taken for the next
+            # request; this header also makes the handler close the connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -42,12 +55,24 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class MockLLMServer:
-    """Context manager that serves the mock endpoint on a background thread."""
+class _Server(ThreadingHTTPServer):
+    # A client may keep a connection open past shutdown; its handler thread is
+    # a daemon, so do not wait for it.
+    block_on_close = False
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+class MockLLMServer:
+    """Context manager that serves the mock endpoint on a background thread.
+
+    ``handler`` lets a test serve a variant of the mock's request handler.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 handler: type[BaseHTTPRequestHandler] = _Handler):
+        self._server = _Server((host, port), handler)
+        # a short poll interval lets __exit__ return without a half-second wait
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
 
     @property
     def endpoint(self) -> str:
@@ -69,7 +94,7 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8631)
     args = parser.parse_args(argv)
-    server = ThreadingHTTPServer((args.host, args.port), _Handler)
+    server = _Server((args.host, args.port), _Handler)
     print(f"mock LLM listening on http://{args.host}:{args.port}")
     try:
         server.serve_forever()

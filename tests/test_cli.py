@@ -529,6 +529,20 @@ def test_console_script_entrypoint(tmp_path, corpus_file):
     assert "ingest: kept 45" in result.stdout
 
 
+def test_runtime_imports_are_stdlib_and_numpy():
+    # the declared runtime dependencies are numpy alone; a third-party import
+    # anywhere under the CLI or the mock server would need one more
+    script = ("import json, sys; before = set(sys.modules); "
+              "import rankforge.cli, rankforge.mockllm; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": child_pythonpath()})
+    assert result.returncode == 0, result.stderr
+    loaded = {name.split(".")[0] for name in json.loads(result.stdout)}
+    assert "rankforge" in loaded and "numpy" in loaded
+    assert loaded - sys.stdlib_module_names - {"numpy", "rankforge"} == set()
+
+
 def test_defaults_match_documented_values():
     cfg = cli.PipelineConfig()
     assert cfg.min_chars == 300

@@ -1,7 +1,12 @@
 """Prompt assembly, completion parsing, generation fan-out, and the mock endpoint."""
 
+import http.client
+import io
 import json
+import sys
 import threading
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -15,7 +20,7 @@ from rankforge.errors import (
     InvalidConfigError,
     TemplateError,
 )
-from rankforge.mockllm import MockLLMServer
+from rankforge.mockllm import MockLLMServer, _Handler
 from rankforge.querygen import (
     FewShotExample,
     HttpCompletionClient,
@@ -50,6 +55,14 @@ EXAMPLES = [
 @pytest.fixture(autouse=True)
 def no_backoff(monkeypatch):
     monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture(autouse=True)
+def no_proxy_settings(monkeypatch):
+    # requests go straight to the local mock unless a test sets a proxy
+    for scheme in ("http", "https", "no"):
+        monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+        monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
 
 
 def _settings(**kw) -> PipelineConfig:
@@ -271,14 +284,37 @@ def test_make_client_dispatch():
 
 # ------------------------------------------------------------- HTTP endpoint
 
-def test_http_client_against_mock_server():
-    with MockLLMServer() as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
-        prompts = [QueryPrompt(f"d{i}", f"Document: alpha beta {i}\nRelevant Query:")
-                   for i in range(6)]
-        out = generate_queries(client, prompts, _settings(threads=3))
-        direct = [deterministic_completion(p.text) for p in prompts]
-        assert [q.query_text for q in out] == [parse_completion(t) for t in direct]
+@pytest.fixture
+def connections(monkeypatch):
+    """Client addresses of the TCP connections the mock handler accepts."""
+    accepted = []
+    setup = _Handler.setup
+
+    def counting_setup(self):
+        accepted.append(self.client_address)
+        setup(self)
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return accepted
+
+
+def test_http_client_against_mock_server(connections):
+    # more threads than cores and a short switch interval, so workers contend
+    # for the client's pool of idle connections
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MockLLMServer() as server:
+            client = HttpCompletionClient(server.endpoint, model="m")
+            prompts = [QueryPrompt(f"d{i}", f"Document: alpha beta {i}\nRelevant Query:")
+                       for i in range(120)]
+            out = generate_queries(client, prompts, _settings(threads=8))
+            client.close()
+    finally:
+        sys.setswitchinterval(interval)
+    direct = [deterministic_completion(p.text) for p in prompts]
+    assert [q.query_text for q in out] == [parse_completion(t) for t in direct]
+    assert 1 <= len(connections) <= 8        # one connection per worker at most
 
 
 def test_http_client_retries_then_raises():
@@ -287,28 +323,203 @@ def test_http_client_retries_then_raises():
         client.complete("prompt", _settings(max_retries=1))
 
 
-def test_http_client_sends_contract_fields():
-    captured = {}
-    import requests
+def _post(endpoint: str, body: bytes, headers: dict[str, str]) -> tuple[int, dict, bytes]:
+    """One request on a fresh connection: (status, headers, body) of the reply."""
+    url = urlsplit(endpoint)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        conn.putrequest("POST", url.path)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
 
+
+def test_http_client_sends_contract_fields():
     with MockLLMServer() as server:
         body = {"model": "m2", "prompt": "Doc: x y z\nQuery:", "temperature": 0.0,
                 "max_tokens": 8, "stop": ["\n"]}
-        resp = requests.post(server.endpoint, json=body, timeout=5)
-        assert resp.status_code == 200
-        payload = resp.json()
-        assert payload["choices"][0]["text"] == deterministic_completion(body["prompt"])
-        captured.update(payload)
-    assert captured["model"] == "m2"
+        data = json.dumps(body).encode()
+        status, _, reply = _post(server.endpoint, data, {"Content-Length": str(len(data))})
+    assert status == 200
+    payload = json.loads(reply)
+    assert payload["choices"][0]["text"] == deterministic_completion(body["prompt"])
+    assert payload["model"] == "m2"
 
 
 def test_mock_server_rejects_bad_json():
-    import requests
-
+    cases = [(b"{broken", "7"), (b"[1]", "3"), (b"{}", "abc"), (b"{}", "-5")]
     with MockLLMServer() as server:
-        resp = requests.post(server.endpoint, data=b"{broken", timeout=5,
-                             headers={"Content-Length": "7"})
-        assert resp.status_code == 400
+        for data, length in cases:
+            status, headers, _ = _post(server.endpoint, data, {"Content-Length": length})
+            assert status == 400, (data, length)
+            # the body may be unread, so the connection cannot carry another request
+            assert headers.get("Connection") == "close", (data, length)
+
+
+class _Recording(_Handler):
+    """The mock handler, recording each request's target, headers and body."""
+
+    seen: list = []
+
+    def do_POST(self):  # noqa: N802
+        length = int(self.headers["Content-Length"])
+        self.seen.append((self.path, dict(self.headers), self.rfile.read(length)))
+        self.rfile = io.BytesIO(self.seen[-1][2])
+        super().do_POST()
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    monkeypatch.setattr(_Recording, "seen", [])
+    return _Recording
+
+
+def test_http_client_payload_and_auth_header(recording):
+    with MockLLMServer(handler=recording) as server:
+        client = HttpCompletionClient(server.endpoint, model="m", api_key="sekret")
+        text = client.complete("Doc: x y\nQuery:", _settings(max_new_tokens=9))
+        client.close()
+    assert text == deterministic_completion("Doc: x y\nQuery:")
+    [(path, headers, body)] = recording.seen
+    assert path == "/v1/completions"
+    assert headers["Authorization"] == "Bearer sekret"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {"model": "m", "prompt": "Doc: x y\nQuery:", "temperature": 0.0,
+                                "max_tokens": 9, "stop": ["\n"]}
+
+
+def test_http_client_reuses_one_connection(connections):
+    with MockLLMServer() as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        for i in range(20):
+            assert client.complete(f"Doc: word{i}\nQuery:", _settings()) == \
+                deterministic_completion(f"Doc: word{i}\nQuery:")
+        client.close()
+    assert len(connections) == 1
+
+
+def test_http_client_kept_alive_requests_do_not_stall():
+    # with Nagle's algorithm on the server, each reply's body waits for the
+    # client's delayed ACK: 50 requests then take more than 2 s
+    with MockLLMServer() as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        client.complete("warm up", _settings())
+        start = time.perf_counter()
+        for i in range(50):
+            client.complete(f"Doc: word{i}\nQuery:", _settings())
+        elapsed = time.perf_counter() - start
+        client.close()
+    assert elapsed < 1.0
+
+
+class _Http10(_Handler):
+    """Answers as HTTP/1.0 and says it closes the connection after each reply."""
+
+    protocol_version = "HTTP/1.0"
+
+    def end_headers(self):
+        self.send_header("Connection", "close")
+        super().end_headers()
+
+
+class _SilentClose(_Handler):
+    """Closes the connection after each reply without saying so."""
+
+    def _reply(self, status, obj):
+        super()._reply(status, obj)
+        self.close_connection = True
+
+
+@pytest.mark.parametrize("handler", [_Http10, _SilentClose])
+def test_http_client_survives_servers_that_close(handler, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    with MockLLMServer(handler=handler) as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        for i in range(5):
+            # no retries: a dropped kept-alive connection is resent, not retried
+            assert client.complete(f"Doc: word{i}\nQuery:", _settings(max_retries=0)) == \
+                deterministic_completion(f"Doc: word{i}\nQuery:")
+        client.close()
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status, requests", [
+    (401, 1), (404, 1), (400, 1), (408, 3), (429, 3), (503, 3), (500, 3),
+])
+def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkeypatch):
+    seen = []
+
+    class Scripted(_Handler):
+        def do_POST(self):  # noqa: N802
+            seen.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self._reply(status, {"error": "scripted"})
+
+    sleeps = []
+    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    with MockLLMServer(handler=Scripted) as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        with pytest.raises(EndpointError, match=f"HTTP {status}"):
+            client.complete("prompt", _settings(max_retries=2))
+        client.close()
+    assert len(seen) == requests
+    assert sleeps == [0.5, 1.0][: requests - 1]
+
+
+def test_http_client_timeout_is_per_request():
+    class Slow(_Handler):
+        def do_POST(self):  # noqa: N802
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if body["prompt"] == "slow":
+                time.sleep(1.0)
+            self._reply(200, {"choices": [{"text": body["prompt"]}]})
+
+    with MockLLMServer(handler=Slow) as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        assert client.complete("fast", _settings(request_timeout=30.0)) == "fast"
+        # the kept-alive connection now waits at most 0.1 s for each read
+        start = time.perf_counter()
+        with pytest.raises(EndpointError, match="timed out"):
+            client.complete("slow", _settings(max_retries=1, request_timeout=0.1))
+        client.close()
+    assert time.perf_counter() - start < 0.9
+
+
+def test_http_client_goes_through_the_environment_proxy(recording, monkeypatch):
+    with MockLLMServer(handler=recording) as proxy:
+        address = urlsplit(proxy.endpoint)
+        monkeypatch.setenv("HTTP_PROXY", f"http://user:p%40ss@{address.netloc}")
+        # the endpoint host does not resolve: only the proxy can answer
+        client = HttpCompletionClient("http://llm.invalid:8000/v1/completions?x=1", model="m")
+        assert client.complete("Doc: a b\nQuery:", _settings()) == \
+            deterministic_completion("Doc: a b\nQuery:")
+        client.close()
+        # NO_PROXY sends a request straight to its host
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        monkeypatch.setenv("NO_PROXY", f"example.test, {address.hostname}")
+        client = HttpCompletionClient(proxy.endpoint, model="m")
+        client.complete("Doc: c d\nQuery:", _settings())
+        client.close()
+    (target, headers, _), (direct, direct_headers, _) = recording.seen
+    assert target == "http://llm.invalid:8000/v1/completions?x=1"
+    assert headers["Host"] == "llm.invalid:8000"
+    assert headers["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"     # user:p@ss
+    assert direct == "/v1/completions"
+    assert "Proxy-Authorization" not in direct_headers
+
+
+def test_http_client_rejects_urls_it_cannot_reach(monkeypatch):
+    for endpoint in ("x", "ftp://host/v1", "http:///v1", "http://host:99999/v1"):
+        with pytest.raises(EndpointError, match="endpoint"):
+            HttpCompletionClient(endpoint, model="m")
+    monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(EndpointError, match="proxy"):
+        HttpCompletionClient("http://host/v1", model="m")
 
 
 def test_generation_settings_validate():
