@@ -59,9 +59,14 @@ class KMeansModel:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.K)
 
-    def members(self, k: int) -> np.ndarray:
-        """Ordinals assigned to cluster k, ascending."""
-        return np.flatnonzero(self.assignments == k)
+
+def groups(assignments: np.ndarray, K: int) -> list[np.ndarray]:
+    """The ordinals of each cluster's members, ascending, from one stable argsort.
+
+    Member order fixes the bytes of every centroid and every selection pool.
+    """
+    order = np.argsort(assignments, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(assignments, minlength=K))[:-1])
 
 
 def _normalized_rows(X: EmbeddingMatrix) -> np.ndarray:
@@ -134,12 +139,8 @@ def _assign(Xn: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> None:
     """Each centroid becomes the mean of its members, taken in ascending row order."""
-    order = np.argsort(assignments, kind="stable")
-    ends = np.cumsum(np.bincount(assignments, minlength=centroids.shape[0]))
-    start = 0
-    for k, end in enumerate(ends):
-        centroids[k] = Xn[order[start:end]].mean(axis=0)
-        start = end
+    for k, members in enumerate(groups(assignments, centroids.shape[0])):
+        centroids[k] = Xn[members].mean(axis=0)
 
 
 def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, K: int) -> None:

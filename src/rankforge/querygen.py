@@ -22,7 +22,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -344,37 +344,33 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
     """One completion per prompt, cfg.threads at a time; output follows input order.
 
     Items that fail transport after retries or parse to an empty query are
-    dropped and logged; the call only raises when every request failed.
+    dropped and logged, in input order; the call only raises when every
+    request failed.
     """
-    results: list[SyntheticQuery | None] = [None] * len(prompts)
+    def attempt(prompt: QueryPrompt) -> str | EndpointError:
+        try:
+            return client.complete(prompt.text, cfg)
+        except EndpointError as exc:
+            return exc
+
+    queries: list[SyntheticQuery] = []
     transport_failures = 0
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = {
-            pool.submit(client.complete, prompts[i].text, cfg): i
-            for i in range(len(prompts))
-        }
-        for fut in as_completed(futures):
-            i = futures[fut]
-            try:
-                raw = fut.result()
-            except EndpointError as exc:
+        for prompt, raw in zip(prompts, pool.map(attempt, prompts)):
+            if isinstance(raw, EndpointError):
                 transport_failures += 1
-                log.warning("generation failed for doc %s: %s", prompts[i].doc_id, exc)
+                log.warning("generation failed for doc %s: %s", prompt.doc_id, raw)
                 continue
             try:
                 query_text = parse_completion(raw)
             except EmptyQueryError:
-                log.warning("dropping doc %s: completion parsed empty", prompts[i].doc_id)
+                log.warning("dropping doc %s: completion parsed empty", prompt.doc_id)
                 continue
-            results[i] = SyntheticQuery(
-                doc_id=prompts[i].doc_id,
-                query_text=query_text,
-                raw_completion=raw,
-                model_name=client.model,
-            )
+            queries.append(SyntheticQuery(doc_id=prompt.doc_id, query_text=query_text,
+                                          raw_completion=raw, model_name=client.model))
     if prompts and transport_failures == len(prompts):
         raise AggregateGenerationError(transport_failures)
-    return [r for r in results if r is not None]
+    return queries
 
 
 def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:

@@ -8,8 +8,8 @@ similarity to the cluster's mean vector, the draws from several rounds are
 pooled, and maximal marginal relevance picks the final per-cluster set.
 
 Selection is reproducible: each (cluster, round) pair gets its own RNG
-stream spawned from the config seed, so serial and parallel execution
-produce identical output.
+stream spawned from the config seed, so one cluster's draws never depend on
+any other cluster's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import KMeansModel
+from .cluster import KMeansModel, groups
 from .config import PipelineConfig
 from .corpus import read_jsonl, write_jsonl
 from .embeddings import EmbeddingMatrix
@@ -37,9 +37,6 @@ from .errors import (
 @dataclass
 class Allocation:
     sizes: np.ndarray           # per-cluster budget, sums to total
-    total: int
-    cluster_sizes: np.ndarray
-    collection_size: int
 
 
 @dataclass(frozen=True)
@@ -49,17 +46,6 @@ class SelectedDoc:
     centroid_sim: float         # cosine to the cluster's mean vector
     prob: float                 # softmax selection probability within the cluster
     rank_in_cluster: int
-
-
-@dataclass
-class SelectedSet:
-    per_cluster: list[list[SelectedDoc]]
-
-    def flatten(self) -> list[SelectedDoc]:
-        return [doc for cluster_docs in self.per_cluster for doc in cluster_docs]
-
-    def __len__(self) -> int:
-        return sum(len(cluster_docs) for cluster_docs in self.per_cluster)
 
 
 def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
@@ -99,20 +85,13 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
         sizes[k] += 1
         overflow -= 1
 
-    return Allocation(
-        sizes=np.asarray(sizes, dtype=np.int64),
-        total=total,
-        cluster_sizes=np.asarray(c, dtype=np.int64),
-        collection_size=collection_size,
-    )
+    return Allocation(sizes=np.asarray(sizes, dtype=np.int64))
 
 
-def centroid_similarities(X: EmbeddingMatrix, model: KMeansModel, k: int) -> np.ndarray:
-    """Cosine of each member of cluster k to the mean of the members' raw vectors."""
-    members = model.members(k)
-    if members.size == 0:
+def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of each of cluster k's float64 rows to their raw mean, and the rows at unit length."""
+    if rows.shape[0] == 0:
         raise DegenerateClusterError(f"cluster {k} is empty")
-    rows = X.data[members].astype(np.float64)
     norms = np.linalg.norm(rows, axis=1)
     if (norms == 0.0).any():
         raise DegenerateVectorError(f"zero-norm member vector in cluster {k}")
@@ -120,7 +99,7 @@ def centroid_similarities(X: EmbeddingMatrix, model: KMeansModel, k: int) -> np.
     mean_norm = float(np.linalg.norm(mean))
     if mean_norm == 0.0:
         raise DegenerateClusterError(f"cluster {k} member vectors average to zero")
-    return np.clip(rows @ mean / (norms * mean_norm), -1.0, 1.0)
+    return np.clip(rows @ mean / (norms * mean_norm), -1.0, 1.0), rows / norms[:, None]
 
 
 def softmax_probabilities(values: Sequence[float], temperature: float) -> np.ndarray:
@@ -214,56 +193,39 @@ def _round_rng(seed: int, cluster: int, round_index: int) -> np.random.Generator
 
 def select_representatives(
     X: EmbeddingMatrix, model: KMeansModel, cfg: PipelineConfig
-) -> SelectedSet:
+) -> list[SelectedDoc]:
     """Run the full per-cluster sampling and diversification pass.
 
-    Reads ``sample_size``, ``seed``, ``softmax_temperature``, ``sample_rounds``
-    and ``mmr_lambda`` from cfg.
+    Returns the picks in cluster order, then rank order. Reads ``sample_size``,
+    ``seed``, ``softmax_temperature``, ``sample_rounds`` and ``mmr_lambda`` from cfg.
     """
-    allocation = allocate_sizes(model.cluster_sizes(), cfg.sample_size)
-    per_cluster: list[list[SelectedDoc]] = []
-    for k in range(model.K):
-        members = model.members(k)
-        sims_to_mean = centroid_similarities(X, model, k)
+    sizes = allocate_sizes(model.cluster_sizes(), cfg.sample_size).sizes
+    selected: list[SelectedDoc] = []
+    for k, members in enumerate(groups(model.assignments, model.K)):
+        sims_to_mean, unit = centroid_similarities(X.data[members].astype(np.float64), k)
         probs = softmax_probabilities(sims_to_mean, cfg.softmax_temperature)
-        n_k = int(allocation.sizes[k])
-
-        pool_positions: list[int] = []
-        seen: set[int] = set()
-        for r in range(cfg.sample_rounds):
-            rng = _round_rng(cfg.seed, k, r)
-            for pos in sample_without_replacement(probs, n_k, rng):
-                if pos not in seen:
-                    seen.add(pos)
-                    pool_positions.append(pos)
-
-        member_rows = X.data[members].astype(np.float64)
-        member_rows /= np.linalg.norm(member_rows, axis=1)[:, None]
-        anchor = int(np.argmax(sims_to_mean))
-        anchor_sims = member_rows @ member_rows[anchor]
+        n_k = int(sizes[k])
+        # the pool of all rounds, in order of first draw
+        pool = list(dict.fromkeys(
+            pos for r in range(cfg.sample_rounds)
+            for pos in sample_without_replacement(probs, n_k, _round_rng(cfg.seed, k, r))
+        ))
+        anchor_sims = unit @ unit[int(np.argmax(sims_to_mean))]
         # every round draws n_k distinct positions, so MMR always finds n_k in the pool
-        chosen = mmr_select(pool_positions, anchor_sims[pool_positions],
-                            member_rows[pool_positions], cfg.mmr_lambda, n_k)
-        per_cluster.append(
-            [
-                SelectedDoc(
-                    ordinal=int(members[pos]),
-                    cluster=k,
-                    centroid_sim=float(sims_to_mean[pos]),
-                    prob=float(probs[pos]),
-                    rank_in_cluster=rank,
-                )
-                for rank, pos in enumerate(chosen)
-            ]
+        chosen = mmr_select(pool, anchor_sims[pool], unit[pool], cfg.mmr_lambda, n_k)
+        selected.extend(
+            SelectedDoc(ordinal=int(members[pos]), cluster=k, centroid_sim=float(sims_to_mean[pos]),
+                        prob=float(probs[pos]), rank_in_cluster=rank)
+            for rank, pos in enumerate(chosen)
         )
-    return SelectedSet(per_cluster=per_cluster)
+    return selected
 
 
-def save_selected(selected: SelectedSet, ids: Sequence[str], path: str | Path) -> None:
-    """Persist a SelectedSet as JSONL, one record per document; ``ids[o]`` names row ``o``."""
+def save_selected(selected: Sequence[SelectedDoc], ids: Sequence[str], path: str | Path) -> None:
+    """Persist the picks as JSONL, one record per document; ``ids[o]`` names row ``o``."""
     write_jsonl(path, ({"doc_id": ids[doc.ordinal], "cluster": doc.cluster, "d_i": doc.centroid_sim,
                         "prob": doc.prob, "rank_in_cluster": doc.rank_in_cluster}
-                       for doc in selected.flatten()))
+                       for doc in selected))
 
 
 def load_selected(path: str | Path) -> list[dict]:

@@ -73,8 +73,18 @@ def test_centroids_are_member_means():
     model = kmeans_fit(X, PipelineConfig(clusters=6, seed=0))
     Xn = _normalize(X.data)
     for k in range(model.K):
-        members = model.members(k)
-        np.testing.assert_allclose(model.centroids[k], Xn[members].mean(axis=0), atol=1e-12)
+        members = np.flatnonzero(model.assignments == k)
+        np.testing.assert_array_equal(model.centroids[k], Xn[members].mean(axis=0))
+
+
+def test_groups_are_ascending_members_per_cluster():
+    rng = np.random.default_rng(6)
+    for K in (1, 3, 7):
+        assignments = rng.integers(0, K, size=50)
+        got = cluster.groups(assignments, K + 1)   # the last cluster is empty
+        assert len(got) == K + 1
+        for k, members in enumerate(got):
+            np.testing.assert_array_equal(members, np.flatnonzero(assignments == k))
 
 
 def test_assignments_are_nearest_centroid_at_fixpoint():

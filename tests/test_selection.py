@@ -15,11 +15,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from rankforge.cluster import KMeansModel
 from rankforge.config import PipelineConfig
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.errors import (
     DegenerateClusterError,
+    DegenerateVectorError,
     FormatError,
     InfeasibleBudgetError,
     InvalidConfigError,
@@ -319,25 +319,19 @@ def test_mmr_handles_small_pools_and_bad_args():
 
 # ------------------------------------------------- centroid similarities
 
-def _manual_model(assignments: list[int], K: int, d: int) -> KMeansModel:
-    a = np.asarray(assignments, dtype=np.int64)
-    return KMeansModel(K=K, centroids=np.zeros((K, d)), assignments=a, inertia=0.0)
-
-
 def test_centroid_similarities_hand_case():
-    X = EmbeddingMatrix(data=np.asarray([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]], dtype=np.float32))
-    model = _manual_model([0, 0, 1], K=2, d=2)
-    sims = centroid_similarities(X, model, 0)
+    sims, unit = centroid_similarities(np.asarray([[1.0, 0.0], [0.0, 1.0]]), 0)
     np.testing.assert_allclose(sims, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-    np.testing.assert_allclose(centroid_similarities(X, model, 1), [1.0], atol=1e-12)
+    np.testing.assert_array_equal(unit, [[1.0, 0.0], [0.0, 1.0]])
+    sims, unit = centroid_similarities(np.asarray([[5.0, 5.0]]), 1)
+    np.testing.assert_allclose(sims, [1.0], atol=1e-12)
+    np.testing.assert_allclose(unit, [[math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-15)
 
 
 def test_centroid_similarities_uses_raw_member_mean():
     # raw-mean direction (dominated by the long vector) differs from the
     # mean of normalized rows; the raw mean is what counts here
-    X = EmbeddingMatrix(data=np.asarray([[10.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-    model = _manual_model([0, 0], K=1, d=2)
-    sims = centroid_similarities(X, model, 0)
+    sims, _ = centroid_similarities(np.asarray([[10.0, 0.0], [0.0, 1.0]]), 0)
     mean = np.asarray([5.0, 0.5])
     expected = [
         float(np.dot([10, 0], mean) / (10 * np.linalg.norm(mean))),
@@ -348,12 +342,12 @@ def test_centroid_similarities_uses_raw_member_mean():
 
 
 def test_centroid_similarities_degenerate_cases():
-    X = EmbeddingMatrix(data=np.asarray([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32))
-    model = _manual_model([0, 0], K=2, d=2)
-    with pytest.raises(DegenerateClusterError):
-        centroid_similarities(X, model, 0)     # antipodal mean is zero
-    with pytest.raises(DegenerateClusterError):
-        centroid_similarities(X, model, 1)     # empty cluster
+    with pytest.raises(DegenerateClusterError, match="cluster 0 member vectors average to zero"):
+        centroid_similarities(np.asarray([[1.0, 0.0], [-1.0, 0.0]]), 0)
+    with pytest.raises(DegenerateClusterError, match="cluster 1 is empty"):
+        centroid_similarities(np.zeros((0, 2)), 1)
+    with pytest.raises(DegenerateVectorError, match="zero-norm member vector in cluster 2"):
+        centroid_similarities(np.asarray([[1.0, 0.0], [0.0, 0.0]]), 2)
 
 
 # ------------------------------------------------- full selection pass
@@ -370,7 +364,11 @@ def _fit_fixture(seed=0):
 
 
 def oracle_select_representatives(X, model, cfg):
-    """Independent re-derivation of the whole selection pass."""
+    """Independent re-derivation of the whole selection pass.
+
+    Returns (ordinal, cluster, centroid_sim, prob, rank) per pick, in
+    cluster order and then rank order.
+    """
     sizes = fraction_allocation_capped(model.cluster_sizes().tolist(), cfg.sample_size)
     out = []
     for k in range(model.K):
@@ -403,7 +401,8 @@ def oracle_select_representatives(X, model, cfg):
         anchor_sims = [float(unit[q] @ unit[anchor]) for q in range(len(members))]
         chosen = mmr_oracle(pool, [anchor_sims[q] for q in pool],
                             lambda a, b: float(unit[a] @ unit[b]), cfg.mmr_lambda, sizes[k])
-        out.append([int(members[q]) for q in chosen])
+        out.extend((int(members[q]), k, float(sims[q]), float(probs[q]), rank)
+                   for rank, q in enumerate(chosen))
     return out
 
 
@@ -422,13 +421,17 @@ def fraction_allocation_capped(c, total):
 
 
 def test_select_representatives_matches_oracle():
-    X, model = _fit_fixture()
-    for lam, temperature, rounds in [(1.0, 1.0, 5), (0.7, 0.8, 3), (0.0, 2.0, 1)]:
-        cfg = PipelineConfig(sample_size=10, seed=11, softmax_temperature=temperature,
-                             sample_rounds=rounds, mmr_lambda=lam)
-        got = select_representatives(X, model, cfg)
-        want = oracle_select_representatives(X, model, cfg)
-        assert [[d.ordinal for d in cluster] for cluster in got.per_cluster] == want
+    # every field of every pick must be bit-equal to the oracle's, not merely close
+    for fixture_seed in (0, 3, 5, 7):
+        X, model = _fit_fixture(fixture_seed)
+        for lam, temperature, rounds in [(1.0, 1.0, 5), (0.7, 0.8, 3), (0.0, 2.0, 1),
+                                         (0.5, 0.3, 2)]:
+            cfg = PipelineConfig(sample_size=10, seed=11, softmax_temperature=temperature,
+                                 sample_rounds=rounds, mmr_lambda=lam)
+            got = select_representatives(X, model, cfg)
+            want = oracle_select_representatives(X, model, cfg)
+            assert [(d.ordinal, d.cluster, d.centroid_sim, d.prob, d.rank_in_cluster)
+                    for d in got] == want
 
 
 def test_select_representatives_invariants():
@@ -440,17 +443,15 @@ def test_select_representatives_invariants():
 
     sizes = alloc(model.cluster_sizes(), 12).sizes
     assert len(selected) == 12
-    flat = selected.flatten()
-    ordinals = [d.ordinal for d in flat]
+    ordinals = [d.ordinal for d in selected]
     assert len(set(ordinals)) == len(ordinals)
-    for k, cluster_docs in enumerate(selected.per_cluster):
-        assert len(cluster_docs) == sizes[k]
-        for rank, doc in enumerate(cluster_docs):
-            assert doc.cluster == k
-            assert model.assignments[doc.ordinal] == k
-            assert doc.rank_in_cluster == rank
-            assert 0.0 < doc.prob < 1.0
-            assert -1.0 <= doc.centroid_sim <= 1.0
+    # cluster order, then rank order
+    assert [(d.cluster, d.rank_in_cluster) for d in selected] == [
+        (k, rank) for k in range(model.K) for rank in range(sizes[k])]
+    for doc in selected:
+        assert model.assignments[doc.ordinal] == doc.cluster
+        assert 0.0 < doc.prob < 1.0
+        assert -1.0 <= doc.centroid_sim <= 1.0
 
 
 def test_select_representatives_deterministic():
@@ -459,9 +460,9 @@ def test_select_representatives_deterministic():
                          mmr_lambda=0.3)
     a = select_representatives(X, model, cfg)
     b = select_representatives(X, model, cfg)
-    assert [(d.ordinal, d.prob) for d in a.flatten()] == [(d.ordinal, d.prob) for d in b.flatten()]
+    assert [(d.ordinal, d.prob) for d in a] == [(d.ordinal, d.prob) for d in b]
     c = select_representatives(X, model, dataclasses.replace(cfg, seed=10))
-    assert [d.ordinal for d in a.flatten()] != [d.ordinal for d in c.flatten()]
+    assert [d.ordinal for d in a] != [d.ordinal for d in c]
 
 
 def test_selected_roundtrip(tmp_path):
@@ -473,13 +474,12 @@ def test_selected_roundtrip(tmp_path):
     save_selected(selected, ids, path)
     rows = load_selected(path)
     assert len(rows) == 6
-    flat = selected.flatten()
-    for row, doc in zip(rows, flat):
+    for row, doc in zip(rows, selected):
         assert row["doc_id"] == f"d{doc.ordinal}"
         assert row["cluster"] == doc.cluster
         assert row["rank_in_cluster"] == doc.rank_in_cluster
-        assert abs(row["d_i"] - doc.centroid_sim) < 1e-12
-        assert abs(row["prob"] - doc.prob) < 1e-12
+        assert row["d_i"] == doc.centroid_sim       # JSON floats round-trip exactly
+        assert row["prob"] == doc.prob
 
 
 def test_load_selected_rejects_bad_lines(tmp_path):
