@@ -182,6 +182,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     print(
         f"cluster: K={model.K} inertia={model.inertia:.6f} "
         f"iters={len(model.inertia_history)} converged={model.converged} "
+        f"rescanned={sum(model.rescanned)} near_ties={model.near_ties} repairs={model.repairs} "
         f"(docs={matrix.n})"
     )
     return 0

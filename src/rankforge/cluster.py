@@ -51,6 +51,10 @@ class KMeansModel:
     inertia: float
     inertia_history: list[float] = field(default_factory=list)
     converged: bool = True
+    # work counters of the fit, kept out of the model file
+    rescanned: list[int] = field(default_factory=list)   # rows scanned whole, per iteration
+    near_ties: int = 0          # rows resolved through their whole row block
+    repairs: int = 0            # empty clusters reseeded
 
     @property
     def d(self) -> int:
@@ -115,45 +119,173 @@ def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndar
     return centroids
 
 
-def _row_blocks(n: int, K: int):
-    """Row slices whose rows x K float64 block fits in _BLOCK_BYTES (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (8 * K))
+def _row_step(width: int) -> int:
+    """Rows per block whose rows x width float64 slice fits in _BLOCK_BYTES (at least one)."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _row_blocks(n: int, width: int):
+    """Row slices of _row_step(width) rows."""
+    step = _row_step(width)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
 
-def _assign(Xn: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row, one row block of distances at a time."""
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    out = np.empty(Xn.shape[0], dtype=np.int64)
-    for rows in _row_blocks(Xn.shape[0], centroids.shape[0]):
-        # rows are unit vectors: ||x - c||^2 = 1 - 2 x.c + ||c||^2
-        d2 = Xn[rows] @ centroids.T
-        d2 *= 2.0
-        np.subtract(1.0, d2, out=d2)
-        d2 += c_sq
-        np.maximum(d2, 0.0, out=d2)
-        out[rows] = d2.argmin(axis=1)
+def _distances(rows: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """Squared distances of unit rows to centroids: 1 - 2 x.c + ||c||^2, clamped at 0."""
+    d2 = rows @ centroids.T
+    d2 *= 2.0
+    np.subtract(1.0, d2, out=d2)
+    d2 += c_sq
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _row_min(d2: np.ndarray) -> np.ndarray:
+    """Each row's minimum; argmin then a gather beats min(axis=1) on short rows."""
+    return d2[np.arange(d2.shape[0]), d2.argmin(axis=1)]
+
+
+def _margin(d: int) -> float:
+    """Slack for comparing distances that came from different matrix products.
+
+    Rows are unit vectors and centroids have norm at most 1, so one evaluation
+    of 1 - 2 x.c + ||c||^2 is within (3d + 7) u of the exact value (u is the
+    unit roundoff), and two evaluations of it differ by at most (6d + 14) u.
+    The margin, 16 (d + 4) u, is at least twice that: a gap wider than one
+    margin cannot change sign from one product to another.
+    """
+    return 8.0 * (d + 4) * np.finfo(np.float64).eps
+
+
+def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
+    """Nearest centroid of each point, read off the whole row block that holds it.
+
+    Blocks are the _row_blocks(n, K) slices, so a near tie resolves to the
+    same index, bit for bit, as a full blocked pass over every row would.
+    """
+    step = _row_step(centroids.shape[0])
+    out = np.empty(points.size, dtype=np.int64)
+    blocks = points // step
+    for b in np.unique(blocks):
+        start = int(b) * step
+        sel = blocks == b
+        d2 = _distances(Xn[start:start + step], centroids, c_sq)
+        out[sel] = d2[points[sel] - start].argmin(axis=1)
     return out
 
 
-def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> None:
-    """Each centroid becomes the mean of its members, taken in ascending row order."""
-    for k, members in enumerate(groups(assignments, centroids.shape[0])):
-        centroids[k] = Xn[members].mean(axis=0)
+@dataclass
+class _Bounds:
+    """Certified lower bounds for exact incremental assignment.
+
+    ``lb[i]`` is at most the squared distance from row i to every centroid
+    other than its own, less ``margin``, as of the centroids in ``seen``; -inf
+    forces a whole-row scan. A centroid whose bytes did not change has
+    unchanged distances, so only the centroids that moved can lower it.
+    """
+
+    lb: np.ndarray
+    margin: float
+    seen: np.ndarray | None = None      # centroids at the previous assignment
+
+    def assign(self, Xn: np.ndarray, centroids: np.ndarray,
+               assignments: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Nearest centroid per row, lowest index on ties; returns (assignments, rows
+        scanned whole, near-tie rows resolved through _block_argmin)."""
+        n, K = Xn.shape[0], centroids.shape[0]
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        lb, margin = self.lb, self.margin
+        # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
+        width = max(K, Xn.shape[1])
+        if self.seen is None:
+            moved = np.ones(K, dtype=bool)
+        else:
+            moved = (centroids != self.seen).any(axis=1)
+        self.seen = centroids.copy()
+        if moved.all():
+            scan = np.arange(n)
+        else:
+            idx = np.flatnonzero(moved)
+            moved_c, moved_sq = centroids[idx], c_sq[idx]
+            column = np.full(K, -1, dtype=np.int64)
+            column[idx] = np.arange(idx.size)
+            own = np.empty(n, dtype=np.float64)
+            for rows in _row_blocks(n, width):
+                x, a = Xn[rows], assignments[rows]
+                if idx.size:
+                    d2 = _distances(x, moved_c, moved_sq)
+                    col = column[a]
+                    hit = np.flatnonzero(col >= 0)
+                    d2[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
+                    np.minimum(lb[rows], _row_min(d2) - margin, out=lb[rows])
+                    del d2      # one distance block alive at a time
+                own[rows] = np.einsum("ij,ij->i", x, centroids[a])
+            own *= -2.0
+            own += 1.0
+            own += c_sq[assignments]
+            np.maximum(own, 0.0, out=own)
+            # own < lb - margin: the own centroid is nearer than any rival, whatever product
+            scan = np.flatnonzero(own >= lb - margin)
+        out = assignments.copy()
+        ties = 0
+        whole = scan.size == n      # every row: read the blocks of a full pass in place
+        step = _row_step(K if whole else width)
+        for start in range(0, scan.size, step):
+            points = scan[start:start + step]
+            d2 = _distances(Xn[start:start + step] if whole else Xn[points], centroids, c_sq)
+            r = np.arange(points.size)
+            best = d2.argmin(axis=1)
+            best_d2 = d2[r, best]
+            d2[r, best] = np.inf
+            second = _row_min(d2)
+            del d2
+            tie = np.flatnonzero(second - best_d2 <= margin)
+            if tie.size and not whole:      # a whole scan's blocks are the full pass's
+                best[tie] = _block_argmin(Xn, centroids, c_sq, points[tie])
+                second[tie] = best_d2[tie]      # the subset's best may be a rival now
+                ties += tie.size
+            out[points] = best
+            lb[points] = second - margin
+        return out, int(scan.size), ties
 
 
-def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, K: int) -> None:
-    """Reseed each empty cluster with the point farthest from its own centroid."""
+def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+                      clusters: np.ndarray) -> None:
+    """Each listed centroid becomes the mean of its members, taken in ascending row order."""
+    members = groups(assignments, centroids.shape[0])
+    for k in clusters:
+        centroids[k] = Xn[members[k]].mean(axis=0)
+
+
+def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+                  K: int) -> np.ndarray:
+    """Reseed each empty cluster with the point farthest from its own centroid.
+
+    Returns the points moved. A move changes only the centroid of the empty
+    cluster it fills, so every other point's distance to its own centroid is
+    computed once per call.
+    """
     counts = np.bincount(assignments, minlength=K)
-    for k in np.flatnonzero(counts == 0):
-        own = np.sum((Xn - centroids[assignments]) ** 2, axis=1)
-        own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
+    empty = np.flatnonzero(counts == 0)
+    moved = np.empty(empty.size, dtype=np.int64)
+    if not empty.size:
+        return moved
+    own = np.sum((Xn - centroids[assignments]) ** 2, axis=1)
+    own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
+    for i, k in enumerate(empty):
         p = int(np.argmax(own))
-        counts[assignments[p]] -= 1
+        donor = assignments[p]
+        counts[donor] -= 1
+        if counts[donor] < 2:
+            own[assignments == donor] = -np.inf
         assignments[p] = k
         counts[k] = 1
+        own[p] = -np.inf
         centroids[k] = Xn[p]
+        moved[i] = p
+    return moved
 
 
 def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMeansModel:
@@ -161,19 +293,32 @@ def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMe
     K = cfg.clusters
     centroids = _kmeans_pp_init(Xn, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
+    bounds = _Bounds(lb=np.full(n, -np.inf), margin=_margin(Xn.shape[1]))
+    sq = np.empty_like(Xn)        # one n x d buffer for the inertia
     history: list[float] = []
+    rescanned: list[int] = []
+    near_ties = repairs = 0
     converged = False
     prev_inertia: float | None = None
 
     for _ in range(cfg.kmeans_max_iters):
-        new_assignments = _assign(Xn, centroids)
-        _repair_empty(Xn, centroids, new_assignments, K)
-        _update_centroids(Xn, centroids, new_assignments)
-        inertia = float(np.sum((Xn - centroids[new_assignments]) ** 2))
+        new_assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+        rescanned.append(scanned)
+        near_ties += ties
+        repaired = _repair_empty(Xn, centroids, new_assignments, K)
+        bounds.lb[repaired] = -np.inf
+        repairs += repaired.size
+        changed = np.flatnonzero(new_assignments != assignments)
+        touched = np.unique(np.concatenate((assignments[changed], new_assignments[changed])))
+        _update_centroids(Xn, centroids, new_assignments, touched[touched >= 0])
+        # assignments are in range; take's default mode="raise" would copy through a temporary
+        np.take(centroids, new_assignments, axis=0, out=sq, mode="clip")
+        np.subtract(Xn, sq, out=sq)
+        np.square(sq, out=sq)
+        inertia = float(sq.sum())
         history.append(inertia)
-        if np.array_equal(new_assignments, assignments):
+        if not changed.size:
             converged = True
-            assignments = new_assignments
             break
         assignments = new_assignments
         if prev_inertia is not None and prev_inertia - inertia <= cfg.kmeans_tol * prev_inertia:
@@ -188,6 +333,9 @@ def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMe
         inertia=history[-1],
         inertia_history=history,
         converged=converged,
+        rescanned=rescanned,
+        near_ties=near_ties,
+        repairs=repairs,
     )
 
 

@@ -23,10 +23,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII text: A-Z fold to lower case, every other non-alphanumeric becomes a space
+_ASCII_FOLD = str.maketrans({c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))})
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
+    if text.isascii():
+        return text.translate(_ASCII_FOLD).split()
     return _TOKEN_RE.findall(text.lower())
 
 

@@ -64,6 +64,7 @@ class Bm25Index:
             self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avgdl)
         else:
             self._norm = np.full(len(self.doc_ids), self.k1 * (1.0 - self.b))
+        self._weights: dict[int, np.ndarray] = {}   # term id -> BM25 weight of each posting
 
     @property
     def n_docs(self) -> int:
@@ -78,10 +79,13 @@ class Bm25Index:
                 continue
             lo, hi = int(self.indptr[t]), int(self.indptr[t + 1])
             ords = self.ords[lo:hi]
-            df = hi - lo
-            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-            tf = self.tfs[lo:hi].astype(np.float64)
-            scores[ords] += idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
+            weights = self._weights.get(t)
+            if weights is None:
+                df = hi - lo
+                idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+                tf = self.tfs[lo:hi].astype(np.float64)
+                weights = self._weights[t] = idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
+            scores[ords] += weights
         return scores
 
     def search(self, query_text: str, k: int) -> list[tuple[int, float]]:

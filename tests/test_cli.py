@@ -59,7 +59,8 @@ def test_stagewise_pipeline_and_resume(tmp_path, corpus_file, capsys):
     assert _run(["mine", "--workdir", work, "--first-stage-hits", "12",
                  "--num-negatives", "2", "--seed", "7"]) == 0
     assert _run(["build", "--workdir", work, "--out", out]) == 0
-    capsys.readouterr()
+    assert re.search(r"^cluster: K=3 .* rescanned=\d+ near_ties=\d+ repairs=\d+ ",
+                     capsys.readouterr().out, re.M)
 
     for name in (cli.COLLECTION_FILE, cli.EMBEDDINGS_FILE, cli.KMEANS_FILE,
                  cli.SELECTED_FILE, cli.QUERIES_FILE, cli.INDEX_FILE, cli.PAIRS_FILE):

@@ -1,5 +1,6 @@
 """Spherical k-means: objective behavior, invariants, elbow scan, file format."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -18,7 +19,7 @@ from rankforge.cluster import (
     save_model,
 )
 from rankforge.config import PipelineConfig
-from rankforge.embeddings import EmbeddingMatrix
+from rankforge.embeddings import EmbeddingMatrix, embed_collection
 from rankforge.errors import (
     DegenerateVectorError,
     FormatError,
@@ -26,7 +27,7 @@ from rankforge.errors import (
     SizeMismatchError,
     ValidationError,
 )
-from tests.conftest import blob_matrix
+from tests.conftest import blob_matrix, make_collection
 
 
 def _normalize(rows: np.ndarray) -> np.ndarray:
@@ -226,6 +227,129 @@ def test_blocked_assignment_matches_default(monkeypatch):
         assert blocked.inertia_history == default.inertia_history
 
 
+def _brute_assign(Xn, centroids):
+    """Every row against every centroid, one _row_blocks slice at a time."""
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    out = np.empty(Xn.shape[0], dtype=np.int64)
+    for rows in cluster._row_blocks(Xn.shape[0], centroids.shape[0]):
+        d2 = Xn[rows] @ centroids.T
+        d2 *= 2.0
+        np.subtract(1.0, d2, out=d2)
+        d2 += c_sq
+        np.maximum(d2, 0.0, out=d2)
+        out[rows] = d2.argmin(axis=1)
+    return out
+
+
+def _reference_repair(Xn, centroids, assignments, K):
+    """Fill empty clusters one at a time, recomputing every distance for each."""
+    counts = np.bincount(assignments, minlength=K)
+    for k in np.flatnonzero(counts == 0):
+        own = np.sum((Xn - centroids[assignments]) ** 2, axis=1)
+        own[counts[assignments] < 2] = -np.inf
+        p = int(np.argmax(own))
+        counts[assignments[p]] -= 1
+        assignments[p] = k
+        counts[k] = 1
+        centroids[k] = Xn[p]
+
+
+def _reference_lloyd(Xn, cfg, seed):
+    """Brute-force Lloyd iterations; (assignments, centroids, inertia) after each."""
+    K = cfg.clusters
+    centroids = _kmeans_pp_init(Xn, K, np.random.default_rng(seed))
+    assignments = np.full(Xn.shape[0], -1, dtype=np.int64)
+    states = []
+    prev = None
+    for _ in range(cfg.kmeans_max_iters):
+        new = _brute_assign(Xn, centroids)
+        _reference_repair(Xn, centroids, new, K)
+        for k in range(K):
+            centroids[k] = Xn[np.flatnonzero(new == k)].mean(axis=0)
+        inertia = float(np.sum((Xn - centroids[new]) ** 2))
+        states.append((new, centroids.copy(), inertia))
+        if np.array_equal(new, assignments):
+            break
+        assignments = new
+        if prev is not None and prev - inertia <= cfg.kmeans_tol * prev:
+            break
+        prev = inertia
+    return states
+
+
+def _duplicate_rows(rng, distinct, n, d):
+    return _normalize(rng.normal(size=(distinct, d)))[rng.integers(0, distinct, size=n)]
+
+
+_LLOYD_CASES = {
+    "random": lambda: (_normalize(np.random.default_rng(40).normal(size=(300, 12))), 17),
+    # K above the number of distinct rows: duplicate centroids, near ties, repairs
+    "duplicates": lambda: (_duplicate_rows(np.random.default_rng(41), 9, 200, 20), 14),
+    "topic": lambda: (_normalize(embed_collection(make_collection(600, seed=7), 32, 42).data), 30),
+}
+
+
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+@pytest.mark.parametrize("case", sorted(_LLOYD_CASES))
+def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows):
+    Xn, K = _LLOYD_CASES[case]()
+    if block_rows is not None:
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * K)
+    cfg = PipelineConfig(clusters=K, seed=3, kmeans_tol=0.0, kmeans_max_iters=40)
+    states = _reference_lloyd(Xn, cfg, seed=3)
+    assert len(states) > 2
+    for t, (assignments, centroids, _) in enumerate(states, start=1):
+        model = cluster._lloyd(Xn, dataclasses.replace(cfg, kmeans_max_iters=t),
+                               np.random.default_rng(3))
+        np.testing.assert_array_equal(model.assignments, assignments, err_msg=f"iteration {t}")
+        assert model.centroids.tobytes() == centroids.tobytes(), f"iteration {t}"
+        assert model.inertia_history == [s[2] for s in states[:t]]
+    if case == "duplicates":
+        assert model.near_ties > 0 and model.repairs > 0
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_near_tie_rows_take_the_whole_block_argmin(monkeypatch, block_rows):
+    # one row equidistant, in exact arithmetic, from two centroids: the
+    # last bit of each distance depends on the product that computes it
+    if block_rows is not None:           # 3-row blocks of 8 centroids; d = 24 > K
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * 8)
+    bad = near_ties = 0
+    for trial in range(30):
+        rng = np.random.default_rng(trial)
+        d = 24
+        mid = _normalize(rng.normal(size=(1, d)))[0] * 0.9
+        delta = rng.normal(size=d)
+        delta -= (delta @ mid) / (mid @ mid) * mid
+        delta *= 0.05 / np.linalg.norm(delta)
+        offset = rng.normal(size=d) * 0.05
+        offset -= (offset @ delta) / (delta @ delta) * delta
+        others = _normalize(rng.normal(size=(6, d)))
+        centroids = np.vstack([mid + delta, mid - delta, others])
+        Xn = np.vstack([_normalize(others[rng.integers(0, 6, size=60)]
+                                   + rng.normal(size=(60, d)) * 0.01),
+                        _normalize((mid + offset)[None])])
+        Xn = Xn[rng.permutation(len(Xn))]
+        bounds = cluster._Bounds(lb=np.full(len(Xn), -np.inf), margin=cluster._margin(d))
+        assignments, _, _ = bounds.assign(Xn, centroids, np.full(len(Xn), -1))
+        bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
+        centroids[2] = _normalize(centroids[2:3] + 0.001)[0]   # only the tie row is rescanned
+        assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+        bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
+        near_ties += ties
+    assert bad == 0
+    assert near_ties == 30
+
+
+def test_late_iterations_rescan_few_rows():
+    X = embed_collection(make_collection(2000, seed=7), 64, 42)
+    model = kmeans_fit(X, PipelineConfig(clusters=100, seed=42, kmeans_restarts=1,
+                                         kmeans_tol=0.0))
+    assert len(model.rescanned) == len(model.inertia_history) > 8
+    assert model.rescanned[0] == X.n          # the first iteration scans every row
+    assert all(r < 0.05 * X.n for r in model.rescanned[7:])
+
+
 def test_kmeans_peak_memory_below_one_distance_matrix():
     n, K = 8000, 400
     X = _random_matrix(np.random.default_rng(33), n, 16)
@@ -249,6 +373,25 @@ def test_repair_empty_moves_farthest_point():
     assert assignments[3] == 1             # the outlier is the farthest point
     np.testing.assert_array_equal(centroids[1], Xn[3])
     assert (assignments == 0).sum() == 3   # donor survives
+
+
+def test_repair_empty_fills_several_clusters_like_one_at_a_time():
+    rng = np.random.default_rng(42)
+    for trial in range(30):
+        n, K = int(rng.integers(12, 60)), int(rng.integers(5, 11))
+        Xn = _normalize(rng.normal(size=(n, 5)))
+        # only a few clusters hold points; one of them may hold a single point
+        assignments = rng.integers(0, 3, size=n)
+        assignments[0] = 3
+        centroids = _normalize(rng.normal(size=(K, 5)))
+        want_assign, want_centroids = assignments.copy(), centroids.copy()
+        _reference_repair(Xn, want_centroids, want_assign, K)
+        before = assignments.copy()
+        moved = _repair_empty(Xn, centroids, assignments, K)
+        np.testing.assert_array_equal(assignments, want_assign, err_msg=f"trial {trial}")
+        assert centroids.tobytes() == want_centroids.tobytes()
+        assert sorted(moved.tolist()) == np.flatnonzero(assignments != before).tolist()
+        assert np.bincount(assignments, minlength=K).min() == 1
 
 
 def test_validate_rejects_bad_config():

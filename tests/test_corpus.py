@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,14 @@ def test_tokenize_lowercases_and_splits_punctuation():
 def test_tokenize_keeps_unicode_words():
     assert tokenize("Café déjà vu") == ["café", "déjà", "vu"]
     assert tokenize("naïve café 123") == ["naïve", "café", "123"]
+
+
+def test_ascii_tokenize_matches_regex_on_every_code_point():
+    rng = random.Random(0)
+    alphabet = [chr(c) for c in range(128)]
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 30)))
+        assert tokenize(text) == corpus._TOKEN_RE.findall(text.lower()), repr(text)
 
 
 def test_load_save_roundtrip(tmp_path):

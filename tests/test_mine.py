@@ -88,6 +88,30 @@ def test_repeated_query_terms_add_per_occurrence():
     np.testing.assert_allclose(double, 2.0 * single, atol=1e-12)
 
 
+def test_cached_term_weights_keep_score_bits():
+    coll = make_collection(60, seed=5)
+    query = ["game", "orbit", "game", "salt", "unknown"]
+
+    def uncached(index):
+        scores = np.zeros(index.n_docs)
+        for term in query:
+            if term not in index.terms:
+                continue
+            t = index.terms.index(term)
+            lo, hi = int(index.indptr[t]), int(index.indptr[t + 1])
+            df = hi - lo
+            idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
+            tf = index.tfs[lo:hi].astype(np.float64)
+            ords = index.ords[lo:hi]
+            scores[ords] += idf * tf * (index.k1 + 1.0) / (tf + index._norm[ords])
+        return scores
+
+    index = build_index(coll)
+    want = uncached(index).tobytes()
+    assert index.score_all(query).tobytes() == want     # fills the weights
+    assert index.score_all(query).tobytes() == want     # reads them back
+
+
 def test_index_uses_rendered_title_and_text():
     docs = [Document(id="a", title="zebra title", text="body words here"),
             Document(id="b", title="", text="plain body")]
