@@ -51,6 +51,18 @@ TRIPLES_FILE = "triples.tsv"
 POINTWISE_FILE = "pointwise.jsonl"
 MANIFEST_FILE = "manifest.json"
 
+# every workdir file `build` reads or hashes -> (its manifest name, the stage that writes it)
+ARTIFACTS = {
+    COLLECTION_FILE: ("collection", "ingest"),
+    EMBEDDINGS_FILE: ("embeddings", "ingest"),
+    IDS_FILE: ("embedding_ids", "ingest"),
+    KMEANS_FILE: ("kmeans_model", "cluster"),
+    SELECTED_FILE: ("selected", "select"),
+    QUERIES_FILE: ("queries", "generate"),
+    INDEX_FILE: ("bm25_index", "ingest"),
+    PAIRS_FILE: ("pairs", "mine"),
+}
+
 
 # field name -> the type of its default: int, float or str
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
@@ -99,19 +111,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require(path: Path, producer: str) -> Path:
+def _require(workdir: Path, name: str) -> Path:
+    path = workdir / name
     if not path.exists():
-        raise DataError(f"{path} not found; run `rankforge {producer}` first")
+        raise DataError(f"{path} not found; run `rankforge {ARTIFACTS[name][1]}` first")
     return path
-
-
-def _workdir(args: argparse.Namespace, create: bool = False) -> Path:
-    workdir = Path(args.workdir)
-    if create:
-        workdir.mkdir(parents=True, exist_ok=True)
-    elif not workdir.is_dir():
-        raise DataError(f"working directory {workdir} does not exist; run `rankforge ingest` first")
-    return workdir
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -129,7 +133,8 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed, tokens=tokens)
     index = mine.build_index(coll, tokens=tokens)
 
-    workdir = _workdir(args, create=True)
+    workdir = Path(args.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_collection(coll, workdir / COLLECTION_FILE)
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
     mine.save_index(index, workdir / INDEX_FILE)
@@ -161,8 +166,8 @@ def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings
 
 
 def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args)
-    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
+    workdir = Path(args.workdir)
+    matrix = embeddings.load_embeddings(_require(workdir, EMBEDDINGS_FILE))
 
     if getattr(args, "k_scan", None):
         result = clustering.elbow_scan(matrix, _parse_k_scan(args.k_scan), cfg)
@@ -201,10 +206,10 @@ def _parse_k_scan(text: str) -> list[int]:
 
 
 def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args)
-    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
-    ids = embeddings.load_ids(_require(workdir / IDS_FILE, "ingest"))
-    model = clustering.load_model(_require(workdir / KMEANS_FILE, "cluster"))
+    workdir = Path(args.workdir)
+    matrix = embeddings.load_embeddings(_require(workdir, EMBEDDINGS_FILE))
+    ids = embeddings.load_ids(_require(workdir, IDS_FILE))
+    model = clustering.load_model(_require(workdir, KMEANS_FILE))
     if not (matrix.n == len(ids) == len(model.assignments)):
         raise AlignmentError(
             f"{EMBEDDINGS_FILE} has {matrix.n} rows, {IDS_FILE} {len(ids)} ids and "
@@ -217,9 +222,9 @@ def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args)
-    coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
-    rows = selection.load_selected(_require(workdir / SELECTED_FILE, "select"))
+    workdir = Path(args.workdir)
+    coll = corpus.load_collection(_require(workdir, COLLECTION_FILE))
+    rows = selection.load_selected(_require(workdir, SELECTED_FILE))
 
     template_path = getattr(args, "template", None) or querygen.builtin_template_path()
     examples_path = getattr(args, "examples", None) or querygen.builtin_examples_path("wikipedia")
@@ -252,10 +257,10 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args)
-    queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
-    index = mine.load_index(_require(workdir / INDEX_FILE, "ingest"), k1=cfg.bm25_k1, b=cfg.bm25_b)
-    if index.doc_ids != embeddings.load_ids(_require(workdir / IDS_FILE, "ingest")):
+    workdir = Path(args.workdir)
+    queries = querygen.load_queries(_require(workdir, QUERIES_FILE))
+    index = mine.load_index(_require(workdir, INDEX_FILE), k1=cfg.bm25_k1, b=cfg.bm25_b)
+    if index.doc_ids != embeddings.load_ids(_require(workdir, IDS_FILE)):
         raise AlignmentError(
             f"{INDEX_FILE} does not index the documents of {IDS_FILE}; rerun `rankforge ingest`"
         )
@@ -268,26 +273,34 @@ def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    workdir = _workdir(args)
-    coll = corpus.load_collection(_require(workdir / COLLECTION_FILE, "ingest"))
-    matrix = embeddings.load_embeddings(_require(workdir / EMBEDDINGS_FILE, "ingest"))
-    model = clustering.load_model(_require(workdir / KMEANS_FILE, "cluster"))
-    rows = selection.load_selected(_require(workdir / SELECTED_FILE, "select"))
-    queries = querygen.load_queries(_require(workdir / QUERIES_FILE, "generate"))
-    pairs = mine.load_pairs(_require(workdir / PAIRS_FILE, "mine"))
-    _require(workdir / INDEX_FILE, "ingest")
+    workdir = Path(args.workdir)
+    for name in ARTIFACTS:      # every input is there before anything is written
+        _require(workdir, name)
+    coll = corpus.load_collection(workdir / COLLECTION_FILE)
+    rows_n, dim = embeddings.read_shape(workdir / EMBEDDINGS_FILE)
+    clusters, _, assigned = clustering.read_shape(workdir / KMEANS_FILE)
+    if not (len(coll) == rows_n == assigned):
+        raise AlignmentError(f"{COLLECTION_FILE} has {len(coll)} documents, {EMBEDDINGS_FILE} "
+                             f"{rows_n} rows and {KMEANS_FILE} {assigned} assignments; "
+                             "rerun the stale stage")
+    rows = selection.load_selected(workdir / SELECTED_FILE)
+    queries = querygen.load_queries(workdir / QUERIES_FILE)
+    pairs = mine.load_pairs(workdir / PAIRS_FILE)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     triples = dataset.write_triples(pairs, coll, outdir / TRIPLES_FILE)
     pointwise = dataset.write_pointwise(pairs, coll, outdir / POINTWISE_FILE)
 
-    manifest = dataset.DatasetManifest(
-        config=dataclasses.asdict(cfg),
-        counts={
+    # each artifact's path as given on the command line
+    paths = {manifest_name: workdir / name for name, (manifest_name, _) in ARTIFACTS.items()}
+    paths.update(triples=outdir / TRIPLES_FILE, pointwise=outdir / POINTWISE_FILE)
+    manifest = {
+        "config": dataclasses.asdict(cfg),
+        "counts": {
             "documents": len(coll),
-            "embedding_dim": matrix.d,
-            "clusters": model.K,
+            "embedding_dim": dim,
+            "clusters": clusters,
             "selected": len(rows),
             "queries": len(queries),
             "pairs": len(pairs),
@@ -296,20 +309,13 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             "triples": triples,
             "pointwise_records": pointwise,
         },
-    )
-    workdir_as_given = Path(args.workdir)
-    outdir_as_given = Path(args.out)
-    manifest.add_artifact("collection", workdir_as_given / COLLECTION_FILE)
-    manifest.add_artifact("embeddings", workdir_as_given / EMBEDDINGS_FILE)
-    manifest.add_artifact("embedding_ids", workdir_as_given / IDS_FILE)
-    manifest.add_artifact("kmeans_model", workdir_as_given / KMEANS_FILE)
-    manifest.add_artifact("selected", workdir_as_given / SELECTED_FILE)
-    manifest.add_artifact("queries", workdir_as_given / QUERIES_FILE)
-    manifest.add_artifact("bm25_index", workdir_as_given / INDEX_FILE)
-    manifest.add_artifact("pairs", workdir_as_given / PAIRS_FILE)
-    manifest.add_artifact("triples", outdir_as_given / TRIPLES_FILE)
-    manifest.add_artifact("pointwise", outdir_as_given / POINTWISE_FILE)
-    dataset.write_manifest(manifest, outdir / MANIFEST_FILE)
+        "artifacts": {
+            name: {"path": path.as_posix(), "sha256": dataset.sha256_file(path),
+                   "bytes": path.stat().st_size}
+            for name, path in paths.items()
+        },
+    }
+    corpus.write_json(outdir / MANIFEST_FILE, manifest, sort_keys=True, indent=2)
     print(f"build: {triples} triples, {pointwise} pointwise records -> {outdir}")
     return 0
 

@@ -14,24 +14,18 @@ assignments (n u32 LE).
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import replacing
+from .corpus import read_header, replacing
 from .embeddings import EmbeddingMatrix
-from .errors import (
-    DegenerateClusterError,
-    DegenerateVectorError,
-    FormatError,
-    InvalidConfigError,
-    SizeMismatchError,
-    ValidationError,
-)
+from .errors import (DegenerateClusterError, DegenerateVectorError, InvalidConfigError,
+                     ValidationError)
 
 MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
@@ -412,18 +406,19 @@ def save_model(model: KMeansModel, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(model.assignments, dtype="<u4").tobytes())
 
 
+def _read_header(fh: BinaryIO) -> list:
+    return read_header(fh, _HEADER, MAGIC, lambda K, d, n, inertia: K * d * 4 + n * 4)
+
+
+def read_shape(path: str | Path) -> tuple[int, int, int]:
+    """(K, d, n) of a model file, from its header alone."""
+    with open(path, "rb") as fh:
+        return tuple(_read_header(fh)[:3])
+
+
 def load_model(path: str | Path) -> KMeansModel:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: file too short for header")
-        magic, K, d, n, inertia = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        expected = K * d * 4 + n * 4
-        found = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if found != expected:
-            raise SizeMismatchError(f"{path}: expected {expected} payload bytes, found {found}")
+        K, d, n, inertia = _read_header(fh)
         centroids = np.fromfile(fh, dtype="<f4", count=K * d).reshape(K, d).astype(np.float64)
         assignments = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     if n and (assignments >= K).any():

@@ -1,8 +1,9 @@
 """Ingest, validate, filter, and render the target document collection.
 
 Corpus files are JSONL in the BEIR convention: one object per line with
-`_id` (required), `title` (optional), and `text` (required). Every artifact
-of the package is written through ``replacing`` here, so it is on disk whole.
+a string or integer `_id`, a string `text` and an optional string `title`.
+Every artifact is written whole through ``replacing``, every JSONL record
+is read through ``read_records``, and ``read_header`` checks binary headers.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ import json
 import os
 import re
 import secrets
+import struct
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
+from .errors import (DuplicateIdError, FormatError, InvalidConfigError, SizeMismatchError,
+                     ValidationError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,6 +28,9 @@ if TYPE_CHECKING:
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # ASCII text: A-Z fold to lower case, every other non-alphanumeric becomes a space
 _ASCII_FOLD = str.maketrans({c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))})
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               list: "a list", dict: "an object", type(None): "null"}
+_DOC_FIELDS = {"_id": (str, int), "text": (str,), "title": (str, type(None))}
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,16 +68,6 @@ class Collection:
         return None if pos is None else self.docs[pos]
 
 
-def _validate_doc(doc_id: str, title: str, text: str, line_number: int) -> None:
-    if not doc_id:
-        raise FormatError("empty `_id`", line_number)
-    if doc_id.splitlines() != [doc_id]:
-        # the embeddings `.ids` sidecar holds one id per line
-        raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
-    if "\x00" in title or "\x00" in text:
-        raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
-
-
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) for each line of a UTF-8 text file; lines end at ``\\n``."""
     with open(path, "rb") as fh:
@@ -94,6 +90,45 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise FormatError("expected a JSON object", line_number)
         yield line_number, obj
+
+
+def read_records(path: str | Path,
+                 fields: dict[str, tuple[type, ...]]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each JSONL record whose fields have their types.
+
+    ``fields`` maps a field to its exact JSON types, so ``true`` is no integer.
+    A field that may be None may also be absent.
+    """
+    checks = tuple(fields.items())
+    for line_number, obj in read_jsonl(path):
+        for name, types in checks:
+            if type(obj.get(name)) not in types:
+                if name not in obj:
+                    raise FormatError(f"`{name}` is missing", line_number)
+                wanted = " or ".join(map(_JSON_NAMES.get, types))
+                got = _JSON_NAMES[type(obj[name])]
+                raise FormatError(f"`{name}` must be {wanted}, not {got}", line_number)
+        yield line_number, obj
+
+
+def read_header(fh: BinaryIO, layout: struct.Struct, magic: bytes,
+                payload_bytes: Callable[..., int]) -> list:
+    """Check the header at the start of a binary file; returns its fields after the magic.
+
+    The header must be whole and start with ``magic``, and the file must hold
+    exactly ``payload_bytes(*fields)`` bytes after it.
+    """
+    header = fh.read(layout.size)
+    if len(header) < layout.size:
+        raise FormatError(f"{fh.name}: file too short for header")
+    found, *fields = layout.unpack(header)
+    if found != magic:
+        raise FormatError(f"{fh.name}: bad magic {found!r}, expected {magic!r}")
+    expected = payload_bytes(*fields)
+    size = os.fstat(fh.fileno()).st_size - layout.size
+    if size != expected:
+        raise SizeMismatchError(f"{fh.name}: header needs {expected} payload bytes, found {size}")
+    return fields
 
 
 @contextmanager
@@ -135,15 +170,17 @@ def load_collection(path: str | Path) -> Collection:
     """Load a corpus file into a Collection, preserving file order."""
     docs: list[Document] = []
     index: dict[str, int] = {}
-    for line_number, obj in read_jsonl(path):
-        if "_id" not in obj:
-            raise FormatError("missing `_id` field", line_number)
-        if "text" not in obj:
-            raise FormatError("missing `text` field", line_number)
-        doc_id = str(obj["_id"])
-        title = str(obj.get("title") or "")
-        text = str(obj["text"])
-        _validate_doc(doc_id, title, text, line_number)
+    for line_number, obj in read_records(path, _DOC_FIELDS):
+        doc_id, text, title = obj["_id"], obj["text"], obj.get("title") or ""
+        if type(doc_id) is int:
+            doc_id = str(doc_id)
+        if not doc_id:
+            raise FormatError("`_id` is empty", line_number)
+        if doc_id.splitlines() != [doc_id]:
+            # the embeddings `.ids` sidecar holds one id per line
+            raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
+        if "\x00" in title or "\x00" in text:
+            raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
         if doc_id in index:
             raise DuplicateIdError(f"duplicate `_id` {doc_id!r} at line {line_number}")
         index[doc_id] = len(docs)

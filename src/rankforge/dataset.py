@@ -1,4 +1,4 @@
-"""Training-file emission and the run manifest.
+"""Training-file emission and the artifact hash of the run manifest.
 
 Two training formats are written from the mined pairs:
   * triples TSV: one ``query \\t positive_text \\t negative_text`` row per
@@ -6,20 +6,19 @@ Two training formats are written from the mined pairs:
   * pointwise JSONL: ``{query, doc_id, doc_text, label}`` with label 1 for
     the positive and 0 for each negative, positive first.
 
-The manifest captures counts, the effective configuration, and sha256
-hashes of every artifact. It contains no timestamps or absolute paths, so
-two runs with the same seed and inputs produce byte-identical manifests.
+``cli``'s ``build`` writes the manifest: counts, the effective configuration,
+and the ``sha256_file`` hash and size of every artifact. It holds no
+timestamps, so two runs with the same seed and inputs write the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Collection, render_document, replacing, write_json, write_jsonl
+from .corpus import Collection, render_document, replacing, write_jsonl
 from .errors import DataError
 from .mine import TrainingPair
 
@@ -69,23 +68,4 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass
-class DatasetManifest:
-    config: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)   # name -> {path, sha256, bytes}
-
-    def add_artifact(self, name: str, path_as_given: str | Path) -> None:
-        p = Path(path_as_given)
-        self.artifacts[name] = {
-            "path": Path(path_as_given).as_posix(),
-            "sha256": sha256_file(p),
-            "bytes": p.stat().st_size,
-        }
-
-
-def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    write_json(path, asdict(manifest), sort_keys=True, indent=2)
 

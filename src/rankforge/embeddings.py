@@ -10,15 +10,15 @@ of each row.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .corpus import (Collection, TokenizedCollection, read_lines, replacing, tokenize,
-                     tokenize_collection)
+from .corpus import (Collection, TokenizedCollection, read_header, read_lines, replacing,
+                     tokenize, tokenize_collection)
 from .errors import (
     AlignmentError,
     DegenerateVectorError,
@@ -57,23 +57,23 @@ class EmbeddingMatrix:
         return self.data[i]
 
 
+def _read_shape(fh: BinaryIO) -> tuple[int, int]:
+    n, d = read_header(fh, _HEADER, MAGIC, lambda n, d: n * d * 4)
+    if d < 1:
+        raise FormatError(f"{fh.name}: dimension must be >= 1, got {d}")
+    return n, d
+
+
+def read_shape(path: str | Path) -> tuple[int, int]:
+    """(rows, dimension) of an embedding file, from its header alone."""
+    with open(path, "rb") as fh:
+        return _read_shape(fh)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an embedding file, validating magic, shape, and finiteness."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: file too short for header")
-        magic, n, d = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if d < 1:
-            raise FormatError(f"{path}: dimension must be >= 1, got {d}")
-        expected = n * d * 4
-        found = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if found != expected:
-            raise SizeMismatchError(
-                f"{path}: declared {n}x{d} needs {expected} payload bytes, found {found}"
-            )
+        n, d = _read_shape(fh)
         data = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
     # max and min are NaN or infinite exactly when a value of the row is, without an n x d mask
     finite = np.isfinite(data.max(axis=1)) & np.isfinite(data.min(axis=1))

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import (Collection, TokenizedCollection, read_jsonl, replacing, tokenize,
+from .corpus import (Collection, TokenizedCollection, read_records, replacing, tokenize,
                      tokenize_collection, write_jsonl)
 from .errors import DataError, DuplicateIdError, FormatError
 from .querygen import SyntheticQuery
@@ -176,23 +176,14 @@ def save_pairs(pairs: Sequence[TrainingPair], path: str | Path) -> None:
 
 def load_pairs(path: str | Path) -> list[TrainingPair]:
     pairs = []
-    for line_number, obj in read_jsonl(path):
-        for key in ("query", "positive_doc_id", "negative_doc_ids", "shortfall"):
-            if key not in obj:
-                raise FormatError(f"pair record missing `{key}`", line_number)
-        if not isinstance(obj["negative_doc_ids"], list):
-            raise FormatError("`negative_doc_ids` is not a list", line_number)
-        strings = [obj["query"], obj["positive_doc_id"], *obj["negative_doc_ids"]]
-        if not all(isinstance(v, str) for v in strings):
-            raise FormatError("pair record has a query or id that is not a string", line_number)
-        pairs.append(
-            TrainingPair(
-                query_text=obj["query"],
-                positive_doc_id=obj["positive_doc_id"],
-                negative_doc_ids=tuple(obj["negative_doc_ids"]),
-                shortfall=bool(obj["shortfall"]),
-            )
-        )
+    fields = {"query": (str,), "positive_doc_id": (str,), "negative_doc_ids": (list,),
+              "shortfall": (bool,)}
+    for line_number, obj in read_records(path, fields):
+        negatives = tuple(obj["negative_doc_ids"])
+        if not all(type(v) is str for v in negatives):
+            raise FormatError("`negative_doc_ids` must hold strings only", line_number)
+        pairs.append(TrainingPair(query_text=obj["query"], positive_doc_id=obj["positive_doc_id"],
+                                  negative_doc_ids=negatives, shortfall=obj["shortfall"]))
     return pairs
 
 

@@ -31,7 +31,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .config import PipelineConfig
-from .corpus import read_jsonl, read_lines, tokenize, write_jsonl
+from .corpus import read_lines, read_records, tokenize, write_jsonl
 from .errors import (
     AggregateGenerationError,
     EmptyQueryError,
@@ -103,13 +103,10 @@ def load_template(path: str | Path) -> PromptTemplate:
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
     examples = []
-    for line_number, obj in read_jsonl(path):
-        if "document" not in obj or "query" not in obj:
-            raise FormatError("example needs `document` and `query` fields", line_number)
-        if not (isinstance(obj["document"], str) and isinstance(obj["query"], str)):
-            raise FormatError("example `document` and `query` must be strings", line_number)
-        if not obj["document"] or not obj["query"]:
-            raise FormatError("example fields must be non-empty", line_number)
+    for line_number, obj in read_records(path, {"document": (str,), "query": (str,)}):
+        for name in ("document", "query"):
+            if not obj[name]:
+                raise FormatError(f"`{name}` is empty", line_number)
         examples.append(FewShotExample(document_text=obj["document"], query=obj["query"]))
     return examples
 
@@ -289,7 +286,10 @@ class HttpCompletionClient:
             # any other 4xx (a bad key, a wrong path) or a 3xx gives every
             # retry the same answer
             raise EndpointError(f"request failed: {error}")
-        return str(json.loads(data)["choices"][0]["text"])
+        text = json.loads(data)["choices"][0]["text"]
+        if not isinstance(text, str):       # a malformed reply, retried like a missing key
+            raise TypeError(f"completion text is {type(text).__name__}, not a string")
+        return text
 
     def _exchange(self, conn: http.client.HTTPConnection, body: bytes,
                   timeout: float) -> tuple[int, str, bytes]:
@@ -380,18 +380,9 @@ def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:
 
 
 def load_queries(path: str | Path) -> list[SyntheticQuery]:
-    queries = []
-    for line_number, obj in read_jsonl(path):
-        if "doc_id" not in obj or "query" not in obj:
-            raise FormatError("query record needs `doc_id` and `query`", line_number)
-        if not (isinstance(obj["doc_id"], str) and isinstance(obj["query"], str)):
-            raise FormatError("query record's `doc_id` and `query` must be strings", line_number)
-        queries.append(
-            SyntheticQuery(
-                doc_id=obj["doc_id"],
-                query_text=obj["query"],
-                raw_completion=obj.get("raw", obj["query"]),
-                model_name=obj.get("model", "unknown"),
-            )
-        )
-    return queries
+    types = {"doc_id": (str,), "query": (str,), "raw": (str, type(None)),
+             "model": (str, type(None))}
+    return [SyntheticQuery(doc_id=obj["doc_id"], query_text=obj["query"],
+                           raw_completion=obj.get("raw") or obj["query"],
+                           model_name=obj.get("model") or "unknown")
+            for _, obj in read_records(path, types)]

@@ -22,12 +22,11 @@ import numpy as np
 
 from .cluster import KMeansModel, groups
 from .config import PipelineConfig
-from .corpus import read_jsonl, write_jsonl
+from .corpus import read_records, write_jsonl
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
     DegenerateVectorError,
-    FormatError,
     InfeasibleBudgetError,
     InvalidConfigError,
     ValidationError,
@@ -230,11 +229,4 @@ def save_selected(selected: Sequence[SelectedDoc], ids: Sequence[str], path: str
 
 def load_selected(path: str | Path) -> list[dict]:
     """Read a selection JSONL back into a list of per-document records."""
-    records = []
-    for line_number, obj in read_jsonl(path):
-        if "doc_id" not in obj or "cluster" not in obj:
-            raise FormatError("missing doc_id or cluster field", line_number)
-        if not isinstance(obj["doc_id"], str):
-            raise FormatError("`doc_id` is not a string", line_number)
-        records.append(obj)
-    return records
+    return [obj for _, obj in read_records(path, {"doc_id": (str,), "cluster": (int,)})]

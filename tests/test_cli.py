@@ -1,8 +1,10 @@
 """CLI behavior: stage chaining, config layering, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankforge import cli, corpus
+from rankforge import cli, corpus, querygen
+from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
+from rankforge.dataset import sha256_file
 from rankforge.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from rankforge.mockllm import MockLLMServer, _Handler
 from tests.conftest import child_pythonpath, make_collection, write_corpus_jsonl
 
 BASE_FLAGS = ["--min-chars", "50", "--hash-embed-dim", "64"]
@@ -158,9 +163,12 @@ def test_readme_artifacts_table_lists_every_file(tmp_path, corpus_file):
     assert _run(["cluster", "--workdir", work, "--k-scan", "2,3"]) == 0
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Artifacts\n")[1].split("\n## ")[0]
-    rows = re.findall(r"^\| `([^`|]+)` \|", section, flags=re.MULTILINE)
-    assert len(rows) == len(set(rows))
-    assert set(rows) == {p.name for p in work.iterdir()} | {p.name for p in out.iterdir()}
+    rows = re.findall(r"^\| `([^`|]+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+    assert len(rows) == len(dict(rows))
+    assert set(dict(rows)) == {p.name for p in work.iterdir()} | {p.name for p in out.iterdir()}
+    # the producer column agrees with the table `_require` and `build` use
+    assert {name: dict(rows)[name].strip() for name in cli.ARTIFACTS} == \
+        {name: producer for name, (_, producer) in cli.ARTIFACTS.items()}
 
 
 def test_stage_flags_are_not_checked_against_other_stages_defaults(tmp_path, corpus_file):
@@ -480,6 +488,171 @@ def test_failed_build_leaves_the_previous_build_intact(tmp_path, corpus_file, ca
     assert "unknown document id 'no-such-doc'" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert {p.name for p in work.iterdir()} == work_files
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory) -> Path:
+    """`corpus.jsonl`, `examples.jsonl`, a finished workdir `w` and its build `o`."""
+    root = tmp_path_factory.mktemp("finished")
+    corpus_path = write_corpus_jsonl(make_collection(45, seed=1), root / "corpus.jsonl")
+    shutil.copy(querygen.builtin_examples_path("wikipedia"), root / "examples.jsonl")
+    assert _run(["run-all", "--input", corpus_path, "--workdir", root / "w",
+                 "--out", root / "o"] + SMALL_PIPELINE) == 0
+    return root
+
+
+def test_build_writes_the_manifest(finished, tmp_path):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    work, out = tmp_path / "w", tmp_path / "o"
+    written = []
+    for _ in range(2):
+        assert _run(["build", "--workdir", work, "--out", out, "--seed", "7"]) == 0
+        written.append((out / cli.MANIFEST_FILE).read_bytes())
+    assert written[0] == written[1]
+
+    manifest = json.loads(written[0])
+    assert manifest["config"] == dataclasses.asdict(PipelineConfig(seed=7))
+    assert manifest["counts"]["embedding_dim"] == 64 and manifest["counts"]["clusters"] == 3
+    paths = {name: work / file for file, (name, _) in cli.ARTIFACTS.items()}
+    paths.update(triples=out / cli.TRIPLES_FILE, pointwise=out / cli.POINTWISE_FILE)
+    assert manifest["artifacts"] == {
+        name: {"path": path.as_posix(), "sha256": sha256_file(path), "bytes": path.stat().st_size}
+        for name, path in paths.items()
+    }
+    assert all("\\" not in a["path"] for a in manifest["artifacts"].values())
+
+
+def test_build_checks_every_input_before_it_writes(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    work, out, fresh = tmp_path / "w", tmp_path / "o", tmp_path / "fresh"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(cli.ARTIFACTS) == 8
+    for name, (_, producer) in cli.ARTIFACTS.items():
+        (work / name).rename(tmp_path / name)
+        capsys.readouterr()
+        for target in (out, fresh):
+            assert _run(["build", "--workdir", work, "--out", target, "--seed", "7"]) == 2
+            assert f"{work / name} not found; run `rankforge {producer}` first" in \
+                capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, name
+        assert not fresh.exists(), name
+        (tmp_path / name).rename(work / name)
+
+
+def test_build_rejects_a_model_of_another_ingest(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    other = tmp_path / "other"
+    write_corpus_jsonl(make_collection(50, seed=3), tmp_path / "other.jsonl")
+    assert _run(["ingest", "--input", tmp_path / "other.jsonl", "--workdir", other]
+                + BASE_FLAGS) == 0
+    assert _run(["cluster", "--workdir", other, "--clusters", "3"]) == 0
+    shutil.copy(other / cli.KMEANS_FILE, tmp_path / "w" / cli.KMEANS_FILE)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    capsys.readouterr()
+    assert _run(["build", "--workdir", tmp_path / "w", "--out", tmp_path / "o"]) == 2
+    assert f"{cli.KMEANS_FILE} 50 assignments" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == before
+
+
+ABSENT = object()       # a field left out of the record
+
+
+def _bad_field_exits_two(finished, tmp_path, capsys, file, field, value, argv):
+    """Set `field` of the second record of `file` to `value`: the stage exits 2 and names both."""
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / file
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    if value is ABSENT:
+        del record[field]
+    else:
+        record[field] = value
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    out = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    capsys.readouterr()
+    assert _run(argv) == 2
+    assert f"line 2: `{field}`" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("_id", None), ("_id", True), ("_id", 1.5), ("_id", ["a"]), ("_id", {"a": 1}), ("_id", ABSENT),
+    ("text", None), ("text", 5), ("text", ["x"]), ("text", ABSENT),
+    ("title", ["x"]), ("title", 5), ("title", False),
+])
+def test_collection_fields_have_their_types(finished, tmp_path, capsys, field, value):
+    argv = ["ingest", "--input", tmp_path / "corpus.jsonl", "--workdir", tmp_path / "w2"]
+    _bad_field_exits_two(finished, tmp_path, capsys, "corpus.jsonl", field, value,
+                         argv + BASE_FLAGS)
+
+
+def test_collection_takes_integer_ids_and_absent_or_null_titles(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"_id": 7, "text": "x"}\n{"_id": "b", "title": null, "text": "y"}\n'
+                    '{"_id": -12, "title": "T", "text": "z"}\n', encoding="utf-8")
+    coll = load_collection(path)
+    assert [(d.id, d.title, d.text) for d in coll] == [("7", "", "x"), ("b", "", "y"),
+                                                        ("-12", "T", "z")]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("doc_id", None), ("doc_id", 5), ("doc_id", ABSENT),
+    ("cluster", "0"), ("cluster", 1.0), ("cluster", True), ("cluster", None), ("cluster", ABSENT),
+])
+def test_selected_fields_have_their_types(finished, tmp_path, capsys, field, value):
+    _bad_field_exits_two(finished, tmp_path, capsys, f"w/{cli.SELECTED_FILE}", field, value,
+                         ["generate", "--workdir", tmp_path / "w"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("doc_id", None), ("doc_id", ["x"]), ("doc_id", ABSENT),
+    ("query", 5), ("query", None), ("query", ABSENT),
+    ("raw", 5), ("model", False),
+])
+def test_query_fields_have_their_types(finished, tmp_path, capsys, field, value):
+    _bad_field_exits_two(finished, tmp_path, capsys, f"w/{cli.QUERIES_FILE}", field, value,
+                         ["mine", "--workdir", tmp_path / "w"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("query", None), ("query", ABSENT),
+    ("positive_doc_id", 5), ("positive_doc_id", ABSENT),
+    ("negative_doc_ids", "x"), ("negative_doc_ids", [1]), ("negative_doc_ids", ABSENT),
+    ("shortfall", "false"), ("shortfall", 0), ("shortfall", None), ("shortfall", ABSENT),
+])
+def test_pair_fields_have_their_types(finished, tmp_path, capsys, field, value):
+    _bad_field_exits_two(finished, tmp_path, capsys, f"w/{cli.PAIRS_FILE}", field, value,
+                         ["build", "--workdir", tmp_path / "w", "--out", tmp_path / "o"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("document", 5), ("document", None), ("document", ""), ("document", ABSENT),
+    ("query", ["q"]), ("query", ""), ("query", ABSENT),
+])
+def test_example_fields_have_their_types(finished, tmp_path, capsys, field, value):
+    _bad_field_exits_two(finished, tmp_path, capsys, "examples.jsonl", field, value,
+                         ["generate", "--workdir", tmp_path / "w",
+                          "--examples", tmp_path / "examples.jsonl"])
+
+
+class _NullCompletion(_Handler):
+    """Answers every request with a 200 whose completion text is null."""
+
+    def _reply(self, status, obj):
+        super()._reply(status, {"choices": [{"text": None}]})
+
+
+def test_generate_exits_three_when_no_completion_is_a_string(finished, tmp_path, capsys,
+                                                             monkeypatch):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.0)
+    queries = (tmp_path / "w" / cli.QUERIES_FILE).read_bytes()
+    with MockLLMServer(handler=_NullCompletion) as server:
+        assert _run(["generate", "--workdir", tmp_path / "w", "--endpoint", server.endpoint,
+                     "--max-retries", "1"]) == 3
+    assert "all 9 generation requests failed" in capsys.readouterr().err
+    assert (tmp_path / "w" / cli.QUERIES_FILE).read_bytes() == queries
 
 
 def test_eval_subcommand(tmp_path, capsys):

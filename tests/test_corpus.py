@@ -207,3 +207,17 @@ def test_only_corpus_writes_files():
         if isinstance(node, ast.Call) and _writes_a_file(node)
     ]
     assert writers == []
+
+
+def test_only_corpus_reads_jsonl_unchecked():
+    # other modules read records through corpus.read_records, which checks each field's type
+    package = Path(corpus.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        # a name, an attribute or an import of it
+        if "read_jsonl" in (getattr(node, "id", None), getattr(node, "attr", None),
+                            getattr(node, "name", None))
+    ]
+    assert readers == []

@@ -1,4 +1,4 @@
-"""Training-file emission: TSV triples, pointwise JSONL, and the manifest."""
+"""Training-file emission: TSV triples, pointwise JSONL, and artifact hashes."""
 
 import hashlib
 import json
@@ -6,14 +6,7 @@ import json
 import pytest
 
 from rankforge.corpus import Collection, Document
-from rankforge.dataset import (
-    DatasetManifest,
-    sanitize_field,
-    sha256_file,
-    write_manifest,
-    write_pointwise,
-    write_triples,
-)
+from rankforge.dataset import sanitize_field, sha256_file, write_pointwise, write_triples
 from rankforge.errors import DataError
 from rankforge.mine import TrainingPair
 
@@ -81,24 +74,4 @@ def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"some bytes \x00\xff" * 1000)
     assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_manifest_roundtrip_and_determinism(tmp_path):
-    artifact = tmp_path / "a.txt"
-    artifact.write_text("payload", encoding="utf-8")
-    manifest = DatasetManifest(config={"seed": 42, "clusters": 3},
-                               counts={"documents": 10})
-    manifest.add_artifact("sample", artifact)
-    path1 = tmp_path / "m1.json"
-    path2 = tmp_path / "m2.json"
-    write_manifest(manifest, path1)
-    write_manifest(manifest, path2)
-    assert path1.read_bytes() == path2.read_bytes()
-
-    loaded = json.loads(path1.read_text(encoding="utf-8"))
-    assert loaded["config"] == {"seed": 42, "clusters": 3}
-    assert loaded["counts"] == {"documents": 10}
-    assert loaded["artifacts"]["sample"]["sha256"] == sha256_file(artifact)
-    assert loaded["artifacts"]["sample"]["bytes"] == 7
-    assert "\\" not in loaded["artifacts"]["sample"]["path"]   # posix separators
 

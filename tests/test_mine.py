@@ -390,12 +390,12 @@ def test_pairs_roundtrip(tmp_path):
     with pytest.raises(FormatError, match="line 1: expected a JSON object"):
         load_pairs(path)
     good = '{"query": "q", "positive_doc_id": "a", "negative_doc_ids": ["b"], "shortfall": false}'
-    for field, value, match in [("query", "5", "not a string"),
-                                ("positive_doc_id", "null", "not a string"),
-                                ("negative_doc_ids", "[1]", "not a string"),
-                                ("negative_doc_ids", "7", "not a list")]:
+    for field, value, match in [("query", "5", "must be a string, not an integer"),
+                                ("positive_doc_id", "null", "must be a string, not null"),
+                                ("negative_doc_ids", "[1]", "must hold strings only"),
+                                ("negative_doc_ids", "7", "must be a list, not an integer")]:
         bad = json.loads(good)
         bad[field] = json.loads(value)
         path.write_text(good + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=f"line 2: .*{match}"):
+        with pytest.raises(FormatError, match=f"line 2: `{field}` {match}"):
             load_pairs(path)

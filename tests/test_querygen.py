@@ -186,23 +186,25 @@ def test_load_examples_errors(tmp_path):
     path.write_text('"document query"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 1: expected a JSON object"):
         load_examples(path)
-    for bad in ('{"document": 5, "query": "q"}', '{"document": "d", "query": ["q"]}'):
+    for bad, field in (('{"document": 5, "query": "q"}', "document"),
+                       ('{"document": "d", "query": ["q"]}', "query")):
         path.write_text('{"document": "d", "query": "q"}\n' + bad + "\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="line 2: .* must be strings"):
+        with pytest.raises(FormatError, match=f"line 2: `{field}` must be a string"):
             load_examples(path)
 
 
 def test_load_queries_rejects_bad_lines(tmp_path):
     path = tmp_path / "q.jsonl"
     path.write_text('{"doc_id": "a", "query": "q"}\n\n{"doc_id": "b"}\n', encoding="utf-8")
-    with pytest.raises(FormatError, match="line 3: query record needs"):
+    with pytest.raises(FormatError, match="line 3: `query` is missing"):
         load_queries(path)
     path.write_text('{"doc_id": "a", "query": "q"}\n"doc_id query"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 2: expected a JSON object"):
         load_queries(path)
-    for bad in ('{"doc_id": ["x"], "query": "q"}', '{"doc_id": "a", "query": 5}'):
+    for bad, field in (('{"doc_id": ["x"], "query": "q"}', "doc_id"),
+                       ('{"doc_id": "a", "query": 5}', "query")):
         path.write_text('{"doc_id": "a", "query": "q"}\n' + bad + "\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="line 2: .* must be strings"):
+        with pytest.raises(FormatError, match=f"line 2: `{field}` must be a string"):
             load_queries(path)
 
 
@@ -469,6 +471,33 @@ def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkey
         client.close()
     assert len(seen) == requests
     assert sleeps == [0.5, 1.0][: requests - 1]
+
+
+@pytest.mark.parametrize("choice", [{}, {"text": None}, {"text": 5}, {"text": ["q"]}])
+def test_http_client_retries_a_reply_without_a_string_completion(choice, monkeypatch):
+    # a 200 whose completion is missing or not a string is retried, then dropped and logged
+    seen = []
+
+    class Malformed(_Handler):
+        def do_POST(self):  # noqa: N802
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append(body["prompt"])
+            text = body["prompt"] if body["prompt"].startswith("good") else None
+            self._reply(200, {"choices": [choice if text is None else {"text": text}]})
+
+    sleeps = []
+    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    prompts = [QueryPrompt("a", "good one"), QueryPrompt("b", "bad"), QueryPrompt("c", "good two")]
+    with MockLLMServer(handler=Malformed) as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        out = generate_queries(client, prompts, _settings(max_retries=2, threads=1))
+        assert [(q.doc_id, q.query_text) for q in out] == [("a", "good one"), ("c", "good two")]
+        assert seen.count("bad") == 3 and sleeps == [0.5, 1.0]
+        with pytest.raises(AggregateGenerationError):
+            generate_queries(client, prompts[1:2] * 2, _settings(max_retries=2, threads=1))
+        client.close()
+    assert seen.count("bad") == 9
 
 
 def test_http_client_timeout_is_per_request():

@@ -496,7 +496,7 @@ def test_load_selected_rejects_bad_lines(tmp_path):
         load_selected(path)
     path.write_text('{"doc_id": "a", "cluster": 0}\n{"doc_id": {"a": 1}, "cluster": 0}\n',
                     encoding="utf-8")
-    with pytest.raises(FormatError, match="line 2: `doc_id` is not a string"):
+    with pytest.raises(FormatError, match="line 2: `doc_id` must be a string, not an object"):
         load_selected(path)
 
 
