@@ -167,10 +167,11 @@ def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings
 
 def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
-    matrix = embeddings.load_embeddings(_require(workdir, EMBEDDINGS_FILE))
+    path = _require(workdir, EMBEDDINGS_FILE)
 
     if getattr(args, "k_scan", None):
-        result = clustering.elbow_scan(matrix, _parse_k_scan(args.k_scan), cfg)
+        result = clustering.elbow_scan(embeddings.load_embeddings(path),
+                                       _parse_k_scan(args.k_scan), cfg)
         points = [{"k": k, "sse": sse} for k, sse in result.points]
         corpus.write_json(workdir / ELBOW_FILE, {"points": points, "knee": result.knee}, indent=2)
         print(f"{'K':>6} {'cosine_sse':>14}")
@@ -182,13 +183,14 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             print("no elbow suggestion (need at least 3 scanned K values)")
         return 0
 
-    model = clustering.kmeans_fit(matrix, cfg)
+    # the matrix's only reference goes to kmeans_fit, which frees it once the rows are unit
+    model = clustering.kmeans_fit(embeddings.load_embeddings(path), cfg)
     clustering.save_model(model, workdir / KMEANS_FILE)
     print(
         f"cluster: K={model.K} inertia={model.inertia:.6f} "
         f"iters={len(model.inertia_history)} converged={model.converged} "
         f"rescanned={sum(model.rescanned)} near_ties={model.near_ties} repairs={model.repairs} "
-        f"(docs={matrix.n})"
+        f"float64_rows={model.float64_rows} (docs={model.assignments.size})"
     )
     return 0
 

@@ -33,6 +33,8 @@ _HEADER = struct.Struct("<8sIIQd")
 # Byte budget of the rows x K distance block in the assignment step and in
 # cosine_sse; memory stays bounded however large n x K grows.
 _BLOCK_BYTES = 4 << 20
+# Largest run of squared differences that _inertia hands to numpy's own sum.
+_LEAF = 1 << 16
 # k-means++ seeding distances below this are recomputed exactly (see _seed_dists).
 _EXACT_BELOW = 1e-9
 
@@ -49,6 +51,7 @@ class KMeansModel:
     rescanned: list[int] = field(default_factory=list)   # rows scanned whole, per iteration
     near_ties: int = 0          # rows resolved through their whole row block
     repairs: int = 0            # empty clusters reseeded
+    float64_rows: int = 0       # scanned rows the float32 filter left to float64
 
     @property
     def d(self) -> int:
@@ -68,12 +71,16 @@ def groups(assignments: np.ndarray, K: int) -> list[np.ndarray]:
 
 
 def _normalized_rows(X: EmbeddingMatrix) -> np.ndarray:
+    """The rows as float64 unit vectors, in the one n x d float64 array of the fit."""
     rows = X.data.astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.empty(X.n, dtype=np.float64)
+    for block in _row_blocks(X.n, X.d):     # norm() squares its input into a temporary
+        norms[block] = np.linalg.norm(rows[block], axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateVectorError(f"zero-norm embedding row {int(zero[0])}")
-    return rows / norms[:, None]
+    rows /= norms[:, None]
+    return rows
 
 
 def _seed_dists(Xn: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -91,6 +98,23 @@ def _seed_dists(Xn: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:
+    """A row drawn with probability d2 / sum(d2); uniform when every d2 is 0.
+
+    The total is numpy's pairwise sum and the running sums are sequential, so
+    the target can land past the last running sum. It then takes the last row
+    with positive mass, as sample_without_replacement does.
+    """
+    total = float(d2.sum())
+    if total <= 0.0:
+        # all remaining mass is zero (duplicate points): fall back to uniform
+        return int(rng.integers(d2.size))
+    idx = int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right"))
+    if idx == d2.size:
+        idx = int(np.flatnonzero(d2)[-1])
+    return idx
+
+
 def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     n = Xn.shape[0]
     centroids = np.empty((K, Xn.shape[1]), dtype=np.float64)
@@ -100,14 +124,7 @@ def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndar
         return centroids
     d2 = _seed_dists(Xn, centroids[0])
     for j in range(1, K):
-        total = float(d2.sum())
-        if total > 0.0:
-            target = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            # all remaining mass is zero (duplicate points): fall back to uniform
-            idx = int(rng.integers(n))
+        idx = _pp_index(d2, rng)
         centroids[j] = Xn[idx]
         np.minimum(d2, _seed_dists(Xn, centroids[j]), out=d2)
     return centroids
@@ -135,9 +152,29 @@ def _distances(rows: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray) -> np.
     return d2
 
 
+def _offsets32(rows32: np.ndarray, c2: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """||c||^2 - 2 x.c in float32, from c2 = -2 c: each squared distance less 1.
+
+    Comparisons need no more, so the float32 passes skip _distances' other steps.
+    """
+    v = rows32 @ c2.T
+    v += c_sq
+    return v
+
+
 def _row_min(d2: np.ndarray) -> np.ndarray:
     """Each row's minimum; argmin then a gather beats min(axis=1) on short rows."""
     return d2[np.arange(d2.shape[0]), d2.argmin(axis=1)]
+
+
+def _nearest_two(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's argmin (lowest index on ties), its value and the smallest other
+    value; overwrites d2."""
+    r = np.arange(d2.shape[0])
+    best = d2.argmin(axis=1)
+    best_d2 = d2[r, best]
+    d2[r, best] = np.inf
+    return best, best_d2, _row_min(d2)
 
 
 def _margin(d: int) -> float:
@@ -150,6 +187,22 @@ def _margin(d: int) -> float:
     margin cannot change sign from one product to another.
     """
     return 8.0 * (d + 4) * np.finfo(np.float64).eps
+
+
+def _margin32(d: int) -> float:
+    """Bound on the gap between 1 + _offsets32 and any float64 evaluation of one distance.
+
+    The float32 operands are roundings of the float64 unit rows and centroids,
+    so their exact dot product is within (2 + u) u of the float64 operands'
+    (u is float32's unit roundoff); the float32 dot product of d terms adds at
+    most d u / (1 - d u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, §3.1). With the exact factor -2, the rounding of
+    ||c||^2 to float32 and that of the sum, which is at most 3 in size, the
+    float32 value is within (2d + 8) u of the exact one, and a float64
+    evaluation is within (3d + 7) of float64's far smaller u. The bound taken,
+    16 (d + 4) u, is _margin's in float32 and covers both several times over.
+    """
+    return 8.0 * (d + 4) * float(np.finfo(np.float32).eps)
 
 
 def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
@@ -167,6 +220,7 @@ def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
         sel = blocks == b
         d2 = _distances(Xn[start:start + step], centroids, c_sq)
         out[sel] = d2[points[sel] - start].argmin(axis=1)
+        del d2      # one block alive at a time
     return out
 
 
@@ -178,19 +232,34 @@ class _Bounds:
     other than its own, less ``margin``, as of the centroids in ``seen``; -inf
     forces a whole-row scan. A centroid whose bytes did not change has
     unchanged distances, so only the centroids that moved can lower it.
+
+    Distances are found in float32 (_offsets32, on ``rows32`` and a float32
+    copy of the centroids), each within _margin32 of every float64 evaluation.
+    A row whose float32 best is nearer than its second by more than twice that
+    keeps the float32 argmin, which a full float64 pass would also pick; its
+    bound is the float32 second less _margin32. Every other row is decided in
+    float64.
     """
 
     lb: np.ndarray
     margin: float
     seen: np.ndarray | None = None      # centroids at the previous assignment
+    rows32: np.ndarray | None = None    # float32 copy of the rows, made at the first assign
+    float64_rows: int = 0               # scanned rows the float32 gap could not decide
 
     def assign(self, Xn: np.ndarray, centroids: np.ndarray,
                assignments: np.ndarray) -> tuple[np.ndarray, int, int]:
         """Nearest centroid per row, lowest index on ties; returns (assignments, rows
         scanned whole, near-tie rows resolved through _block_argmin)."""
         n, K = Xn.shape[0], centroids.shape[0]
+        if self.rows32 is None:
+            self.rows32 = Xn.astype(np.float32)
+        rows32 = self.rows32
         c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        lb, margin = self.lb, self.margin
+        c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
+        c2 *= -2.0
+        lb, margin, margin32 = self.lb, self.margin, _margin32(Xn.shape[1])
+        shift = 1.0 - margin32 - margin     # float32 offset + shift: a bound for lb
         # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
         width = max(K, Xn.shape[1])
         if self.seen is None:
@@ -202,41 +271,52 @@ class _Bounds:
             scan = np.arange(n)
         else:
             idx = np.flatnonzero(moved)
-            moved_c, moved_sq = centroids[idx], c_sq[idx]
+            moved_c2, moved_sq = c2[idx], c_sq32[idx]
             column = np.full(K, -1, dtype=np.int64)
             column[idx] = np.arange(idx.size)
             own = np.empty(n, dtype=np.float64)
             for rows in _row_blocks(n, width):
-                x, a = Xn[rows], assignments[rows]
+                a = assignments[rows]
                 if idx.size:
-                    d2 = _distances(x, moved_c, moved_sq)
+                    v = _offsets32(rows32[rows], moved_c2, moved_sq)
                     col = column[a]
                     hit = np.flatnonzero(col >= 0)
-                    d2[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
-                    np.minimum(lb[rows], _row_min(d2) - margin, out=lb[rows])
-                    del d2      # one distance block alive at a time
-                own[rows] = np.einsum("ij,ij->i", x, centroids[a])
+                    v[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
+                    rival = _row_min(v).astype(np.float64)
+                    del v       # one distance block alive at a time
+                    rival += shift
+                    np.minimum(lb[rows], rival, out=lb[rows])
+                own[rows] = np.einsum("ij,ij->i", Xn[rows], centroids[a])
             own *= -2.0
             own += 1.0
             own += c_sq[assignments]
             np.maximum(own, 0.0, out=own)
             # own < lb - margin: the own centroid is nearer than any rival, whatever product
             scan = np.flatnonzero(own >= lb - margin)
+            del own
         out = assignments.copy()
-        ties = 0
-        whole = scan.size == n      # every row: read the blocks of a full pass in place
+        whole = scan.size == n      # every row: read the rows in place, not gathered
         step = _row_step(K if whole else width)
+        unsure = []
         for start in range(0, scan.size, step):
             points = scan[start:start + step]
-            d2 = _distances(Xn[start:start + step] if whole else Xn[points], centroids, c_sq)
-            r = np.arange(points.size)
-            best = d2.argmin(axis=1)
-            best_d2 = d2[r, best]
-            d2[r, best] = np.inf
-            second = _row_min(d2)
-            del d2
+            best, best_v, second = _nearest_two(
+                _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32))
+            second = second.astype(np.float64)
+            out[points] = best
+            lb[points] = second + shift
+            unsure.append(points[second - best_v <= 2.0 * margin32])
+        # rows the float32 gap cannot decide: float64 distances, and a near tie
+        # there reads the whole row block, so it resolves as a full pass would
+        unsure = np.concatenate(unsure or [scan])
+        self.float64_rows += unsure.size
+        ties = 0
+        step = _row_step(2 * width)     # half blocks: _block_argmin's block is the largest
+        for start in range(0, unsure.size, step):
+            points = unsure[start:start + step]
+            best, best_d2, second = _nearest_two(_distances(Xn[points], centroids, c_sq))
             tie = np.flatnonzero(second - best_d2 <= margin)
-            if tie.size and not whole:      # a whole scan's blocks are the full pass's
+            if tie.size:
                 best[tie] = _block_argmin(Xn, centroids, c_sq, points[tie])
                 second[tie] = best_d2[tie]      # the subset's best may be a rival now
                 ties += tie.size
@@ -266,7 +346,11 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     moved = np.empty(empty.size, dtype=np.int64)
     if not empty.size:
         return moved
-    own = np.sum((Xn - centroids[assignments]) ** 2, axis=1)
+    own = np.empty(assignments.size, dtype=np.float64)
+    for rows in _row_blocks(assignments.size, Xn.shape[1]):
+        diff = Xn[rows] - centroids[assignments[rows]]
+        np.square(diff, out=diff)
+        own[rows] = diff.sum(axis=1)
     own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
     for i, k in enumerate(empty):
         p = int(np.argmax(own))
@@ -282,13 +366,37 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     return moved
 
 
-def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMeansModel:
+def _inertia(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+             start: int = 0, stop: int | None = None) -> float:
+    """float(np.sum((Xn - centroids[assignments]) ** 2)), bit for bit, without the
+    n x d temporary; start and stop bound a run of the flattened n x d values.
+
+    numpy sums a contiguous float64 array pairwise: a run of more than 128
+    values splits at n2 = n//2 - (n//2) % 8 and sums each half the same way.
+    Replaying the splits down to runs of at most _LEAF values, each summed by
+    numpy from the rows that hold it, gives the same tree and so the same bits.
+    """
+    stop = Xn.size if stop is None else stop
+    size = stop - start
+    if size > _LEAF:
+        half = size // 2
+        half -= half % 8
+        return (_inertia(Xn, centroids, assignments, start, start + half)
+                + _inertia(Xn, centroids, assignments, start + half, stop))
+    d = Xn.shape[1]
+    first, last = start // d, -(-stop // d)
+    sq = Xn[first:last] - centroids[assignments[first:last]]
+    np.square(sq, out=sq)
+    return float(sq.ravel()[start - first * d:stop - first * d].sum())
+
+
+def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator,
+           rows32: np.ndarray | None = None) -> KMeansModel:
     n = Xn.shape[0]
     K = cfg.clusters
     centroids = _kmeans_pp_init(Xn, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
-    bounds = _Bounds(lb=np.full(n, -np.inf), margin=_margin(Xn.shape[1]))
-    sq = np.empty_like(Xn)        # one n x d buffer for the inertia
+    bounds = _Bounds(lb=np.full(n, -np.inf), margin=_margin(Xn.shape[1]), rows32=rows32)
     history: list[float] = []
     rescanned: list[int] = []
     near_ties = repairs = 0
@@ -305,11 +413,7 @@ def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMe
         changed = np.flatnonzero(new_assignments != assignments)
         touched = np.unique(np.concatenate((assignments[changed], new_assignments[changed])))
         _update_centroids(Xn, centroids, new_assignments, touched[touched >= 0])
-        # assignments are in range; take's default mode="raise" would copy through a temporary
-        np.take(centroids, new_assignments, axis=0, out=sq, mode="clip")
-        np.subtract(Xn, sq, out=sq)
-        np.square(sq, out=sq)
-        inertia = float(sq.sum())
+        inertia = _inertia(Xn, centroids, new_assignments)
         history.append(inertia)
         if not changed.size:
             converged = True
@@ -330,18 +434,26 @@ def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator) -> KMe
         rescanned=rescanned,
         near_ties=near_ties,
         repairs=repairs,
+        float64_rows=bounds.float64_rows,
     )
 
 
 def kmeans_fit(X: EmbeddingMatrix, cfg: PipelineConfig) -> KMeansModel:
-    """Fit spherical k-means; best of cfg.kmeans_restarts seeded runs by inertia."""
+    """Fit spherical k-means; best of cfg.kmeans_restarts seeded runs by inertia.
+
+    The fit holds one float64 and one float32 copy of the unit rows. A caller
+    that passes its only reference to X lets the float32 input go once the
+    unit rows exist.
+    """
     if cfg.clusters > X.n:
         raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({X.n})")
     Xn = _normalized_rows(X)
+    del X
+    rows32 = Xn.astype(np.float32)
     best: KMeansModel | None = None
     for restart in range(cfg.kmeans_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
-        model = _lloyd(Xn, cfg, rng)
+        model = _lloyd(Xn, cfg, rng, rows32)
         if best is None or model.inertia < best.inertia:
             best = model
     assert best is not None

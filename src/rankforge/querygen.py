@@ -257,7 +257,8 @@ class HttpCompletionClient:
             if attempt < cfg.max_retries:
                 time.sleep(BACKOFF_BASE * (2 ** attempt))
         raise EndpointError(
-            f"request failed after {cfg.max_retries + 1} attempts: {last_error}"
+            f"request failed after {cfg.max_retries + 1} attempts: "
+            f"{type(last_error).__name__}: {last_error}"
         )
 
     def close(self) -> None:

@@ -175,7 +175,9 @@ def _reference_pp_init(Xn, K, rng):
         total = float(d2.sum())
         if total > 0.0:
             target = rng.random() * total
-            idx = min(int(np.searchsorted(np.cumsum(d2), target, side="right")), n - 1)
+            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+            if idx == n:                   # past the running sums: last row with mass
+                idx = int(np.flatnonzero(d2 > 0)[-1])
         else:
             idx = int(rng.integers(n))
         centroids[j] = Xn[idx]
@@ -212,6 +214,42 @@ def test_seeding_matches_reference_on_repeated_rows():
         K = int(rng.integers(distinct + 1, Xn.shape[0] + 1))
         got, want = _seed_pair(Xn, K, trial)
         assert got.tobytes() == want.tobytes(), f"trial {trial}"
+
+
+class _FixedDraws:
+    """A generator stand-in that returns one fixed uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def integers(self, n):
+        raise AssertionError("the uniform fallback must not run while mass is left")
+
+
+def test_seeding_draw_never_lands_on_a_row_without_mass():
+    # the pairwise total exceeds the sequential running sum, so the largest
+    # uniform lands past every running sum; the last row has no mass
+    d2 = np.array([1.0] + [1e-16] * 64 + [0.0])
+    assert float(d2.sum()) > float(np.cumsum(d2)[-1])
+    assert cluster._pp_index(d2, _FixedDraws(1.0 - 2.0 ** -53)) == 64
+    assert cluster._pp_index(d2, _FixedDraws(0.5)) == 0
+
+
+@pytest.mark.parametrize("n, d", [(203, 8), (10_000, 128), (4099, 33)])
+@pytest.mark.parametrize("leaf", [None, 512])
+def test_inertia_replays_numpy_pairwise_sum(monkeypatch, n, d, leaf):
+    # 4099 x 33 values are not a multiple of 8, and its runs start mid-row
+    if leaf is not None:
+        monkeypatch.setattr(cluster, "_LEAF", leaf)
+    rng = np.random.default_rng(n)
+    Xn = _normalize(rng.normal(size=(n, d)))
+    centroids = rng.normal(size=(37, d)) * 0.3
+    assignments = rng.integers(0, 37, size=n)
+    want = float(np.sum((Xn - centroids[assignments]) ** 2))
+    assert cluster._inertia(Xn, centroids, assignments) == want
 
 
 def test_blocked_assignment_matches_default(monkeypatch):
@@ -286,6 +324,10 @@ _LLOYD_CASES = {
     # K above the number of distinct rows: duplicate centroids, near ties, repairs
     "duplicates": lambda: (_duplicate_rows(np.random.default_rng(41), 9, 200, 20), 14),
     "topic": lambda: (_normalize(embed_collection(make_collection(600, seed=7), 32, 42).data), 30),
+    # rows 1e-6 apart: centroids of one direction differ far inside the float32 margin
+    "near_duplicates": lambda: (
+        _normalize(_duplicate_rows(np.random.default_rng(43), 9, 200, 20)
+                   + np.random.default_rng(44).normal(size=(200, 20)) * 1e-6), 14),
 }
 
 
@@ -306,6 +348,8 @@ def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows
         assert model.inertia_history == [s[2] for s in states[:t]]
     if case == "duplicates":
         assert model.near_ties > 0 and model.repairs > 0
+    if case in ("duplicates", "near_duplicates"):
+        assert model.float64_rows > 0
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
@@ -341,6 +385,62 @@ def test_near_tie_rows_take_the_whole_block_argmin(monkeypatch, block_rows):
     assert near_ties == 30
 
 
+def _bounds_hold(bounds, Xn, centroids, assignments):
+    """Every lower bound is below each rival's float64 distance by half the margin or more.
+
+    A bound is one float64 evaluation less the margin, and two evaluations
+    differ by at most half the margin (_margin), so this holds for any product.
+    """
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = cluster._distances(Xn, centroids, c_sq)
+    d2[np.arange(len(Xn)), assignments] = np.inf
+    return bool(np.all(bounds.lb <= d2.min(axis=1) - bounds.margin / 2))
+
+
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, block_rows):
+    # rows on the bisector of two centroids, then moved off it by steps that
+    # end far outside the float32 margin, and rows at two duplicate centroids
+    d = 16
+    rng = np.random.default_rng(50)
+    mid = _normalize(rng.normal(size=(1, d)))[0] * 0.9
+    delta = rng.normal(size=d)
+    delta -= (delta @ mid) / (mid @ mid) * mid
+    delta *= 0.05 / np.linalg.norm(delta)
+    dup = _normalize(rng.normal(size=(1, d)))[0] * 0.8
+    others = _normalize(rng.normal(size=(4, d))) * 0.7
+    centroids = np.vstack([mid + delta, mid - delta, dup, dup, others])
+    if block_rows is not None:
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * d)
+    rows = []
+    steps = (0.0, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+    for step in steps:
+        for _ in range(5):
+            offset = rng.normal(size=d) * 0.05
+            offset -= (offset @ delta) / (delta @ delta) * delta
+            rows.append(mid + offset + step * delta / 0.05)
+        rows.append(dup + rng.normal(size=d) * 1e-3)
+    order = rng.permutation(len(rows))
+    Xn = _normalize(np.array(rows))[order]
+    # gaps of 0.2 step: only the steps of 1e-3 and 1e-2 clear twice the float32 margin
+    assert 2 * cluster._margin32(d) < 0.2 * 1e-3 * 0.9
+    bounds = cluster._Bounds(lb=np.full(len(Xn), -np.inf), margin=cluster._margin(d))
+    assignments, scanned, ties = bounds.assign(Xn, centroids, np.full(len(Xn), -1))
+    np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
+    assert _bounds_hold(bounds, Xn, centroids, assignments)
+    assert scanned == len(Xn)
+    assert bounds.float64_rows == len(Xn) - 10
+    assert ties == 5 + len(steps)          # the rows on the bisector and at the duplicates
+
+    # one rival moves: its distances come from the float32 pass over moved centroids
+    centroids[4] = _normalize(mid[None] - 3 * delta)[0] * 0.9
+    before = bounds.float64_rows
+    assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+    np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
+    assert _bounds_hold(bounds, Xn, centroids, assignments)
+    assert 0 < scanned < len(Xn) and bounds.float64_rows > before
+
+
 def test_late_iterations_rescan_few_rows():
     X = embed_collection(make_collection(2000, seed=7), 64, 42)
     model = kmeans_fit(X, PipelineConfig(clusters=100, seed=42, kmeans_restarts=1,
@@ -361,6 +461,22 @@ def test_kmeans_peak_memory_below_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * K * 8, f"peak {peak} bytes, one n x K float64 matrix is {n * K * 8}"
+
+
+def test_kmeans_holds_one_float64_copy_of_the_rows():
+    # the unit rows in float64, their float32 copy and the 4 MiB blocks; a
+    # second n x d float64 array (a normalising or inertia temporary) exceeds it
+    n, d = 10_000, 256
+    X = _random_matrix(np.random.default_rng(35), n, d)
+    tracemalloc.start()
+    try:
+        kmeans_fit(X, PipelineConfig(clusters=200, seed=0, kmeans_restarts=2,
+                                     kmeans_max_iters=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = n * d * (8 + 4) + 2 * cluster._BLOCK_BYTES
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_repair_empty_moves_farthest_point():

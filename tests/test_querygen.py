@@ -500,6 +500,25 @@ def test_http_client_retries_a_reply_without_a_string_completion(choice, monkeyp
     assert seen.count("bad") == 9
 
 
+@pytest.mark.parametrize("choice, error", [
+    ({}, "KeyError: 'text'"),
+    ({"text": None}, "TypeError: completion text is NoneType, not a string"),
+])
+def test_http_client_failure_names_the_exception_type(choice, error, monkeypatch):
+    class Malformed(_Handler):
+        def do_POST(self):  # noqa: N802
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self._reply(200, {"choices": [choice]})
+
+    monkeypatch.setattr(querygen.time, "sleep", lambda seconds: None)
+    with MockLLMServer(handler=Malformed) as server:
+        client = HttpCompletionClient(server.endpoint, model="m")
+        with pytest.raises(EndpointError) as failure:
+            client.complete("prompt", _settings(max_retries=1))
+        client.close()
+    assert str(failure.value) == f"request failed after 2 attempts: {error}"
+
+
 def test_http_client_timeout_is_per_request():
     class Slow(_Handler):
         def do_POST(self):  # noqa: N802
