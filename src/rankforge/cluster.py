@@ -177,32 +177,24 @@ def _nearest_two(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, best_d2, _row_min(d2)
 
 
-def _margin(d: int) -> float:
-    """Slack for comparing distances that came from different matrix products.
+def _margin(d: int, dtype) -> float:
+    """Slack for comparing distances of d-dimensional rows computed in dtype.
 
-    Rows are unit vectors and centroids have norm at most 1, so one evaluation
-    of 1 - 2 x.c + ||c||^2 is within (3d + 7) u of the exact value (u is the
-    unit roundoff), and two evaluations of it differ by at most (6d + 14) u.
-    The margin, 16 (d + 4) u, is at least twice that: a gap wider than one
-    margin cannot change sign from one product to another.
-    """
-    return 8.0 * (d + 4) * np.finfo(np.float64).eps
-
-
-def _margin32(d: int) -> float:
-    """Bound on the gap between 1 + _offsets32 and any float64 evaluation of one distance.
-
-    The float32 operands are roundings of the float64 unit rows and centroids,
-    so their exact dot product is within (2 + u) u of the float64 operands'
-    (u is float32's unit roundoff); the float32 dot product of d terms adds at
-    most d u / (1 - d u) (Higham, Accuracy and Stability of Numerical
+    Let u be dtype's unit roundoff. Rows are unit vectors and centroids have
+    norm at most 1, so one float64 evaluation of 1 - 2 x.c + ||c||^2 is within
+    (3d + 7) u of the exact value, and two evaluations of it differ by at most
+    (6d + 14) u. The float32 operands of _offsets32 are roundings of the
+    float64 unit rows and centroids, so their exact dot product is within
+    (2 + u) u of the float64 operands'; the float32 dot product of d terms adds
+    at most d u / (1 - d u) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, §3.1). With the exact factor -2, the rounding of
-    ||c||^2 to float32 and that of the sum, which is at most 3 in size, the
-    float32 value is within (2d + 8) u of the exact one, and a float64
-    evaluation is within (3d + 7) of float64's far smaller u. The bound taken,
-    16 (d + 4) u, is _margin's in float32 and covers both several times over.
+    ||c||^2 to float32 and that of the sum, which is at most 3 in size, 1 plus
+    the float32 value is within (2d + 8) u of the exact one. The margin taken,
+    16 (d + 4) u, is at least twice either gap: in float64, a gap wider than
+    one margin cannot change sign from one product to another; in float32, it
+    also covers the far smaller float64 error several times over.
     """
-    return 8.0 * (d + 4) * float(np.finfo(np.float32).eps)
+    return 8.0 * (d + 4) * float(np.finfo(dtype).eps)
 
 
 def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
@@ -224,105 +216,90 @@ def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
     return out
 
 
-@dataclass
-class _Bounds:
-    """Certified lower bounds for exact incremental assignment.
+def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
+            assignments: np.ndarray, lb: np.ndarray,
+            moved: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Nearest centroid per row, lowest index on ties, by exact incremental assignment.
 
     ``lb[i]`` is at most the squared distance from row i to every centroid
-    other than its own, less ``margin``, as of the centroids in ``seen``; -inf
+    other than its own, less the float64 margin, as of the previous call; -inf
     forces a whole-row scan. A centroid whose bytes did not change has
-    unchanged distances, so only the centroids that moved can lower it.
+    unchanged distances, so only the ``moved`` centroids can lower it. lb is
+    updated in place.
 
-    Distances are found in float32 (_offsets32, on ``rows32`` and a float32
-    copy of the centroids), each within _margin32 of every float64 evaluation.
-    A row whose float32 best is nearer than its second by more than twice that
-    keeps the float32 argmin, which a full float64 pass would also pick; its
-    bound is the float32 second less _margin32. Every other row is decided in
-    float64.
+    Distances are found in float32 (_offsets32, on ``rows32``, the float32
+    copy of Xn, and a float32 copy of the centroids), each within the float32
+    margin of every float64 evaluation. A row whose float32 best is nearer
+    than its second by more than twice that keeps the float32 argmin, which a
+    full float64 pass would also pick; its bound is the float32 second less
+    the float32 margin. Every other row is decided in float64.
+
+    Returns (assignments, rows scanned whole, rows decided in float64, near-tie
+    rows resolved through _block_argmin).
     """
-
-    lb: np.ndarray
-    margin: float
-    seen: np.ndarray | None = None      # centroids at the previous assignment
-    rows32: np.ndarray | None = None    # float32 copy of the rows, made at the first assign
-    float64_rows: int = 0               # scanned rows the float32 gap could not decide
-
-    def assign(self, Xn: np.ndarray, centroids: np.ndarray,
-               assignments: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Nearest centroid per row, lowest index on ties; returns (assignments, rows
-        scanned whole, near-tie rows resolved through _block_argmin)."""
-        n, K = Xn.shape[0], centroids.shape[0]
-        if self.rows32 is None:
-            self.rows32 = Xn.astype(np.float32)
-        rows32 = self.rows32
-        c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
-        c2 *= -2.0
-        lb, margin, margin32 = self.lb, self.margin, _margin32(Xn.shape[1])
-        shift = 1.0 - margin32 - margin     # float32 offset + shift: a bound for lb
-        # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
-        width = max(K, Xn.shape[1])
-        if self.seen is None:
-            moved = np.ones(K, dtype=bool)
-        else:
-            moved = (centroids != self.seen).any(axis=1)
-        self.seen = centroids.copy()
-        if moved.all():
-            scan = np.arange(n)
-        else:
-            idx = np.flatnonzero(moved)
-            moved_c2, moved_sq = c2[idx], c_sq32[idx]
-            column = np.full(K, -1, dtype=np.int64)
-            column[idx] = np.arange(idx.size)
-            own = np.empty(n, dtype=np.float64)
-            for rows in _row_blocks(n, width):
-                a = assignments[rows]
-                if idx.size:
-                    v = _offsets32(rows32[rows], moved_c2, moved_sq)
-                    col = column[a]
-                    hit = np.flatnonzero(col >= 0)
-                    v[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
-                    rival = _row_min(v).astype(np.float64)
-                    del v       # one distance block alive at a time
-                    rival += shift
-                    np.minimum(lb[rows], rival, out=lb[rows])
-                own[rows] = np.einsum("ij,ij->i", Xn[rows], centroids[a])
-            own *= -2.0
-            own += 1.0
-            own += c_sq[assignments]
-            np.maximum(own, 0.0, out=own)
-            # own < lb - margin: the own centroid is nearer than any rival, whatever product
-            scan = np.flatnonzero(own >= lb - margin)
-            del own
-        out = assignments.copy()
-        whole = scan.size == n      # every row: read the rows in place, not gathered
-        step = _row_step(K if whole else width)
-        unsure = []
-        for start in range(0, scan.size, step):
-            points = scan[start:start + step]
-            best, best_v, second = _nearest_two(
-                _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32))
-            second = second.astype(np.float64)
-            out[points] = best
-            lb[points] = second + shift
-            unsure.append(points[second - best_v <= 2.0 * margin32])
-        # rows the float32 gap cannot decide: float64 distances, and a near tie
-        # there reads the whole row block, so it resolves as a full pass would
-        unsure = np.concatenate(unsure or [scan])
-        self.float64_rows += unsure.size
-        ties = 0
-        step = _row_step(2 * width)     # half blocks: _block_argmin's block is the largest
-        for start in range(0, unsure.size, step):
-            points = unsure[start:start + step]
-            best, best_d2, second = _nearest_two(_distances(Xn[points], centroids, c_sq))
-            tie = np.flatnonzero(second - best_d2 <= margin)
-            if tie.size:
-                best[tie] = _block_argmin(Xn, centroids, c_sq, points[tie])
-                second[tie] = best_d2[tie]      # the subset's best may be a rival now
-                ties += tie.size
-            out[points] = best
-            lb[points] = second - margin
-        return out, int(scan.size), ties
+    n, K = Xn.shape[0], centroids.shape[0]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
+    c2 *= -2.0
+    margin, margin32 = _margin(Xn.shape[1], np.float64), _margin(Xn.shape[1], np.float32)
+    shift = 1.0 - margin32 - margin     # float32 offset + shift: a bound for lb
+    # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
+    width = max(K, Xn.shape[1])
+    if moved.all():
+        scan = np.arange(n)
+    else:
+        idx = np.flatnonzero(moved)
+        moved_c2, moved_sq = c2[idx], c_sq32[idx]
+        column = np.full(K, -1, dtype=np.int64)
+        column[idx] = np.arange(idx.size)
+        own = np.empty(n, dtype=np.float64)
+        for rows in _row_blocks(n, width):
+            a = assignments[rows]
+            if idx.size:
+                v = _offsets32(rows32[rows], moved_c2, moved_sq)
+                col = column[a]
+                hit = np.flatnonzero(col >= 0)
+                v[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
+                rival = _row_min(v).astype(np.float64)
+                del v       # one distance block alive at a time
+                rival += shift
+                np.minimum(lb[rows], rival, out=lb[rows])
+            own[rows] = np.einsum("ij,ij->i", Xn[rows], centroids[a])
+        own *= -2.0
+        own += 1.0
+        own += c_sq[assignments]
+        np.maximum(own, 0.0, out=own)
+        # own < lb - margin: the own centroid is nearer than any rival, whatever product
+        scan = np.flatnonzero(own >= lb - margin)
+        del own
+    out = assignments.copy()
+    whole = scan.size == n      # every row: read the rows in place, not gathered
+    step = _row_step(K if whole else width)
+    unsure = []
+    for start in range(0, scan.size, step):
+        points = scan[start:start + step]
+        best, best_v, second = _nearest_two(
+            _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32))
+        second = second.astype(np.float64)
+        out[points] = best
+        lb[points] = second + shift
+        unsure.append(points[second - best_v <= 2.0 * margin32])
+    # rows the float32 gap cannot decide: float64 distances, and a near tie
+    # there reads the whole row block, so it resolves as a full pass would
+    unsure = np.concatenate(unsure or [scan])
+    ties = 0
+    step = _row_step(2 * width)     # half blocks: _block_argmin's block is the largest
+    for start in range(0, unsure.size, step):
+        points = unsure[start:start + step]
+        best, best_d2, second = _nearest_two(_distances(Xn[points], centroids, c_sq))
+        tie = np.flatnonzero(second - best_d2 <= margin)
+        if tie.size:
+            best[tie] = _block_argmin(Xn, centroids, c_sq, points[tie])
+            second[tie] = best_d2[tie]      # the subset's best may be a rival now
+            ties += tie.size
+        out[points] = best
+        lb[points] = second - margin
+    return out, int(scan.size), int(unsure.size), ties
 
 
 def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
@@ -390,25 +367,31 @@ def _inertia(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
     return float(sq.ravel()[start - first * d:stop - first * d].sum())
 
 
-def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator,
-           rows32: np.ndarray | None = None) -> KMeansModel:
+def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
+           rng: np.random.Generator) -> KMeansModel:
+    """One seeded Lloyd run on the unit rows Xn and their float32 copy rows32."""
     n = Xn.shape[0]
     K = cfg.clusters
     centroids = _kmeans_pp_init(Xn, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
-    bounds = _Bounds(lb=np.full(n, -np.inf), margin=_margin(Xn.shape[1]), rows32=rows32)
+    lb = np.full(n, -np.inf)
+    previous = np.full_like(centroids, np.nan)      # NaN: every centroid moved at first
     history: list[float] = []
     rescanned: list[int] = []
-    near_ties = repairs = 0
+    float64_rows = near_ties = repairs = 0
     converged = False
     prev_inertia: float | None = None
 
     for _ in range(cfg.kmeans_max_iters):
-        new_assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+        moved = (centroids != previous).any(axis=1)
+        previous[...] = centroids
+        new_assignments, scanned, rows64, ties = _assign(Xn, rows32, centroids, assignments,
+                                                         lb, moved)
         rescanned.append(scanned)
+        float64_rows += rows64
         near_ties += ties
         repaired = _repair_empty(Xn, centroids, new_assignments, K)
-        bounds.lb[repaired] = -np.inf
+        lb[repaired] = -np.inf
         repairs += repaired.size
         changed = np.flatnonzero(new_assignments != assignments)
         touched = np.unique(np.concatenate((assignments[changed], new_assignments[changed])))
@@ -427,14 +410,14 @@ def _lloyd(Xn: np.ndarray, cfg: PipelineConfig, rng: np.random.Generator,
     return KMeansModel(
         K=K,
         centroids=centroids,
-        assignments=assignments.astype(np.int64),
+        assignments=assignments,
         inertia=history[-1],
         inertia_history=history,
         converged=converged,
         rescanned=rescanned,
         near_ties=near_ties,
         repairs=repairs,
-        float64_rows=bounds.float64_rows,
+        float64_rows=float64_rows,
     )
 
 
@@ -453,7 +436,7 @@ def kmeans_fit(X: EmbeddingMatrix, cfg: PipelineConfig) -> KMeansModel:
     best: KMeansModel | None = None
     for restart in range(cfg.kmeans_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
-        model = _lloyd(Xn, cfg, rng, rows32)
+        model = _lloyd(Xn, rows32, cfg, rng)
         if best is None or model.inertia < best.inertia:
             best = model
     assert best is not None
@@ -466,8 +449,7 @@ def cosine_sse(X: EmbeddingMatrix, model: KMeansModel) -> float:
         raise ValidationError(f"matrix dimension {X.d} != model dimension {model.d}")
     if X.n == 0:
         return 0.0
-    if not X.data.any(axis=1).all():
-        raise DegenerateVectorError("zero-norm embedding row in cosine_sse")
+    Xn = _normalized_rows(X)
     cen_norms = np.linalg.norm(model.centroids, axis=1)
     zero = cen_norms == 0.0
     if zero.all():
@@ -475,8 +457,7 @@ def cosine_sse(X: EmbeddingMatrix, model: KMeansModel) -> float:
     unit_centroids = model.centroids / np.where(zero, 1.0, cen_norms)[:, None]
     best = np.empty(X.n, dtype=np.float64)
     for rows in _row_blocks(X.n, model.K):
-        block = X.data[rows].astype(np.float64)
-        cos = (block / np.linalg.norm(block, axis=1)[:, None]) @ unit_centroids.T
+        cos = Xn[rows] @ unit_centroids.T
         cos[:, zero] = -np.inf   # zero-norm centroid is never nearest
         best[rows] = cos.max(axis=1)
     np.clip(best, -1.0, 1.0, out=best)

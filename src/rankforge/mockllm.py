@@ -31,11 +31,18 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body is not a JSON object")
+            stops = body.get("stop")
+            if stops is None:
+                stops = []
+            elif isinstance(stops, str):    # one stop sequence, not one per character
+                stops = [stops]
+            if not isinstance(stops, list) or not all(isinstance(s, str) and s for s in stops):
+                raise ValueError("stop is not a string or a list of non-empty strings")
         except ValueError:
             self._reply(400, {"error": "invalid JSON body"})
             return
         text = deterministic_completion(str(body.get("prompt", "")))
-        for stop in body.get("stop") or []:
+        for stop in stops:
             text = text.split(stop)[0]
         self._reply(200, {"model": body.get("model", "mock"), "choices": [{"text": text}]})
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankforge import cli, corpus, querygen
+from rankforge import cli, corpus, httpclient, querygen
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
@@ -646,7 +646,7 @@ class _NullCompletion(_Handler):
 def test_generate_exits_three_when_no_completion_is_a_string(finished, tmp_path, capsys,
                                                              monkeypatch):
     shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
-    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.0)
+    monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.0)
     queries = (tmp_path / "w" / cli.QUERIES_FILE).read_bytes()
     with MockLLMServer(handler=_NullCompletion) as server:
         assert _run(["generate", "--workdir", tmp_path / "w", "--endpoint", server.endpoint,
@@ -705,9 +705,9 @@ def test_console_script_entrypoint(tmp_path, corpus_file):
 
 def test_runtime_imports_are_stdlib_and_numpy():
     # the declared runtime dependencies are numpy alone; a third-party import
-    # anywhere under the CLI or the mock server would need one more
+    # anywhere under the CLI, the HTTP client or the mock server would need one more
     script = ("import json, sys; before = set(sys.modules); "
-              "import rankforge.cli, rankforge.mockllm; "
+              "import rankforge.cli, rankforge.httpclient, rankforge.mockllm; "
               "print(json.dumps(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": child_pythonpath()})
@@ -715,6 +715,18 @@ def test_runtime_imports_are_stdlib_and_numpy():
     loaded = {name.split(".")[0] for name in json.loads(result.stdout)}
     assert "rankforge" in loaded and "numpy" in loaded
     assert loaded - sys.stdlib_module_names - {"numpy", "rankforge"} == set()
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # only generate against an http(s) endpoint sends requests; every other
+    # stage would pay the HTTP stack's import time and memory for nothing
+    script = ("import json, sys; import rankforge.cli; print(json.dumps("
+              "[m for m in ('http.client', 'ssl', 'email', 'urllib.request') "
+              "if m in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": child_pythonpath()})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 def test_defaults_match_documented_values():

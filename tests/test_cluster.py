@@ -341,7 +341,8 @@ def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows
     states = _reference_lloyd(Xn, cfg, seed=3)
     assert len(states) > 2
     for t, (assignments, centroids, _) in enumerate(states, start=1):
-        model = cluster._lloyd(Xn, dataclasses.replace(cfg, kmeans_max_iters=t),
+        model = cluster._lloyd(Xn, Xn.astype(np.float32),
+                               dataclasses.replace(cfg, kmeans_max_iters=t),
                                np.random.default_rng(3))
         np.testing.assert_array_equal(model.assignments, assignments, err_msg=f"iteration {t}")
         assert model.centroids.tobytes() == centroids.tobytes(), f"iteration {t}"
@@ -374,18 +375,20 @@ def test_near_tie_rows_take_the_whole_block_argmin(monkeypatch, block_rows):
                                    + rng.normal(size=(60, d)) * 0.01),
                         _normalize((mid + offset)[None])])
         Xn = Xn[rng.permutation(len(Xn))]
-        bounds = cluster._Bounds(lb=np.full(len(Xn), -np.inf), margin=cluster._margin(d))
-        assignments, _, _ = bounds.assign(Xn, centroids, np.full(len(Xn), -1))
+        rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
+        assignments, _, _, _ = cluster._assign(Xn, rows32, centroids, np.full(len(Xn), -1),
+                                               lb, np.ones(8, dtype=bool))
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
         centroids[2] = _normalize(centroids[2:3] + 0.001)[0]   # only the tie row is rescanned
-        assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+        assignments, scanned, _, ties = cluster._assign(Xn, rows32, centroids, assignments,
+                                                        lb, np.arange(8) == 2)
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
         near_ties += ties
     assert bad == 0
     assert near_ties == 30
 
 
-def _bounds_hold(bounds, Xn, centroids, assignments):
+def _bounds_hold(lb, Xn, centroids, assignments):
     """Every lower bound is below each rival's float64 distance by half the margin or more.
 
     A bound is one float64 evaluation less the margin, and two evaluations
@@ -394,7 +397,8 @@ def _bounds_hold(bounds, Xn, centroids, assignments):
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     d2 = cluster._distances(Xn, centroids, c_sq)
     d2[np.arange(len(Xn)), assignments] = np.inf
-    return bool(np.all(bounds.lb <= d2.min(axis=1) - bounds.margin / 2))
+    margin = cluster._margin(Xn.shape[1], np.float64)
+    return bool(np.all(lb <= d2.min(axis=1) - margin / 2))
 
 
 @pytest.mark.parametrize("block_rows", [None, 7, 1])
@@ -423,22 +427,23 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
     order = rng.permutation(len(rows))
     Xn = _normalize(np.array(rows))[order]
     # gaps of 0.2 step: only the steps of 1e-3 and 1e-2 clear twice the float32 margin
-    assert 2 * cluster._margin32(d) < 0.2 * 1e-3 * 0.9
-    bounds = cluster._Bounds(lb=np.full(len(Xn), -np.inf), margin=cluster._margin(d))
-    assignments, scanned, ties = bounds.assign(Xn, centroids, np.full(len(Xn), -1))
+    assert 2 * cluster._margin(d, np.float32) < 0.2 * 1e-3 * 0.9
+    rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
+    assignments, scanned, float64_rows, ties = cluster._assign(
+        Xn, rows32, centroids, np.full(len(Xn), -1), lb, np.ones(len(centroids), dtype=bool))
     np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
-    assert _bounds_hold(bounds, Xn, centroids, assignments)
+    assert _bounds_hold(lb, Xn, centroids, assignments)
     assert scanned == len(Xn)
-    assert bounds.float64_rows == len(Xn) - 10
+    assert float64_rows == len(Xn) - 10
     assert ties == 5 + len(steps)          # the rows on the bisector and at the duplicates
 
     # one rival moves: its distances come from the float32 pass over moved centroids
     centroids[4] = _normalize(mid[None] - 3 * delta)[0] * 0.9
-    before = bounds.float64_rows
-    assignments, scanned, ties = bounds.assign(Xn, centroids, assignments)
+    assignments, scanned, float64_rows, ties = cluster._assign(
+        Xn, rows32, centroids, assignments, lb, np.arange(len(centroids)) == 4)
     np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
-    assert _bounds_hold(bounds, Xn, centroids, assignments)
-    assert 0 < scanned < len(Xn) and bounds.float64_rows > before
+    assert _bounds_hold(lb, Xn, centroids, assignments)
+    assert 0 < scanned < len(Xn) and float64_rows > 0
 
 
 def test_late_iterations_rescan_few_rows():
@@ -571,6 +576,14 @@ def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
     assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 5 * 8 * model.K)
     assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
+
+
+def test_cosine_sse_rejects_a_zero_row():
+    X = _random_matrix(np.random.default_rng(35), 12, 5)
+    model = kmeans_fit(X, PipelineConfig(clusters=3, seed=1))
+    X.data[7] = 0.0
+    with pytest.raises(DegenerateVectorError, match="row 7"):
+        cosine_sse(X, model)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from rankforge import querygen
+from rankforge import httpclient, querygen
 from rankforge.config import PipelineConfig
 from rankforge.errors import (
     AggregateGenerationError,
@@ -20,10 +20,10 @@ from rankforge.errors import (
     InvalidConfigError,
     TemplateError,
 )
+from rankforge.httpclient import HttpCompletionClient
 from rankforge.mockllm import MockLLMServer, _Handler
 from rankforge.querygen import (
     FewShotExample,
-    HttpCompletionClient,
     MockCompletionClient,
     PromptTemplate,
     QueryPrompt,
@@ -54,7 +54,7 @@ EXAMPLES = [
 
 @pytest.fixture(autouse=True)
 def no_backoff(monkeypatch):
-    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.0)
+    monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -350,10 +350,22 @@ def test_http_client_sends_contract_fields():
     payload = json.loads(reply)
     assert payload["choices"][0]["text"] == deterministic_completion(body["prompt"])
     assert payload["model"] == "m2"
+    # a string is one stop sequence, not one per character
+    full = deterministic_completion(body["prompt"])
+    assert "ab" in full and full.split("ab")[0] != full.split("a")[0]
+    with MockLLMServer() as server:
+        data = json.dumps(dict(body, stop="ab")).encode()
+        status, _, reply = _post(server.endpoint, data, {"Content-Length": str(len(data))})
+    assert status == 200
+    assert json.loads(reply)["choices"][0]["text"] == full.split("ab")[0]
 
 
 def test_mock_server_rejects_bad_json():
     cases = [(b"{broken", "7"), (b"[1]", "3"), (b"{}", "abc"), (b"{}", "-5")]
+    # stop: a string or a list of non-empty strings
+    for stop in (b'[""]', b"[1]", b'""', b"5", b'{"a": 1}'):
+        data = b'{"prompt": "p", "stop": ' + stop + b"}"
+        cases.append((data, str(len(data))))
     with MockLLMServer() as server:
         for data, length in cases:
             status, headers, _ = _post(server.endpoint, data, {"Content-Length": length})
@@ -439,7 +451,7 @@ class _SilentClose(_Handler):
 @pytest.mark.parametrize("handler", [_Http10, _SilentClose])
 def test_http_client_survives_servers_that_close(handler, monkeypatch):
     sleeps = []
-    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     with MockLLMServer(handler=handler) as server:
         client = HttpCompletionClient(server.endpoint, model="m")
         for i in range(5):
@@ -462,8 +474,8 @@ def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkey
             self._reply(status, {"error": "scripted"})
 
     sleeps = []
-    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.5)
-    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     with MockLLMServer(handler=Scripted) as server:
         client = HttpCompletionClient(server.endpoint, model="m")
         with pytest.raises(EndpointError, match=f"HTTP {status}"):
@@ -486,8 +498,8 @@ def test_http_client_retries_a_reply_without_a_string_completion(choice, monkeyp
             self._reply(200, {"choices": [choice if text is None else {"text": text}]})
 
     sleeps = []
-    monkeypatch.setattr(querygen, "BACKOFF_BASE", 0.5)
-    monkeypatch.setattr(querygen.time, "sleep", sleeps.append)
+    monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     prompts = [QueryPrompt("a", "good one"), QueryPrompt("b", "bad"), QueryPrompt("c", "good two")]
     with MockLLMServer(handler=Malformed) as server:
         client = HttpCompletionClient(server.endpoint, model="m")
@@ -510,7 +522,7 @@ def test_http_client_failure_names_the_exception_type(choice, error, monkeypatch
             self.rfile.read(int(self.headers["Content-Length"]))
             self._reply(200, {"choices": [choice]})
 
-    monkeypatch.setattr(querygen.time, "sleep", lambda seconds: None)
+    monkeypatch.setattr(httpclient.time, "sleep", lambda seconds: None)
     with MockLLMServer(handler=Malformed) as server:
         client = HttpCompletionClient(server.endpoint, model="m")
         with pytest.raises(EndpointError) as failure:
