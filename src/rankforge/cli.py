@@ -119,26 +119,29 @@ def _require(workdir: Path, name: str) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    raw = corpus.load_collection(args.input)
-    coll = corpus.filter_min_length(raw, cfg.min_chars)
+    coll = corpus.load_collection(args.input)
+    n_read = len(coll)
+    coll = corpus.filter_min_length(coll, cfg.min_chars)
     if len(coll) == 0:
         raise DataError(
-            f"no documents of {len(raw)} pass the {cfg.min_chars}-character length filter"
+            f"no documents of {n_read} pass the {cfg.min_chars}-character length filter"
         )
-    # build every artifact before writing any: a failure leaves the last ingest intact
+    # build every artifact before writing any: a failure leaves the last ingest intact.
+    # The index's temporaries come and go before the n x d embedding exists.
     tokens = corpus.tokenize_collection(coll)
+    index = mine.build_index(coll, tokens=tokens)
     if getattr(args, "embeddings", None):
         matrix = _align_external_embeddings(args.embeddings, coll)
     else:
         matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed, tokens=tokens)
-    index = mine.build_index(coll, tokens=tokens)
+    del tokens
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_collection(coll, workdir / COLLECTION_FILE)
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
     mine.save_index(index, workdir / INDEX_FILE)
-    print(f"ingest: kept {len(coll)} of {len(raw)} documents, embedding dim {matrix.d}")
+    print(f"ingest: kept {len(coll)} of {n_read} documents, embedding dim {matrix.d}")
     return 0
 
 

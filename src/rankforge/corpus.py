@@ -13,6 +13,7 @@ import os
 import re
 import secrets
 import struct
+from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -152,10 +153,12 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 def write_jsonl(path: str | Path, records: Iterable[dict], **dumps) -> int:
     """Write one ``json.dumps(record, **dumps)`` line per record; returns the count."""
+    # json.dumps builds a new encoder per call whenever it is given options
+    encode = json.JSONEncoder(**dumps).encode
     count = 0
     with replacing(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, **dumps) + "\n")
+            fh.write(encode(record) + "\n")
             count += 1
     return count
 
@@ -205,25 +208,31 @@ class TokenizedCollection(NamedTuple):
     """Every document's tokens as ids into ``terms``, concatenated in collection order."""
 
     terms: list[str]        # term id -> term, in first-seen order
-    ids: np.ndarray         # int64 term ids of all documents, back to back
+    ids: np.ndarray         # int32 term ids of all documents, back to back
     lengths: np.ndarray     # int64 token count per document
 
 
 def tokenize_collection(collection: Collection) -> TokenizedCollection:
-    """Tokenize each rendered document once; tokens become ids as they are read."""
+    """Tokenize each rendered document once; tokens become ids as they are read.
+
+    All ids go into one growing int32 buffer, so no per-document arrays are
+    alive beside the result; a vocabulary past 2**31 - 1 terms raises
+    ``OverflowError``.
+    """
     # imported here: querygen, and through it the mock LLM server, load this
     # module for ``tokenize`` alone and need not pay for importing numpy
     import numpy as np
 
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__      # an unseen term gets the next id
-    per_doc = [np.zeros(0, dtype=np.int64)]
+    ids = array("i")
+    lengths = []
     for doc in collection:
         tokens = tokenize(render_document(doc))
-        term_ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        per_doc.append(term_ids)
-    lengths = np.array([ids.size for ids in per_doc[1:]], dtype=np.int64)
-    return TokenizedCollection(list(vocab), np.concatenate(per_doc), lengths)
+        ids.extend(map(vocab.__getitem__, tokens))
+        lengths.append(len(tokens))
+    return TokenizedCollection(list(vocab), np.frombuffer(ids, dtype=np.int32),
+                               np.array(lengths, dtype=np.int64))
 
 
 def filter_min_length(collection: Collection, min_chars: int) -> Collection:

@@ -13,7 +13,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .errors import (
 
 MAGIC = b"DQGEMB01"
 _HEADER = struct.Struct("<8sQI")
-# embed_collection sums rows in blocks whose float64 rows x d slice stays under this
-_BLOCK_BYTES = 4 << 20
+# embed_collection sums rows in blocks whose float64 rows x d slice stays under this;
+# the block's per-token cells, bucket and sign arrays come on top of it
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -89,7 +90,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, ids: list[str] | 
         raise SizeMismatchError(f"{len(ids)} ids for {matrix.n} rows")
     with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, matrix.n, matrix.d))
-        fh.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(matrix.data, dtype="<f4"))   # the buffer, not a copy
     if ids is not None:
         with replacing(str(path) + ".ids") as fh:
             fh.write("".join(i + "\n" for i in ids))
@@ -108,16 +109,25 @@ def check_alignment(collection: Collection, matrix: EmbeddingMatrix) -> None:
         )
 
 
-def _token_hash(token: str, seed: int, purpose: bytes) -> int:
+def _term_hasher(d: int, seed: int) -> Callable[[str], tuple[int, float]]:
+    """A token's bucket in [0, d) and its +/-1 sign, from two keyed BLAKE2b hashes.
+
+    The key is ``seed % 2**64``; the personalisation tells the hashes apart.
+    Each hasher absorbs the key block once, and every token hashes from a copy.
+    """
     key = struct.pack("<Q", seed % (1 << 64))
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key, person=purpose)
-    return int.from_bytes(digest.digest(), "little")
+    keyed_bucket = hashlib.blake2b(digest_size=8, key=key, person=b"bucket")
+    keyed_sign = hashlib.blake2b(digest_size=8, key=key, person=b"sign")
 
+    def bucket_and_sign(token: str) -> tuple[int, float]:
+        data = token.encode("utf-8")
+        bucket, sign = keyed_bucket.copy(), keyed_sign.copy()
+        bucket.update(data)
+        sign.update(data)
+        return (int.from_bytes(bucket.digest(), "little") % d,
+                1.0 if sign.digest()[0] & 1 else -1.0)
 
-def _bucket_and_sign(token: str, d: int, seed: int) -> tuple[int, float]:
-    bucket = _token_hash(token, seed, b"bucket") % d
-    sign = 1.0 if _token_hash(token, seed, b"sign") & 1 else -1.0
-    return bucket, sign
+    return bucket_and_sign
 
 
 def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
@@ -133,8 +143,9 @@ def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
     if not tokens:
         raise DegenerateVectorError("hash_embed on text with no tokens")
     vec = np.zeros(d, dtype=np.float64)
+    bucket_and_sign = _term_hasher(d, seed)
     for token in tokens:
-        bucket, sign = _bucket_and_sign(token, d, seed)
+        bucket, sign = bucket_and_sign(token)
         vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
@@ -155,7 +166,7 @@ def embed_collection(collection: Collection, d: int, seed: int,
         raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
     if tokens is None:
         tokens = tokenize_collection(collection)
-    hashed = [_bucket_and_sign(term, d, seed) for term in tokens.terms]
+    hashed = list(map(_term_hasher(d, seed), tokens.terms))
     bucket = np.array([h[0] for h in hashed], dtype=np.int64)
     sign = np.array([h[1] for h in hashed], dtype=np.float64)
     n = len(tokens.lengths)
@@ -174,5 +185,6 @@ def embed_collection(collection: Collection, d: int, seed: int,
             first = lo + int(degenerate[0])
             what = "no tokens" if tokens.lengths[first] == 0 else "tokens that cancel out"
             raise DegenerateVectorError(f"document {collection[first].id!r} has {what}")
-        rows[lo:hi] = sums / norms[:, None]
+        sums /= norms[:, None]
+        rows[lo:hi] = sums
     return EmbeddingMatrix(data=rows)

@@ -31,6 +31,8 @@ from .querygen import SyntheticQuery
 MAGIC = b"DQGIDX02"
 
 _HEADER = struct.Struct("<8sQQQ")   # magic, n_docs, n_terms, n_postings
+# build_index adds document ordinals to its per-token keys about this many tokens at a time
+_BLOCK_TOKENS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -71,22 +73,29 @@ class Bm25Index:
         return len(self.doc_ids)
 
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """Score every document; repeated query tokens contribute once per occurrence."""
-        scores = np.zeros(self.n_docs, dtype=np.float64)
+        """Score every document; repeated query tokens contribute once per occurrence.
+
+        ``np.bincount`` adds the weights into each document's bin in input
+        order, starting from 0.0, so the sum runs term by term in query order.
+        """
+        postings, weights = [self.ords[:0]], [np.zeros(0)]     # so no known term scores 0
         for term in query_tokens:
             t = self._term_ids.get(term)
             if t is None:
                 continue
             lo, hi = int(self.indptr[t]), int(self.indptr[t + 1])
             ords = self.ords[lo:hi]
-            weights = self._weights.get(t)
-            if weights is None:
+            term_weights = self._weights.get(t)
+            if term_weights is None:
                 df = hi - lo
                 idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
                 tf = self.tfs[lo:hi].astype(np.float64)
-                weights = self._weights[t] = idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
-            scores[ords] += weights
-        return scores
+                term_weights = idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
+                self._weights[t] = term_weights
+            postings.append(ords)
+            weights.append(term_weights)
+        return np.bincount(np.concatenate(postings), np.concatenate(weights),
+                           minlength=self.n_docs)
 
     def search(self, query_text: str, k: int) -> list[tuple[int, float]]:
         """Top-k ordinals with positive score, ordered by score desc then ordinal asc."""
@@ -120,15 +129,20 @@ def build_index(collection: Collection, tokens: TokenizedCollection | None = Non
     rank[by_term] = np.arange(len(by_term))
     keys = rank[tokens.ids]
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), tokens.lengths)
+    # the ordinals go in a block of documents at a time, not as one more per-token array
+    doc_starts = np.concatenate(([0], np.cumsum(tokens.lengths)))
+    step = max(1, _BLOCK_TOKENS * n // max(1, keys.size))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        keys[doc_starts[lo]:doc_starts[hi]] += np.repeat(np.arange(lo, hi), tokens.lengths[lo:hi])
     keys.sort()
     run_start = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    tfs = np.diff(starts, append=keys.size)
+    tfs = np.diff(starts, append=keys.size).astype(np.uint32)
     keys = keys[starts]                 # one key per posting; frees the per-token keys
     del run_start, starts
-    ords = keys % n
+    ords = np.remainder(keys, n, out=np.empty(keys.size, dtype=np.uint32), casting="unsafe")
     keys //= n                          # now the term rank of each posting
     indptr = np.searchsorted(keys, np.arange(len(by_term) + 1))
     return Bm25Index([doc.id for doc in collection], tokens.lengths,
@@ -200,7 +214,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
         fh.write(_string_table(index.terms))
         for values, dtype in ((index.doc_lengths, "<u4"), (index.indptr, "<u8"),
                               (index.ords, "<u4"), (index.tfs, "<u4")):
-            fh.write(np.asarray(values, dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(values, dtype=dtype))   # no copy where types match
 
 
 def load_index(path: str | Path, k1: float = PipelineConfig.bm25_k1,

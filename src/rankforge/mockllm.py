@@ -55,8 +55,12 @@ class _Handler(BaseHTTPRequestHandler):
             # the request body may be unread, and would be taken for the next
             # request; this header also makes the handler close the connection
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client hung up, say after its timeout: no one is left to answer
+            self.close_connection = True
 
     def log_message(self, fmt, *args):  # silence per-request stderr noise
         pass

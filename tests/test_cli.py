@@ -7,12 +7,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankforge import cli, corpus, httpclient, querygen
+from rankforge import cli, corpus, embeddings, httpclient, querygen
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
@@ -329,6 +330,33 @@ def test_ingest_rejects_ids_the_sidecar_cannot_hold(tmp_path, capsys):
         assert _run(["ingest", "--input", corpus_path, "--workdir", work, "--min-chars", "50"]) == 2
         assert "line 5: `_id`" in capsys.readouterr().err
         assert not (work / cli.COLLECTION_FILE).exists()
+
+
+def test_ingest_holds_each_array_once(tmp_path):
+    # Beside the loaded collection, ingest must hold the float32 embedding, the
+    # int32 token ids, and one int64 per token: the index's sort keys, which
+    # outweigh the index and the vocabulary left after them. Four embedding
+    # blocks cover embed_collection's temporaries. A copy of the embedding
+    # taken to write it, or the index built beside the embedding, exceeds this.
+    n, d = 10_000, 512
+    corpus_path = write_corpus_jsonl(make_collection(n, seed=7), tmp_path / "c.jsonl")
+    tracemalloc.start()
+    try:
+        coll = load_collection(corpus_path)
+        loaded, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_tokens = corpus.tokenize_collection(coll).ids.size
+    del coll
+    tracemalloc.start()
+    try:
+        assert _run(["ingest", "--input", corpus_path, "--workdir", tmp_path / "w",
+                     "--min-chars", "0", "--hash-embed-dim", d]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = loaded + n * d * 4 + n_tokens * (4 + 8) + 4 * embeddings._BLOCK_BYTES
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_external_embeddings_reordered_sidecar(tmp_path):

@@ -156,7 +156,7 @@ def test_tokenize_collection_matches_tokenize():
     for doc, end, length in zip(docs, ends, tokens.lengths):
         ids = tokens.ids[end - length:end]
         assert [tokens.terms[i] for i in ids] == tokenize(render_document(doc))
-    assert tokens.ids.dtype == "int64"
+    assert tokens.ids.dtype == "int32"
     empty = tokenize_collection(Collection())
     assert empty.terms == [] and empty.ids.size == 0 and empty.lengths.size == 0
 

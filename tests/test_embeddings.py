@@ -1,6 +1,7 @@
 """Embedding file format, alignment checks, and the hash embedder."""
 
 import hashlib
+import random
 import struct
 import subprocess
 import sys
@@ -126,6 +127,21 @@ def test_hash_embed_bytes_are_pinned():
     rows = embed_collection(make_collection(50, seed=3), 64, seed=9).data.tobytes()
     assert hashlib.sha256(rows).hexdigest() == (
         "4bd4b5327399373ad134cdfd21aa7ceae1aac265d8843e329b440f7b159624ba")
+
+
+def test_term_hasher_matches_one_shot_keyed_blake2b():
+    rng = random.Random(17)
+    alphabet = [chr(c) for c in (*range(0x30, 0x7b), *range(0xc0, 0x250), *range(0x4e00, 0x4e80),
+                                 *range(0x1f600, 0x1f650))]
+    tokens = ["".join(rng.choices(alphabet, k=rng.randint(1, 40))) for _ in range(300)]
+    for seed in (0, 42, (1 << 64) - 1, (1 << 64) + 42, 1 << 70):
+        key = struct.pack("<Q", seed % (1 << 64))
+        bucket_and_sign = embeddings._term_hasher(97, seed)
+        for token in tokens:
+            bucket, sign = (int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8,
+                                                           key=key, person=person).digest(),
+                                           "little") for person in (b"bucket", b"sign"))
+            assert bucket_and_sign(token) == (bucket % 97, 1.0 if sign & 1 else -1.0), (seed, token)
 
 
 def test_hash_embed_stable_across_processes():

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rankforge import mine
 from rankforge.config import PipelineConfig
 from rankforge.corpus import Collection, Document, render_document, tokenize
 from rankforge.errors import (
@@ -89,10 +90,10 @@ def test_repeated_query_terms_add_per_occurrence():
 
 
 def test_cached_term_weights_keep_score_bits():
+    # the reference adds each query term's weights into the scores in query order
     coll = make_collection(60, seed=5)
-    query = ["game", "orbit", "game", "salt", "unknown"]
 
-    def uncached(index):
+    def uncached(index, query):
         scores = np.zeros(index.n_docs)
         for term in query:
             if term not in index.terms:
@@ -107,9 +108,11 @@ def test_cached_term_weights_keep_score_bits():
         return scores
 
     index = build_index(coll)
-    want = uncached(index).tobytes()
-    assert index.score_all(query).tobytes() == want     # fills the weights
-    assert index.score_all(query).tobytes() == want     # reads them back
+    for query in (["game", "orbit", "game", "salt", "unknown"], ["orbit", "orbit", "space"],
+                  ["unknown"], []):
+        want = uncached(index, query).tobytes()
+        assert index.score_all(query).tobytes() == want     # fills the weights
+        assert index.score_all(query).tobytes() == want     # reads them back
 
 
 def test_index_uses_rendered_title_and_text():
@@ -269,17 +272,20 @@ def _index_fields(index):
                 indptr=index.indptr, ords=index.ords, tfs=index.tfs)
 
 
-def test_csr_postings_match_counter_reference():
+def test_csr_postings_match_counter_reference(monkeypatch):
     coll = make_collection(30, seed=3)
-    index = build_index(coll)
     reference: dict[str, list[tuple[int, int]]] = {}
     for ordinal, doc in enumerate(coll):
         for term, tf in Counter(tokenize(render_document(doc))).items():
             reference.setdefault(term, []).append((ordinal, tf))
-    assert index.terms == sorted(reference)
-    for t, term in enumerate(index.terms):
-        lo, hi = index.indptr[t], index.indptr[t + 1]
-        assert list(zip(index.ords[lo:hi].tolist(), index.tfs[lo:hi].tolist())) == reference[term]
+    for block_tokens in (mine._BLOCK_TOKENS, 150, 1):     # ordinals added in 1, 15 and 30 blocks
+        monkeypatch.setattr(mine, "_BLOCK_TOKENS", block_tokens)
+        index = build_index(coll)
+        assert index.terms == sorted(reference)
+        for t, term in enumerate(index.terms):
+            lo, hi = index.indptr[t], index.indptr[t + 1]
+            postings = list(zip(index.ords[lo:hi].tolist(), index.tfs[lo:hi].tolist()))
+            assert postings == reference[term]
 
 
 def test_index_roundtrip_and_byte_stability(tmp_path):

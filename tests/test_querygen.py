@@ -550,6 +550,34 @@ def test_http_client_timeout_is_per_request():
     assert time.perf_counter() - start < 0.9
 
 
+def test_mock_server_ignores_a_client_that_hung_up(capfd):
+    replied = threading.Event()
+
+    class Late(_Handler):
+        def do_POST(self):  # noqa: N802
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if body["prompt"] == "slow":
+                time.sleep(0.3)
+            try:
+                self._reply(200, {"choices": [{"text": body["prompt"]}]})
+            finally:
+                replied.set()
+
+    with MockLLMServer(handler=Late) as server:
+        url = urlsplit(server.endpoint)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=0.05)
+        conn.request("POST", url.path, body=b'{"prompt": "slow"}')
+        with pytest.raises(TimeoutError):
+            conn.getresponse()
+        conn.close()                    # gone before the reply is written
+        assert replied.wait(5)
+        replied.clear()
+        status, _, reply = _post(server.endpoint, b'{"prompt": "next"}', {"Content-Length": "18"})
+        assert replied.wait(5)
+    assert status == 200 and json.loads(reply)["choices"][0]["text"] == "next"
+    assert capfd.readouterr().err == ""
+
+
 def test_http_client_goes_through_the_environment_proxy(recording, monkeypatch):
     with MockLLMServer(handler=recording) as proxy:
         address = urlsplit(proxy.endpoint)
