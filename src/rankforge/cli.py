@@ -119,38 +119,39 @@ def _require(workdir: Path, name: str) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    coll = corpus.load_collection(args.input)
-    n_read = len(coll)
-    coll = corpus.filter_min_length(coll, cfg.min_chars)
-    if len(coll) == 0:
+    docs = corpus.load_collection(args.input)
+    n_read = len(docs)
+    docs = corpus.filter_min_length(docs, cfg.min_chars)
+    if not docs:
         raise DataError(
             f"no documents of {n_read} pass the {cfg.min_chars}-character length filter"
         )
     # build every artifact before writing any: a failure leaves the last ingest intact.
-    # The index's temporaries come and go before the n x d embedding exists.
-    tokens = corpus.tokenize_collection(coll)
-    index = mine.build_index(coll, tokens=tokens)
+    # The index and the embedding read only the token stream; the documents are only
+    # written back out. The index's temporaries come and go before the n x d embedding.
+    tokens = corpus.tokenize_collection(docs)
+    index = mine.build_index(tokens)
     if getattr(args, "embeddings", None):
-        matrix = _align_external_embeddings(args.embeddings, coll)
+        matrix = _align_external_embeddings(args.embeddings, index.doc_ids)
     else:
-        matrix = embeddings.embed_collection(coll, cfg.hash_embed_dim, cfg.seed, tokens=tokens)
+        matrix = embeddings.embed_collection(tokens, cfg.hash_embed_dim, cfg.seed)
     del tokens
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    corpus.save_collection(coll, workdir / COLLECTION_FILE)
+    corpus.save_collection(docs, workdir / COLLECTION_FILE)
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
     mine.save_index(index, workdir / INDEX_FILE)
-    print(f"ingest: kept {len(coll)} of {n_read} documents, embedding dim {matrix.d}")
+    print(f"ingest: kept {len(docs)} of {n_read} documents, embedding dim {matrix.d}")
     return 0
 
 
-def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings.EmbeddingMatrix:
-    """Load user-provided vectors and line them up with the filtered collection."""
+def _align_external_embeddings(path: str, doc_ids: list[str]) -> embeddings.EmbeddingMatrix:
+    """Load user-provided vectors and line them up with the filtered collection's ids."""
     matrix = embeddings.load_embeddings(path)
     ids_path = Path(str(path) + ".ids")
     if not ids_path.exists():
-        embeddings.check_alignment(coll, matrix)
+        embeddings.check_alignment(doc_ids, matrix)
         return matrix
     ids = embeddings.load_ids(ids_path)
     if len(ids) != matrix.n:
@@ -160,11 +161,11 @@ def _align_external_embeddings(path: str, coll: corpus.Collection) -> embeddings
         if row_id in id_to_row:
             raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
         id_to_row[row_id] = i
-    rows = np.zeros((len(coll), matrix.d), dtype=np.float32)
-    for i, doc in enumerate(coll):
-        if doc.id not in id_to_row:
-            raise AlignmentError(f"no embedding row for document {doc.id!r}")
-        rows[i] = matrix.data[id_to_row[doc.id]]
+    rows = np.zeros((len(doc_ids), matrix.d), dtype=np.float32)
+    for i, doc_id in enumerate(doc_ids):
+        if doc_id not in id_to_row:
+            raise AlignmentError(f"no embedding row for document {doc_id!r}")
+        rows[i] = matrix.data[id_to_row[doc_id]]
     return embeddings.EmbeddingMatrix(data=rows)
 
 
@@ -228,7 +229,7 @@ def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
-    coll = corpus.load_collection(_require(workdir, COLLECTION_FILE))
+    docs = corpus.load_collection(_require(workdir, COLLECTION_FILE))
     rows = selection.load_selected(_require(workdir, SELECTED_FILE))
 
     template_path = getattr(args, "template", None) or querygen.builtin_template_path()
@@ -241,7 +242,7 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
     prompts = []
     for row in rows:
-        doc = coll.get(row["doc_id"])
+        doc = docs.get(row["doc_id"])
         if doc is None:
             raise DataError(f"selected document {row['doc_id']!r} missing from collection")
         prompts.append(
@@ -281,11 +282,11 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
     for name in ARTIFACTS:      # every input is there before anything is written
         _require(workdir, name)
-    coll = corpus.load_collection(workdir / COLLECTION_FILE)
+    docs = corpus.load_collection(workdir / COLLECTION_FILE)
     rows_n, dim = embeddings.read_shape(workdir / EMBEDDINGS_FILE)
     clusters, _, assigned = clustering.read_shape(workdir / KMEANS_FILE)
-    if not (len(coll) == rows_n == assigned):
-        raise AlignmentError(f"{COLLECTION_FILE} has {len(coll)} documents, {EMBEDDINGS_FILE} "
+    if not (len(docs) == rows_n == assigned):
+        raise AlignmentError(f"{COLLECTION_FILE} has {len(docs)} documents, {EMBEDDINGS_FILE} "
                              f"{rows_n} rows and {KMEANS_FILE} {assigned} assignments; "
                              "rerun the stale stage")
     rows = selection.load_selected(workdir / SELECTED_FILE)
@@ -294,8 +295,8 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    triples = dataset.write_triples(pairs, coll, outdir / TRIPLES_FILE)
-    pointwise = dataset.write_pointwise(pairs, coll, outdir / POINTWISE_FILE)
+    triples = dataset.write_triples(pairs, docs, outdir / TRIPLES_FILE)
+    pointwise = dataset.write_pointwise(pairs, docs, outdir / POINTWISE_FILE)
 
     # each artifact's path as given on the command line
     paths = {manifest_name: workdir / name for name, (manifest_name, _) in ARTIFACTS.items()}
@@ -303,7 +304,7 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest = {
         "config": dataclasses.asdict(cfg),
         "counts": {
-            "documents": len(coll),
+            "documents": len(docs),
             "embedding_dim": dim,
             "clusters": clusters,
             "selected": len(rows),

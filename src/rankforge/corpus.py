@@ -2,6 +2,7 @@
 
 Corpus files are JSONL in the BEIR convention: one object per line with
 a string or integer `_id`, a string `text` and an optional string `title`.
+A loaded collection is a ``dict`` from id to ``Document``, in file order.
 Every artifact is written whole through ``replacing``, every JSONL record
 is read through ``read_records``, and ``read_header`` checks binary headers.
 """
@@ -16,7 +17,7 @@ import struct
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -46,27 +47,6 @@ class Document:
     id: str
     title: str
     text: str
-
-
-@dataclass
-class Collection:
-    """Ordered documents plus an id -> ordinal lookup (file order is stable)."""
-
-    docs: list[Document] = field(default_factory=list)
-    index: dict[str, int] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def __iter__(self):
-        return iter(self.docs)
-
-    def __getitem__(self, ordinal: int) -> Document:
-        return self.docs[ordinal]
-
-    def get(self, doc_id: str) -> Document | None:
-        pos = self.index.get(doc_id)
-        return None if pos is None else self.docs[pos]
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -169,10 +149,9 @@ def write_json(path: str | Path, obj: object, **dumps) -> None:
         fh.write(json.dumps(obj, **dumps) + "\n")
 
 
-def load_collection(path: str | Path) -> Collection:
-    """Load a corpus file into a Collection, preserving file order."""
-    docs: list[Document] = []
-    index: dict[str, int] = {}
+def load_collection(path: str | Path) -> dict[str, Document]:
+    """Load a corpus file as id -> Document, in file order."""
+    docs: dict[str, Document] = {}
     for line_number, obj in read_records(path, _DOC_FIELDS):
         doc_id, text, title = obj["_id"], obj["text"], obj.get("title") or ""
         if type(doc_id) is int:
@@ -184,16 +163,16 @@ def load_collection(path: str | Path) -> Collection:
             raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
         if "\x00" in title or "\x00" in text:
             raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
-        if doc_id in index:
+        if doc_id in docs:
             raise DuplicateIdError(f"duplicate `_id` {doc_id!r} at line {line_number}")
-        index[doc_id] = len(docs)
-        docs.append(Document(id=doc_id, title=title, text=text))
-    return Collection(docs=docs, index=index)
+        docs[doc_id] = Document(id=doc_id, title=title, text=text)
+    return docs
 
 
-def save_collection(collection: Collection, path: str | Path) -> None:
-    """Write a Collection back to JSONL; values round-trip byte-exactly."""
-    records = ({"_id": doc.id, "title": doc.title, "text": doc.text} for doc in collection)
+def save_collection(collection: dict[str, Document], path: str | Path) -> None:
+    """Write the documents back to JSONL in their order; values round-trip byte-exactly."""
+    records = ({"_id": doc.id, "title": doc.title, "text": doc.text}
+               for doc in collection.values())
     write_jsonl(path, records, ensure_ascii=False)
 
 
@@ -205,14 +184,19 @@ def render_document(doc: Document) -> str:
 
 
 class TokenizedCollection(NamedTuple):
-    """Every document's tokens as ids into ``terms``, concatenated in collection order."""
+    """The token stream of a collection: all the BM25 index and the embedder read.
 
+    Document ``i`` is ``doc_ids[i]``; its tokens, as ids into ``terms``, are
+    ``ids[sum(lengths[:i]):sum(lengths[:i + 1])]``.
+    """
+
+    doc_ids: list[str]      # in collection order
     terms: list[str]        # term id -> term, in first-seen order
     ids: np.ndarray         # int32 term ids of all documents, back to back
     lengths: np.ndarray     # int64 token count per document
 
 
-def tokenize_collection(collection: Collection) -> TokenizedCollection:
+def tokenize_collection(collection: dict[str, Document]) -> TokenizedCollection:
     """Tokenize each rendered document once; tokens become ids as they are read.
 
     All ids go into one growing int32 buffer, so no per-document arrays are
@@ -227,21 +211,20 @@ def tokenize_collection(collection: Collection) -> TokenizedCollection:
     vocab.default_factory = vocab.__len__      # an unseen term gets the next id
     ids = array("i")
     lengths = []
-    for doc in collection:
+    for doc in collection.values():
         tokens = tokenize(render_document(doc))
         ids.extend(map(vocab.__getitem__, tokens))
         lengths.append(len(tokens))
-    return TokenizedCollection(list(vocab), np.frombuffer(ids, dtype=np.int32),
+    return TokenizedCollection(list(collection), list(vocab), np.frombuffer(ids, dtype=np.int32),
                                np.array(lengths, dtype=np.int64))
 
 
-def filter_min_length(collection: Collection, min_chars: int) -> Collection:
-    """Drop documents whose rendered string is shorter than min_chars.
+def filter_min_length(collection: dict[str, Document], min_chars: int) -> dict[str, Document]:
+    """Drop documents whose rendered string is shorter than min_chars, keeping order.
 
     Length counts Unicode scalar values of the rendered title+text string.
-    Order is preserved and ordinals are reassigned.
     """
     if min_chars < 0:
         raise InvalidConfigError(f"min_chars must be >= 0, got {min_chars}")
-    kept = [doc for doc in collection if len(render_document(doc)) >= min_chars]
-    return Collection(docs=kept, index={doc.id: i for i, doc in enumerate(kept)})
+    return {doc_id: doc for doc_id, doc in collection.items()
+            if len(render_document(doc)) >= min_chars}

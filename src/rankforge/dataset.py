@@ -18,7 +18,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Collection, render_document, replacing, write_jsonl
+from .corpus import Document, render_document, replacing, write_jsonl
 from .errors import DataError
 from .mine import TrainingPair
 
@@ -30,32 +30,33 @@ def sanitize_field(text: str) -> str:
     return _FIELD_BREAK_RE.sub(" ", text)
 
 
-def _doc_text(collection: Collection, doc_id: str) -> str:
-    doc = collection.get(doc_id)
+def _doc_text(docs: dict[str, Document], doc_id: str) -> str:
+    doc = docs.get(doc_id)
     if doc is None:
         raise DataError(f"pair references unknown document id {doc_id!r}")
     return render_document(doc)
 
 
-def write_triples(pairs: Sequence[TrainingPair], collection: Collection, path: str | Path) -> int:
+def write_triples(pairs: Sequence[TrainingPair], docs: dict[str, Document], path: str | Path) -> int:
     """Write the triples TSV; returns the number of rows."""
     rows = 0
     with replacing(path) as fh:
         for pair in pairs:
             query = sanitize_field(pair.query_text)
-            positive = sanitize_field(_doc_text(collection, pair.positive_doc_id))
+            positive = sanitize_field(_doc_text(docs, pair.positive_doc_id))
             for neg_id in pair.negative_doc_ids:
-                negative = sanitize_field(_doc_text(collection, neg_id))
+                negative = sanitize_field(_doc_text(docs, neg_id))
                 fh.write(f"{query}\t{positive}\t{negative}\n")
                 rows += 1
     return rows
 
 
-def write_pointwise(pairs: Sequence[TrainingPair], collection: Collection, path: str | Path) -> int:
+def write_pointwise(pairs: Sequence[TrainingPair], docs: dict[str, Document],
+                    path: str | Path) -> int:
     """Write the pointwise JSONL; returns the number of records."""
     records = (
         {"query": pair.query_text, "doc_id": doc_id,
-         "doc_text": _doc_text(collection, doc_id), "label": label}
+         "doc_text": _doc_text(docs, doc_id), "label": label}
         for pair in pairs
         for doc_id, label in [(pair.positive_doc_id, 1)] + [(n, 0) for n in pair.negative_doc_ids]
     )

@@ -13,12 +13,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .corpus import (Collection, TokenizedCollection, read_header, read_lines, replacing,
-                     tokenize, tokenize_collection)
+from .corpus import TokenizedCollection, read_header, read_lines, replacing, tokenize
 from .errors import (
     AlignmentError,
     DegenerateVectorError,
@@ -101,11 +100,11 @@ def load_ids(path: str | Path) -> list[str]:
     return [doc_id for _, line in read_lines(path) for doc_id in line.splitlines() if doc_id]
 
 
-def check_alignment(collection: Collection, matrix: EmbeddingMatrix) -> None:
-    """Verify that there is one embedding row per document of the collection."""
-    if matrix.n != len(collection):
+def check_alignment(doc_ids: Sequence[str], matrix: EmbeddingMatrix) -> None:
+    """Verify that there is one embedding row per document id."""
+    if matrix.n != len(doc_ids):
         raise AlignmentError(
-            f"embedding rows ({matrix.n}) != collection size ({len(collection)})"
+            f"embedding rows ({matrix.n}) != collection size ({len(doc_ids)})"
         )
 
 
@@ -153,19 +152,15 @@ def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
     return (vec / norm).astype(np.float32)
 
 
-def embed_collection(collection: Collection, d: int, seed: int,
-                     tokens: TokenizedCollection | None = None) -> EmbeddingMatrix:
-    """hash_embed every rendered document, a block of rows at a time, in collection order.
+def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> EmbeddingMatrix:
+    """hash_embed every document of a token stream, a block of rows at a time, in order.
 
     Each distinct term is hashed once. The +/-1 sums are integers, exact in
     float64 in any order, and so is each row's sum of squares, so every row
-    has the bytes ``hash_embed`` gives for that document. ``tokens`` is the
-    collection's ``tokenize_collection`` result, when the caller has it.
+    has the bytes ``hash_embed`` gives for that document's rendered text.
     """
     if d < 8:
         raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
-    if tokens is None:
-        tokens = tokenize_collection(collection)
     hashed = list(map(_term_hasher(d, seed), tokens.terms))
     bucket = np.array([h[0] for h in hashed], dtype=np.int64)
     sign = np.array([h[1] for h in hashed], dtype=np.float64)
@@ -184,7 +179,7 @@ def embed_collection(collection: Collection, d: int, seed: int,
         if degenerate.size:
             first = lo + int(degenerate[0])
             what = "no tokens" if tokens.lengths[first] == 0 else "tokens that cancel out"
-            raise DegenerateVectorError(f"document {collection[first].id!r} has {what}")
+            raise DegenerateVectorError(f"document {tokens.doc_ids[first]!r} has {what}")
         sums /= norms[:, None]
         rows[lo:hi] = sums
     return EmbeddingMatrix(data=rows)

@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import (Collection, TokenizedCollection, read_records, replacing, tokenize,
-                     tokenize_collection, write_jsonl)
+from .corpus import TokenizedCollection, read_records, replacing, tokenize, write_jsonl
 from .errors import DataError, DuplicateIdError, FormatError
 from .querygen import SyntheticQuery
 
@@ -112,18 +111,15 @@ class Bm25Index:
         return [(int(o), float(scores[o])) for o in order[:k]]
 
 
-def build_index(collection: Collection, tokens: TokenizedCollection | None = None) -> Bm25Index:
-    """Index the rendered title plus body of every document, with default k1 and b.
+def build_index(tokens: TokenizedCollection) -> Bm25Index:
+    """Index a collection's token stream, with default k1 and b.
 
-    ``tokens``, when given, is ``tokenize_collection(collection)``. One in-place
-    sort of ``term_rank * n + ordinal`` keys gives the postings (the starts of
-    runs of equal keys) and their term frequencies (the run lengths).
+    One in-place sort of ``term_rank * n + ordinal`` keys gives the postings
+    (the starts of runs of equal keys) and their term frequencies (the run lengths).
     """
-    if len(collection) == 0:
+    n = len(tokens.doc_ids)
+    if n == 0:
         raise DataError("cannot build an index over an empty collection")
-    if tokens is None:
-        tokens = tokenize_collection(collection)
-    n = len(collection)
     by_term = sorted(range(len(tokens.terms)), key=tokens.terms.__getitem__)
     rank = np.empty(len(by_term), dtype=np.int64)
     rank[by_term] = np.arange(len(by_term))
@@ -145,7 +141,7 @@ def build_index(collection: Collection, tokens: TokenizedCollection | None = Non
     ords = np.remainder(keys, n, out=np.empty(keys.size, dtype=np.uint32), casting="unsafe")
     keys //= n                          # now the term rank of each posting
     indptr = np.searchsorted(keys, np.arange(len(by_term) + 1))
-    return Bm25Index([doc.id for doc in collection], tokens.lengths,
+    return Bm25Index(tokens.doc_ids, tokens.lengths,
                      [tokens.terms[t] for t in by_term], indptr, ords, tfs)
 
 

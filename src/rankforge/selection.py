@@ -209,9 +209,13 @@ def select_representatives(
             pos for r in range(cfg.sample_rounds)
             for pos in sample_without_replacement(probs, n_k, _round_rng(cfg.seed, k, r))
         ))
-        anchor_sims = unit @ unit[int(np.argmax(sims_to_mean))]
+        # relevance and redundancy come from one kernel on the same rows: once an anchor
+        # in the pool is picked, lambda 0.5 scores every candidate exactly 0, and the
+        # smaller ordinal wins
+        vectors = unit[pool]
+        anchor_sims = vectors @ unit[int(np.argmax(sims_to_mean))]
         # every round draws n_k distinct positions, so MMR always finds n_k in the pool
-        chosen = mmr_select(pool, anchor_sims[pool], unit[pool], cfg.mmr_lambda, n_k)
+        chosen = mmr_select(pool, anchor_sims, vectors, cfg.mmr_lambda, n_k)
         selected.extend(
             SelectedDoc(ordinal=int(members[pos]), cluster=k, centroid_sim=float(sims_to_mean[pos]),
                         prob=float(probs[pos]), rank_in_cluster=rank)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rankforge
-from rankforge.corpus import Collection, Document
+from rankforge.corpus import Document
 
 TOPIC_VOCAB = {
     "sports": ("game team player season score win league match coach goal "
@@ -46,15 +46,15 @@ def make_document(rng: random.Random, topic: str, i: int, n_words: int = 60) -> 
 
 
 def make_collection(n_docs: int, seed: int = 0, topics: tuple[str, ...] = ("sports", "cooking", "space"),
-                    n_words: int = 60) -> Collection:
+                    n_words: int = 60) -> dict[str, Document]:
     rng = random.Random(seed)
     docs = [make_document(rng, topics[i % len(topics)], i, n_words) for i in range(n_docs)]
-    return Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    return {doc.id: doc for doc in docs}
 
 
-def write_corpus_jsonl(collection: Collection, path: Path) -> Path:
+def write_corpus_jsonl(collection: dict[str, Document], path: Path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in collection:
+        for doc in collection.values():
             fh.write(json.dumps({"_id": doc.id, "title": doc.title, "text": doc.text}) + "\n")
     return path
 
@@ -72,5 +72,5 @@ def blob_matrix(rng: np.random.Generator, centers: np.ndarray, per_blob: int,
 
 
 @pytest.fixture
-def tiny_collection() -> Collection:
+def tiny_collection() -> dict[str, Document]:
     return make_collection(12, seed=3)

@@ -323,7 +323,7 @@ def test_ingest_rejects_ids_the_sidecar_cannot_hold(tmp_path, capsys):
     for brk in ("\n", "\r", "\x85", "\u2028"):
         corpus_path = tmp_path / "c.jsonl"
         with open(corpus_path, "w", encoding="utf-8") as fh:
-            for i, doc in enumerate(docs):
+            for i, doc in enumerate(docs.values()):
                 doc_id = doc.id + brk + "x" if i == 4 else doc.id
                 fh.write(json.dumps({"_id": doc_id, "title": doc.title, "text": doc.text}) + "\n")
         work = tmp_path / "w"
@@ -364,11 +364,11 @@ def test_external_embeddings_reordered_sidecar(tmp_path):
     docs = make_collection(6, seed=2)
     corpus_path = tmp_path / "c.jsonl"
     with open(corpus_path, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(docs):
+        for i, doc in enumerate(docs.values()):
             text = "x" * 10 if i == 3 else doc.text        # doc 3 gets filtered out
             fh.write(json.dumps({"_id": doc.id, "title": doc.title, "text": text}) + "\n")
 
-    kept_ids = [doc.id for i, doc in enumerate(docs) if i != 3]
+    kept_ids = [doc.id for i, doc in enumerate(docs.values()) if i != 3]
     rng = np.random.default_rng(0)
     ext_ids = ["extra0"] + kept_ids[::-1]                   # reversed plus a stranger
     ext = rng.normal(size=(len(ext_ids), 16)).astype(np.float32)
@@ -379,7 +379,7 @@ def test_external_embeddings_reordered_sidecar(tmp_path):
     assert _run(["ingest", "--input", corpus_path, "--workdir", work,
                  "--embeddings", ext_path, "--min-chars", "50"]) == 0
     coll = load_collection(work / cli.COLLECTION_FILE)
-    assert [d.id for d in coll] == kept_ids
+    assert [d.id for d in coll.values()] == kept_ids
     stored = load_embeddings(work / cli.EMBEDDINGS_FILE)
     for i, doc_id in enumerate(kept_ids):
         np.testing.assert_array_equal(stored.row(i), ext[ext_ids.index(doc_id)])
@@ -399,7 +399,7 @@ def test_external_embeddings_ingest_writes_index_for_mine(tmp_path, corpus_file)
     coll = load_collection(plain / cli.COLLECTION_FILE)
     ext = np.random.default_rng(2).normal(size=(len(coll), 16)).astype(np.float32)
     ext_path = tmp_path / "ext.bin"
-    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=[d.id for d in coll])
+    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=[d.id for d in coll.values()])
 
     work = tmp_path / "w"
     _ingest_to_generate(work, corpus_file, "--embeddings", ext_path)
@@ -478,7 +478,7 @@ def test_failed_ingest_leaves_the_previous_ingest_intact(tmp_path, capsys):
     # the 41st document passes the length filter but has no tokens to embed
     second = tmp_path / "second.jsonl"
     with open(second, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(make_collection(60, seed=5)):
+        for i, doc in enumerate(make_collection(60, seed=5).values()):
             record = {"_id": "punct", "text": "!" * 400} if i == 40 else \
                 {"_id": doc.id, "title": doc.title, "text": doc.text}
             fh.write(json.dumps(record) + "\n")
@@ -620,7 +620,7 @@ def test_collection_takes_integer_ids_and_absent_or_null_titles(tmp_path):
     path.write_text('{"_id": 7, "text": "x"}\n{"_id": "b", "title": null, "text": "y"}\n'
                     '{"_id": -12, "title": "T", "text": "z"}\n', encoding="utf-8")
     coll = load_collection(path)
-    assert [(d.id, d.title, d.text) for d in coll] == [("7", "", "x"), ("b", "", "y"),
+    assert [(d.id, d.title, d.text) for d in coll.values()] == [("7", "", "x"), ("b", "", "y"),
                                                         ("-12", "T", "z")]
 
 

@@ -19,6 +19,7 @@ from rankforge.cluster import (
     save_model,
 )
 from rankforge.config import PipelineConfig
+from rankforge.corpus import tokenize_collection
 from rankforge.embeddings import EmbeddingMatrix, embed_collection
 from rankforge.errors import (
     DegenerateVectorError,
@@ -323,7 +324,8 @@ _LLOYD_CASES = {
     "random": lambda: (_normalize(np.random.default_rng(40).normal(size=(300, 12))), 17),
     # K above the number of distinct rows: duplicate centroids, near ties, repairs
     "duplicates": lambda: (_duplicate_rows(np.random.default_rng(41), 9, 200, 20), 14),
-    "topic": lambda: (_normalize(embed_collection(make_collection(600, seed=7), 32, 42).data), 30),
+    "topic": lambda: (_normalize(
+        embed_collection(tokenize_collection(make_collection(600, seed=7)), 32, 42).data), 30),
     # rows 1e-6 apart: centroids of one direction differ far inside the float32 margin
     "near_duplicates": lambda: (
         _normalize(_duplicate_rows(np.random.default_rng(43), 9, 200, 20)
@@ -447,7 +449,7 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
 
 
 def test_late_iterations_rescan_few_rows():
-    X = embed_collection(make_collection(2000, seed=7), 64, 42)
+    X = embed_collection(tokenize_collection(make_collection(2000, seed=7)), 64, 42)
     model = kmeans_fit(X, PipelineConfig(clusters=100, seed=42, kmeans_restarts=1,
                                          kmeans_tol=0.0))
     assert len(model.rescanned) == len(model.inertia_history) > 8

@@ -9,7 +9,6 @@ import pytest
 
 from rankforge import corpus
 from rankforge.corpus import (
-    Collection,
     Document,
     filter_min_length,
     load_collection,
@@ -52,17 +51,17 @@ def test_load_save_roundtrip(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(d) for d in docs) + "\n", encoding="utf-8")
     coll = load_collection(path)
-    assert len(coll) == 3
-    assert coll[0].id == "a" and coll[0].title == "T"
-    assert coll[1].title == ""                      # missing title defaults empty
-    assert coll.get("c") is coll[2]
+    assert list(coll) == ["a", "b", "c"]            # file order
+    assert coll["a"].id == "a" and coll["a"].title == "T"
+    assert coll["b"].title == ""                    # missing title defaults empty
+    assert coll.get("c").id == "c"
     assert coll.get("missing") is None
 
     out = tmp_path / "copy.jsonl"
     save_collection(coll, out)
     again = load_collection(out)
-    assert [d.id for d in again] == ["a", "b", "c"]
-    assert again[2].text == "unicode caféé ✓"
+    assert [d.id for d in again.values()] == ["a", "b", "c"]
+    assert again["c"].text == "unicode caféé ✓"
 
 
 def test_load_rejects_bad_json_with_line_number(tmp_path):
@@ -125,15 +124,14 @@ def test_filter_min_length_boundary():
         Document(id="drop", title="", text="x" * 9),
         Document(id="title", title="abcd", text="x" * 5),   # rendered length 10
     ]
-    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
-    kept = filter_min_length(coll, 10)
-    assert [d.id for d in kept] == ["keep", "title"]
-    assert kept.get("title") is kept[1]                     # ordinals reassigned
+    kept = filter_min_length({d.id: d for d in docs}, 10)
+    assert [d.id for d in kept.values()] == ["keep", "title"]   # order kept
+    assert kept.get("title") is docs[2]
 
 
 def test_filter_counts_unicode_scalars():
     doc = Document(id="e", title="", text="🙂" * 4)          # 4 scalar values
-    coll = Collection(docs=[doc], index={"e": 0})
+    coll = {"e": doc}
     assert len(filter_min_length(coll, 4)) == 1
     assert len(filter_min_length(coll, 5)) == 0
 
@@ -147,8 +145,8 @@ def test_tokenize_collection_matches_tokenize():
     docs = [Document(id="a", title="Straße", text="straße Über über"),
             Document(id="b", title="", text="!!! ..."),
             Document(id="c", title="Über", text="new words, über new")]
-    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
-    tokens = tokenize_collection(coll)
+    tokens = tokenize_collection({d.id: d for d in docs})
+    assert tokens.doc_ids == ["a", "b", "c"]
     assert tokens.terms == ["straße", "über", "new", "words"]       # first-seen order
     assert tokens.lengths.tolist() == [len(tokenize(render_document(d))) for d in docs]
     assert tokens.lengths.tolist() == [4, 0, 5]
@@ -157,8 +155,8 @@ def test_tokenize_collection_matches_tokenize():
         ids = tokens.ids[end - length:end]
         assert [tokens.terms[i] for i in ids] == tokenize(render_document(doc))
     assert tokens.ids.dtype == "int32"
-    empty = tokenize_collection(Collection())
-    assert empty.terms == [] and empty.ids.size == 0 and empty.lengths.size == 0
+    empty = tokenize_collection({})
+    assert empty.doc_ids == [] and empty.terms == [] and empty.ids.size == 0 and empty.lengths.size == 0
 
 
 

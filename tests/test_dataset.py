@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rankforge.corpus import Collection, Document
+from rankforge.corpus import Document
 from rankforge.dataset import sanitize_field, sha256_file, write_pointwise, write_triples
 from rankforge.errors import DataError
 from rankforge.mine import TrainingPair
@@ -18,7 +18,7 @@ def _fixture():
         Document(id="n2", title="N2", text="negative two"),
         Document(id="p2", title="", text="second positive"),
     ]
-    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    coll = {d.id: d for d in docs}
     pairs = [
         TrainingPair(query_text="query\twith tab", positive_doc_id="p1",
                      negative_doc_ids=("n1", "n2"), shortfall=False),

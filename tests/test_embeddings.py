@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankforge import embeddings
-from rankforge.corpus import Collection, Document, render_document
+from rankforge.corpus import Document, render_document, tokenize_collection
 from rankforge.embeddings import (
     MAGIC,
     EmbeddingMatrix,
@@ -95,11 +95,11 @@ def test_load_rejects_nonfinite_rows(tmp_path):
 
 
 def test_check_alignment(tmp_path):
-    coll = make_collection(5)
+    ids = list(make_collection(5))
     matrix = EmbeddingMatrix(data=np.ones((5, 3), dtype=np.float32))
-    check_alignment(coll, matrix)
+    check_alignment(ids, matrix)
     with pytest.raises(AlignmentError):
-        check_alignment(coll, EmbeddingMatrix(data=np.ones((4, 3), dtype=np.float32)))
+        check_alignment(ids, EmbeddingMatrix(data=np.ones((4, 3), dtype=np.float32)))
 
 
 def test_hash_embed_is_unit_norm_and_seeded():
@@ -124,7 +124,8 @@ def test_hash_embed_bytes_are_pinned():
     one = hash_embed("alpha beta gamma delta Straße 東京", 32, seed=5).tobytes()
     assert hashlib.sha256(one).hexdigest() == (
         "56e0d28b345584a6e059bfd32d7298addfe311384f14370e244da73c88164616")
-    rows = embed_collection(make_collection(50, seed=3), 64, seed=9).data.tobytes()
+    tokens = tokenize_collection(make_collection(50, seed=3))
+    rows = embed_collection(tokens, 64, seed=9).data.tobytes()
     assert hashlib.sha256(rows).hexdigest() == (
         "4bd4b5327399373ad134cdfd21aa7ceae1aac265d8843e329b440f7b159624ba")
 
@@ -165,24 +166,24 @@ def test_hash_embed_stable_across_processes():
 
 def test_embed_collection_rows_follow_order():
     coll = make_collection(6, seed=1)
-    matrix = embed_collection(coll, 32, seed=3)
+    matrix = embed_collection(tokenize_collection(coll), 32, seed=3)
     assert matrix.n == 6 and matrix.d == 32
-    for i, doc in enumerate(coll):
+    for i, doc in enumerate(coll.values()):
         np.testing.assert_array_equal(matrix.row(i), hash_embed(render_document(doc), 32, seed=3))
 
 
 def _collection(texts):
     docs = [Document(id=f"d{i}", title="", text=t) for i, t in enumerate(texts)]
-    return Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    return {d.id: d for d in docs}
 
 
 def _assert_matches_per_document(coll, d, seed, monkeypatch):
-    want = np.stack([hash_embed(render_document(doc), d, seed) for doc in coll]).tobytes()
-    assert embed_collection(coll, d, seed).data.tobytes() == want
+    want = np.stack([hash_embed(render_document(doc), d, seed) for doc in coll.values()]).tobytes()
+    assert embed_collection(tokenize_collection(coll), d, seed).data.tobytes() == want
     for rows_per_block in (7, 1):
         with monkeypatch.context() as patch:
             patch.setattr(embeddings, "_BLOCK_BYTES", rows_per_block * 8 * d)
-            assert embed_collection(coll, d, seed).data.tobytes() == want
+            assert embed_collection(tokenize_collection(coll), d, seed).data.tobytes() == want
 
 
 def test_embed_collection_bytes_match_hash_embed(monkeypatch):
@@ -219,7 +220,7 @@ def _cancelling_pair(d, seed):
 
 def test_embed_collection_rejects_degenerate_documents(monkeypatch):
     with pytest.raises(InvalidConfigError):
-        embed_collection(_collection(["words"]), 4, seed=0)
+        embed_collection(tokenize_collection(_collection(["words"])), 4, seed=0)
     a, b = _cancelling_pair(16, seed=0)
     with pytest.raises(DegenerateVectorError):
         hash_embed(f"{a} {b}", 16, seed=0)
@@ -227,9 +228,10 @@ def test_embed_collection_rejects_degenerate_documents(monkeypatch):
     for rows_per_block in (1000, 2, 1):       # one block, then the bad rows in later blocks
         monkeypatch.setattr(embeddings, "_BLOCK_BYTES", rows_per_block * 8 * 16)
         with pytest.raises(DegenerateVectorError, match="'d2' has no tokens"):
-            embed_collection(_collection(texts), 16, seed=0)
+            embed_collection(tokenize_collection(_collection(texts)), 16, seed=0)
         with pytest.raises(DegenerateVectorError, match="'d1' has tokens that cancel"):
-            embed_collection(_collection([texts[0], texts[3], texts[2]]), 16, seed=0)
+            embed_collection(tokenize_collection(_collection([texts[0], texts[3], texts[2]])), 16,
+                             seed=0)
 
 
 def test_embedding_matrix_validates_shape():

@@ -10,7 +10,9 @@ import pytest
 
 from rankforge import mine
 from rankforge.config import PipelineConfig
-from rankforge.corpus import Collection, Document, render_document, tokenize
+from rankforge.corpus import (Document, TokenizedCollection, render_document, tokenize,
+                             tokenize_collection)
+from rankforge.embeddings import embed_collection
 from rankforge.errors import (
     DataError,
     DuplicateIdError,
@@ -58,8 +60,9 @@ def bm25_oracle(doc_token_lists, query_tokens, k1=0.9, b=0.4):
 
 
 def _collection_from_texts(texts):
+    """The token stream of one untitled document per text, with ids d0, d1, ..."""
     docs = [Document(id=f"d{i}", title="", text=t) for i, t in enumerate(texts)]
-    return Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
+    return tokenize_collection({d.id: d for d in docs})
 
 
 def test_single_doc_closed_form():
@@ -107,7 +110,7 @@ def test_cached_term_weights_keep_score_bits():
             scores[ords] += idf * tf * (index.k1 + 1.0) / (tf + index._norm[ords])
         return scores
 
-    index = build_index(coll)
+    index = build_index(tokenize_collection(coll))
     for query in (["game", "orbit", "game", "salt", "unknown"], ["orbit", "orbit", "space"],
                   ["unknown"], []):
         want = uncached(index, query).tobytes()
@@ -118,8 +121,8 @@ def test_cached_term_weights_keep_score_bits():
 def test_index_uses_rendered_title_and_text():
     docs = [Document(id="a", title="zebra title", text="body words here"),
             Document(id="b", title="", text="plain body")]
-    coll = Collection(docs=docs, index={"a": 0, "b": 1})
-    index = build_index(coll)
+    coll = {"a": docs[0], "b": docs[1]}
+    index = build_index(tokenize_collection(coll))
     assert index.doc_lengths[0] == len(tokenize(render_document(docs[0])))
     assert float(index.score_all(["zebra"])[0]) > 0.0
     assert float(index.score_all(["zebra"])[1]) == 0.0
@@ -164,7 +167,7 @@ def test_search_top_k_matches_full_sort_with_ties():
 
 def test_search_matches_full_sort_on_a_corpus():
     coll = make_collection(200, seed=6)
-    index = build_index(coll)
+    index = build_index(tokenize_collection(coll))
     rng = random.Random(3)
     words = [w for topic in TOPIC_VOCAB.values() for w in topic]
     for _ in range(200):
@@ -173,9 +176,28 @@ def test_search_matches_full_sort_on_a_corpus():
         assert index.search(query, k) == _full_sort_top_k(index.score_all(tokenize(query)), k)
 
 
+def test_index_and_embedding_read_only_the_token_stream(tmp_path):
+    # a stream built by hand, with no documents and its own term ids, gives the bytes
+    # of the stream that tokenize_collection reads from the matching documents
+    by_hand = TokenizedCollection(
+        doc_ids=["x", "y", "z"], terms=["blue", "fish", "one", "red", "sky"],
+        ids=np.array([3, 1, 0, 1, 2, 1, 0, 4, 3, 4], dtype=np.int32),
+        lengths=np.array([4, 2, 4], dtype=np.int64))
+    texts = ["Red fish, blue fish", "one fish", "blue sky red sky"]
+    docs = {i: Document(id=i, title="", text=t) for i, t in zip(by_hand.doc_ids, texts)}
+    from_docs = tokenize_collection(docs)
+    assert from_docs.terms != by_hand.terms                 # first-seen order differs
+    for name, tokens in (("hand", by_hand), ("docs", from_docs)):
+        save_index(build_index(tokens), tmp_path / f"{name}.idx")
+    assert (tmp_path / "hand.idx").read_bytes() == (tmp_path / "docs.idx").read_bytes()
+    for d, seed in ((8, 0), (32, 5)):
+        assert (embed_collection(by_hand, d, seed).data.tobytes()
+                == embed_collection(from_docs, d, seed).data.tobytes())
+
+
 def test_build_index_rejects_empty_collection():
     with pytest.raises(DataError):
-        build_index(Collection(docs=[], index={}))
+        build_index(tokenize_collection({}))
 
 
 # ------------------------------------------------------------------- mining
@@ -228,7 +250,7 @@ def test_mine_negatives_invariants_bulk():
         num_neg = rng.randint(1, x - 1)
         cfg = PipelineConfig(first_stage_hits=x, num_negatives=num_neg)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
-        positive = rng.randrange(len(coll))
+        positive = rng.randrange(len(texts))
         negatives, shortfall = mine_negatives(index, query, positive, cfg)
         hit_ordinals = [o for o, _ in index.search(query, x)]
         filtered = [o for o in hit_ordinals if o != positive]
@@ -275,12 +297,12 @@ def _index_fields(index):
 def test_csr_postings_match_counter_reference(monkeypatch):
     coll = make_collection(30, seed=3)
     reference: dict[str, list[tuple[int, int]]] = {}
-    for ordinal, doc in enumerate(coll):
+    for ordinal, doc in enumerate(coll.values()):
         for term, tf in Counter(tokenize(render_document(doc))).items():
             reference.setdefault(term, []).append((ordinal, tf))
     for block_tokens in (mine._BLOCK_TOKENS, 150, 1):     # ordinals added in 1, 15 and 30 blocks
         monkeypatch.setattr(mine, "_BLOCK_TOKENS", block_tokens)
-        index = build_index(coll)
+        index = build_index(tokenize_collection(coll))
         assert index.terms == sorted(reference)
         for t, term in enumerate(index.terms):
             lo, hi = index.indptr[t], index.indptr[t + 1]
@@ -291,9 +313,9 @@ def test_csr_postings_match_counter_reference(monkeypatch):
 def test_index_roundtrip_and_byte_stability(tmp_path):
     base = make_collection(20, seed=4)
     docs = [Document(id=f"dök\n{i} ✓" if i % 2 else doc.id, title=doc.title, text=doc.text)
-            for i, doc in enumerate(base)]
-    coll = Collection(docs=docs, index={d.id: i for i, d in enumerate(docs)})
-    index = build_index(coll)
+            for i, doc in enumerate(base.values())]
+    coll = {d.id: d for d in docs}
+    index = build_index(tokenize_collection(coll))
     path_a = tmp_path / "a.idx"
     save_index(index, path_a)
     loaded = load_index(path_a, k1=1.1, b=0.3)
@@ -322,7 +344,7 @@ def _saved_variant(tmp_path, index, name, **fields):
 
 def test_index_load_rejects_corruption(tmp_path):
     coll = make_collection(5, seed=2)
-    index = build_index(coll)
+    index = build_index(tokenize_collection(coll))
     path = tmp_path / "i.idx"
     save_index(index, path)
     blob = path.read_bytes()
@@ -371,7 +393,7 @@ def test_index_load_rejects_corruption(tmp_path):
 
 
 def test_index_load_rejects_duplicate_doc_ids(tmp_path):
-    index = build_index(make_collection(5, seed=2))
+    index = build_index(tokenize_collection(make_collection(5, seed=2)))
     doc_ids = list(index.doc_ids)
     doc_ids[3] = doc_ids[1]
     with pytest.raises(DuplicateIdError):

@@ -18,6 +18,7 @@ import pytest
 from rankforge import mine, selection
 from rankforge.cluster import kmeans_fit
 from rankforge.config import PipelineConfig
+from rankforge.corpus import tokenize_collection
 from rankforge.embeddings import EmbeddingMatrix
 from rankforge.querygen import SyntheticQuery
 from tests.conftest import blob_matrix, make_collection
@@ -74,9 +75,9 @@ def test_selection_calls_its_kernels_through_module_globals(monkeypatch):
 
 def test_mining_calls_mine_negatives_through_module_globals(monkeypatch):
     coll = make_collection(30, seed=1)
-    index = mine.build_index(coll)
+    index = mine.build_index(tokenize_collection(coll))
     queries = [SyntheticQuery(doc_id=doc.id, query_text=" ".join(doc.text.split()[:3]),
-                              raw_completion="", model_name="m") for doc in coll.docs[:5]]
+                              raw_completion="", model_name="m") for doc in list(coll.values())[:5]]
     calls = _counting(monkeypatch, mine, "mine_negatives")
     pairs = mine.assemble_pairs(index, queries, PipelineConfig(num_negatives=2))
     assert len(pairs) == len(queries)

@@ -15,8 +15,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from rankforge import selection
+from rankforge.cluster import groups, kmeans_fit
 from rankforge.config import PipelineConfig
-from rankforge.embeddings import EmbeddingMatrix
+from rankforge.corpus import filter_min_length, tokenize_collection
+from rankforge.embeddings import EmbeddingMatrix, embed_collection
 from rankforge.errors import (
     DegenerateClusterError,
     DegenerateVectorError,
@@ -36,7 +39,7 @@ from rankforge.selection import (
     select_representatives,
     softmax_probabilities,
 )
-from tests.conftest import blob_matrix
+from tests.conftest import blob_matrix, make_collection
 
 
 # ---------------------------------------------------------------- allocation
@@ -432,6 +435,37 @@ def test_select_representatives_matches_oracle():
             want = oracle_select_representatives(X, model, cfg)
             assert [(d.ordinal, d.cluster, d.centroid_sim, d.prob, d.rank_in_cluster)
                     for d in got] == want
+
+
+def test_mmr_after_an_anchor_in_the_pool_picks_the_smallest_ordinal(monkeypatch):
+    # At lambda 0.5, once the anchor is picked, every candidate scores
+    # 0.5 * sim(anchor) - 0.5 * sim(anchor), exactly 0 when both similarities are
+    # the same dot product, so the second pick is the smallest ordinal left.
+    pools = []
+
+    def recording(pool, *args):
+        pools.append(list(pool))
+        return mmr_select(pool, *args)
+
+    monkeypatch.setattr(selection, "mmr_select", recording)
+    checked = 0
+    for seed in (1, 2, 3):
+        docs = filter_min_length(make_collection(300, seed=seed), 100)
+        X = embed_collection(tokenize_collection(docs), 128, 42)
+        cfg = PipelineConfig(clusters=3, seed=42, sample_size=30, mmr_lambda=0.5)
+        model = kmeans_fit(X, cfg)
+        pools.clear()
+        selected = select_representatives(X, model, cfg)
+        for k, (pool, members) in enumerate(zip(pools, groups(model.assignments, model.K))):
+            sims, _ = centroid_similarities(X.data[members].astype(np.float64), k)
+            anchor = int(np.argmax(sims))
+            if anchor not in pool:
+                continue
+            picks = [d.ordinal for d in selected if d.cluster == k]
+            second = min(pos for pos in pool if pos != anchor)
+            assert picks[:2] == [members[anchor], members[second]], (seed, k)
+            checked += 1
+    assert checked >= 3
 
 
 def test_select_representatives_invariants():
