@@ -21,8 +21,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cluster as clustering
 from . import corpus, dataset, embeddings, evaluation, mine, querygen, selection
 from .config import PipelineConfig
@@ -161,12 +159,11 @@ def _align_external_embeddings(path: str, doc_ids: list[str]) -> embeddings.Embe
         if row_id in id_to_row:
             raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
         id_to_row[row_id] = i
-    rows = np.zeros((len(doc_ids), matrix.d), dtype=np.float32)
-    for i, doc_id in enumerate(doc_ids):
-        if doc_id not in id_to_row:
-            raise AlignmentError(f"no embedding row for document {doc_id!r}")
-        rows[i] = matrix.data[id_to_row[doc_id]]
-    return embeddings.EmbeddingMatrix(data=rows)
+    try:
+        rows = [id_to_row[doc_id] for doc_id in doc_ids]
+    except KeyError as exc:
+        raise AlignmentError(f"no embedding row for document {exc.args[0]!r}") from None
+    return embeddings.EmbeddingMatrix(data=matrix.data[rows])
 
 
 def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -265,11 +262,12 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
     queries = querygen.load_queries(_require(workdir, QUERIES_FILE))
-    index = mine.load_index(_require(workdir, INDEX_FILE), k1=cfg.bm25_k1, b=cfg.bm25_b)
-    if index.doc_ids != embeddings.load_ids(_require(workdir, IDS_FILE)):
-        raise AlignmentError(
-            f"{INDEX_FILE} does not index the documents of {IDS_FILE}; rerun `rankforge ingest`"
-        )
+    ids = embeddings.load_ids(_require(workdir, IDS_FILE))
+    try:
+        index = mine.load_index(_require(workdir, INDEX_FILE), ids, k1=cfg.bm25_k1, b=cfg.bm25_b)
+    except AlignmentError:
+        raise AlignmentError(f"{INDEX_FILE} does not index the documents of {IDS_FILE}; "
+                             "rerun `rankforge ingest`") from None
     pairs = mine.assemble_pairs(index, queries, cfg)
     mine.save_pairs(pairs, workdir / PAIRS_FILE)
     shortfalls = sum(1 for p in pairs if p.shortfall)

@@ -59,6 +59,11 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line_number) from None
 
 
+def encode_lines(lines: Iterable[str]) -> bytes:
+    """Each string in UTF-8, then ``\\n``: the bytes of a text file of those lines."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSONL file."""
     for line_number, line in read_lines(path):

@@ -17,7 +17,8 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .corpus import TokenizedCollection, read_header, read_lines, replacing, tokenize
+from .corpus import (TokenizedCollection, encode_lines, read_header, read_lines, replacing,
+                     tokenize)
 from .errors import (
     AlignmentError,
     DegenerateVectorError,
@@ -52,9 +53,6 @@ class EmbeddingMatrix:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
 
 
 def _read_shape(fh: BinaryIO) -> tuple[int, int]:
@@ -91,8 +89,8 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, ids: list[str] | 
         fh.write(_HEADER.pack(MAGIC, matrix.n, matrix.d))
         fh.write(np.ascontiguousarray(matrix.data, dtype="<f4"))   # the buffer, not a copy
     if ids is not None:
-        with replacing(str(path) + ".ids") as fh:
-            fh.write("".join(i + "\n" for i in ids))
+        with replacing(str(path) + ".ids", binary=True) as fh:
+            fh.write(encode_lines(ids))
 
 
 def load_ids(path: str | Path) -> list[str]:

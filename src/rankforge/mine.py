@@ -6,14 +6,18 @@ so the negatives are lexically related yet ranked well below the head of
 the list. When fewer candidates exist the pair is flagged as a shortfall
 rather than dropped.
 
-Index files (magic ``DQGIDX02``, little-endian) hold u64 document, term and
-posting counts; the doc ids and the sorted terms as UTF-8 tables (u32 byte
-lengths, then the bytes); u32 doc lengths, u64 indptr, u32 ordinals and u32
-term frequencies. k1 and b are not stored: ``load_index`` takes them.
+Index files (magic ``DQGIDX03``, little-endian) hold no document ids: the
+embeddings' ``.ids`` sidecar is the one id table. The header holds u64
+document, term and posting counts, the u64 byte size of the term table, and
+the SHA-256 of the ``.ids`` bytes (``corpus.encode_lines`` of the ids). Then
+come the sorted terms, one ``\\n``-ended UTF-8 line each; u32 doc lengths,
+u64 indptr, u32 ordinals and u32 term frequencies. k1 and b are not stored:
+``load_index`` takes them with the ids.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -23,13 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .corpus import TokenizedCollection, read_records, replacing, tokenize, write_jsonl
-from .errors import DataError, DuplicateIdError, FormatError
+from .corpus import (TokenizedCollection, encode_lines, read_header, read_records, replacing,
+                     tokenize, write_jsonl)
+from .errors import AlignmentError, DataError, DuplicateIdError, FormatError
 from .querygen import SyntheticQuery
 
-MAGIC = b"DQGIDX02"
+MAGIC = b"DQGIDX03"
 
-_HEADER = struct.Struct("<8sQQQ")   # magic, n_docs, n_terms, n_postings
+# magic, n_docs, n_terms, n_postings, term table bytes, SHA-256 of the `.ids` bytes
+_HEADER = struct.Struct("<8sQQQQ32s")
 # build_index adds document ordinals to its per-token keys about this many tokens at a time
 _BLOCK_TOKENS = 1 << 19
 
@@ -161,6 +167,8 @@ def assemble_pairs(
 ) -> list[TrainingPair]:
     """One training pair per query, in query order; positives are looked up in the index."""
     ordinals = {doc_id: o for o, doc_id in enumerate(index.doc_ids)}
+    if len(ordinals) != index.n_docs:
+        raise DuplicateIdError("duplicate document ids in index")
     pairs = []
     for q in queries:
         positive = ordinals.get(q.doc_id)
@@ -197,67 +205,46 @@ def load_pairs(path: str | Path) -> list[TrainingPair]:
     return pairs
 
 
-def _string_table(strings: Sequence[str]) -> bytes:
-    encoded = [s.encode("utf-8") for s in strings]
-    return np.array([len(e) for e in encoded], dtype="<u4").tobytes() + b"".join(encoded)
+def _ids_digest(doc_ids: Sequence[str]) -> bytes:
+    return hashlib.sha256(encode_lines(doc_ids)).digest()
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
     """Serialize the index; byte-stable because terms and postings are sorted."""
+    terms = encode_lines(index.terms)
     with replacing(path, binary=True) as fh:
-        fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.terms), len(index.ords)))
-        fh.write(_string_table(index.doc_ids))
-        fh.write(_string_table(index.terms))
+        fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.terms), len(index.ords), len(terms),
+                              _ids_digest(index.doc_ids)))
+        fh.write(terms)
         for values, dtype in ((index.doc_lengths, "<u4"), (index.indptr, "<u8"),
                               (index.ords, "<u4"), (index.tfs, "<u4")):
             fh.write(np.ascontiguousarray(values, dtype=dtype))   # no copy where types match
 
 
-def load_index(path: str | Path, k1: float = PipelineConfig.bm25_k1,
+def _payload_bytes(n_docs: int, n_terms: int, nnz: int, term_bytes: int, _digest: bytes) -> int:
+    return term_bytes + 4 * n_docs + 8 * (n_terms + 1) + 8 * nnz
+
+
+def load_index(path: str | Path, doc_ids: Sequence[str], k1: float = PipelineConfig.bm25_k1,
                b: float = PipelineConfig.bm25_b) -> Bm25Index:
-    """Read and validate an index file; k1 and b are the caller's."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated index header")
-    magic, n_docs, n_terms, nnz = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    offset = _HEADER.size
-
-    def take(dtype: str, count: int) -> np.ndarray:
-        nonlocal offset
-        end = offset + np.dtype(dtype).itemsize * count
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated at byte {offset}")
-        values = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-        offset = end
-        return values
-
-    def take_strings(count: int, what: str) -> list[str]:
-        nonlocal offset
-        lengths = take("<u4", count)
-        bounds = (offset + np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))).tolist()
-        if bounds[-1] > len(blob):
-            raise FormatError(f"{path}: truncated {what} table")
-        offset = bounds[-1]
+    """Read and validate an index of the documents ``doc_ids``; k1 and b are the caller's."""
+    with open(path, "rb") as fh:
+        n_docs, n_terms, nnz, term_bytes, digest = read_header(fh, _HEADER, MAGIC, _payload_bytes)
+        if n_docs != len(doc_ids) or digest != _ids_digest(doc_ids):
+            raise AlignmentError(f"{path} does not index the given document ids")
         try:
-            return [blob[s:e].decode("utf-8") for s, e in zip(bounds, bounds[1:])]
+            terms = fh.read(term_bytes).decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {what} table is not UTF-8") from exc
-
-    doc_ids = take_strings(n_docs, "document id")
-    if len(set(doc_ids)) != len(doc_ids):
-        raise DuplicateIdError(f"{path}: duplicate document ids in index")
-    terms = take_strings(n_terms, "term")
+            raise FormatError(f"{path}: term table is not UTF-8") from exc
+        if terms.pop() or len(terms) != n_terms:
+            raise FormatError(f"{path}: term table does not hold {n_terms} lines")
+        doc_lengths = np.fromfile(fh, dtype="<u4", count=n_docs)
+        indptr = np.fromfile(fh, dtype="<u8", count=n_terms + 1).astype(np.int64)
+        ords = np.fromfile(fh, dtype="<u4", count=nnz)
+        tfs = np.fromfile(fh, dtype="<u4", count=nnz)
     for previous, term in zip(terms, terms[1:]):
         if term <= previous:
             raise FormatError(f"{path}: terms out of order at {term!r}")
-    doc_lengths = take("<u4", n_docs)
-    indptr = take("<u8", n_terms + 1).astype(np.int64)
-    ords = take("<u4", nnz)
-    tfs = take("<u4", nnz)
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
     if indptr[0] != 0 or (np.diff(indptr) < 1).any():
         raise FormatError(f"{path}: indptr does not start at 0 and strictly increase")
     if indptr[-1] != nnz:

@@ -235,9 +235,9 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
 
 
 def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:
-    """Persist queries as JSONL {doc_id, query, model}."""
-    write_jsonl(path, ({"doc_id": q.doc_id, "query": q.query_text, "model": q.model_name}
-                       for q in queries))
+    """Persist queries as JSONL {doc_id, query, raw, model}."""
+    write_jsonl(path, ({"doc_id": q.doc_id, "query": q.query_text, "raw": q.raw_completion,
+                        "model": q.model_name} for q in queries))
 
 
 def load_queries(path: str | Path) -> list[SyntheticQuery]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankforge import cli, corpus, embeddings, httpclient, querygen
+from rankforge import cli, corpus, embeddings, httpclient, mine, querygen
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
@@ -382,7 +382,7 @@ def test_external_embeddings_reordered_sidecar(tmp_path):
     assert [d.id for d in coll.values()] == kept_ids
     stored = load_embeddings(work / cli.EMBEDDINGS_FILE)
     for i, doc_id in enumerate(kept_ids):
-        np.testing.assert_array_equal(stored.row(i), ext[ext_ids.index(doc_id)])
+        np.testing.assert_array_equal(stored.data[i], ext[ext_ids.index(doc_id)])
 
 
 def test_external_embeddings_missing_doc_fails(tmp_path, corpus_file):
@@ -426,6 +426,17 @@ def test_mine_rejects_index_of_another_collection(tmp_path, corpus_file, capsys)
     assert _run(["mine", "--workdir", work]) == 2
     assert "index.bin does not index the documents of embeddings.bin.ids" in capsys.readouterr().err
     assert not (work / cli.PAIRS_FILE).exists()
+
+    # the same ids with two of them swapped: the count and the set still match
+    (work / cli.INDEX_FILE).write_bytes(original)
+    ids_original = (work / cli.IDS_FILE).read_bytes()
+    ids = ids_original.decode("utf-8").splitlines(keepends=True)
+    ids[0], ids[1] = ids[1], ids[0]
+    (work / cli.IDS_FILE).write_text("".join(ids), encoding="utf-8")
+    assert _run(["mine", "--workdir", work]) == 2
+    assert "index.bin does not index the documents of embeddings.bin.ids" in capsys.readouterr().err
+    assert not (work / cli.PAIRS_FILE).exists()
+    (work / cli.IDS_FILE).write_bytes(ids_original)
 
     # the collection is read for its text, by id: its order no longer matters
     (work / cli.INDEX_FILE).write_bytes(original)
@@ -548,6 +559,10 @@ def test_build_writes_the_manifest(finished, tmp_path):
         for name, path in paths.items()
     }
     assert all("\\" not in a["path"] for a in manifest["artifacts"].values())
+    # the index names its documents by the digest of the `.ids` bytes, not by a copy of them
+    with open(work / cli.INDEX_FILE, "rb") as fh:
+        digest = mine._HEADER.unpack(fh.read(mine._HEADER.size))[-1]
+    assert digest.hex() == manifest["artifacts"]["embedding_ids"]["sha256"]
 
 
 def test_build_checks_every_input_before_it_writes(finished, tmp_path, capsys):

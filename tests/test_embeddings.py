@@ -169,7 +169,7 @@ def test_embed_collection_rows_follow_order():
     matrix = embed_collection(tokenize_collection(coll), 32, seed=3)
     assert matrix.n == 6 and matrix.d == 32
     for i, doc in enumerate(coll.values()):
-        np.testing.assert_array_equal(matrix.row(i), hash_embed(render_document(doc), 32, seed=3))
+        np.testing.assert_array_equal(matrix.data[i], hash_embed(render_document(doc), 32, seed=3))
 
 
 def _collection(texts):

@@ -14,10 +14,12 @@ from rankforge.corpus import (Document, TokenizedCollection, render_document, to
                              tokenize_collection)
 from rankforge.embeddings import embed_collection
 from rankforge.errors import (
+    AlignmentError,
     DataError,
     DuplicateIdError,
     FormatError,
     InvalidConfigError,
+    SizeMismatchError,
 )
 from rankforge.mine import (
     Bm25Index,
@@ -312,13 +314,13 @@ def test_csr_postings_match_counter_reference(monkeypatch):
 
 def test_index_roundtrip_and_byte_stability(tmp_path):
     base = make_collection(20, seed=4)
-    docs = [Document(id=f"dök\n{i} ✓" if i % 2 else doc.id, title=doc.title, text=doc.text)
+    docs = [Document(id=f"dök{i} ✓" if i % 2 else doc.id, title=doc.title, text=doc.text)
             for i, doc in enumerate(base.values())]
     coll = {d.id: d for d in docs}
     index = build_index(tokenize_collection(coll))
     path_a = tmp_path / "a.idx"
     save_index(index, path_a)
-    loaded = load_index(path_a, k1=1.1, b=0.3)
+    loaded = load_index(path_a, [d.id for d in docs], k1=1.1, b=0.3)
     assert loaded.doc_ids == [d.id for d in docs]
     assert loaded.k1 == 1.1 and loaded.b == 0.3
     assert loaded.terms == index.terms
@@ -331,7 +333,8 @@ def test_index_roundtrip_and_byte_stability(tmp_path):
 
     # scoring equivalence after the roundtrip, and k1/b taken at load
     query = ["game", "recipe", "orbit", "game"]
-    np.testing.assert_array_equal(load_index(path_a).score_all(query), index.score_all(query))
+    np.testing.assert_array_equal(load_index(path_a, index.doc_ids).score_all(query),
+                                  index.score_all(query))
     want = bm25_oracle([tokenize(render_document(d)) for d in docs], query, k1=1.1, b=0.3)
     np.testing.assert_allclose(loaded.score_all(query), want, atol=1e-6)
 
@@ -349,23 +352,30 @@ def test_index_load_rejects_corruption(tmp_path):
     save_index(index, path)
     blob = path.read_bytes()
 
-    def rejects(data: bytes, match: str, name: str):
+    def rejects(data: bytes, error: type, match: str, name: str):
         bad = tmp_path / f"{name}.idx"
         bad.write_bytes(data)
-        with pytest.raises(FormatError, match=match):
-            load_index(bad)
+        with pytest.raises(error, match=match):
+            load_index(bad, index.doc_ids)
 
-    rejects(b"WRONGMAG" + blob[8:], "bad magic", "magic")
-    rejects(blob[:20], "truncated index header", "header")
-    id_bytes = 32 + 4 * len(coll)                       # header, then the id lengths
-    rejects(blob[:id_bytes + 2], "truncated document id table", "ids")
-    rejects(blob[:id_bytes] + b"\xff" + blob[id_bytes + 1:], "not UTF-8", "utf8")
-    rejects(blob[:-3], "truncated", "short")
-    rejects(blob + b"\x00\x00", "2 trailing bytes", "trailing")
+    rejects(blob[:20], FormatError, "too short for header", "header")
+    rejects(b"WRONGMAG" + blob[8:], FormatError, "bad magic", "magic")
+    rejects(blob[:-3], SizeMismatchError, "found", "short")
+    rejects(blob + b"\x00\x00", SizeMismatchError, "found", "long")
+    table = mine._HEADER.size                           # the term table follows the header
+    rejects(blob[:table] + b"\xff" + blob[table + 1:], FormatError, "not UTF-8", "utf8")
+    first_break = blob.index(b"\n", table)
+    rejects(blob[:first_break] + b"x" + blob[first_break + 1:], FormatError,
+            f"does not hold {len(index.terms)} lines", "lines")
+    swapped = list(index.doc_ids)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    for doc_ids in (swapped, index.doc_ids[:-1], index.doc_ids + ["extra"]):
+        with pytest.raises(AlignmentError, match="does not index the given document ids"):
+            load_index(path, doc_ids)
 
     def variant_rejects(match: str, name: str, **fields):
         with pytest.raises(FormatError, match=match):
-            load_index(_saved_variant(tmp_path, index, name, **fields))
+            load_index(_saved_variant(tmp_path, index, name, **fields), index.doc_ids)
 
     terms = list(index.terms)
     terms[1], terms[2] = terms[2], terms[1]
@@ -392,12 +402,15 @@ def test_index_load_rejects_corruption(tmp_path):
     variant_rejects("postings out of order", "order", ords=ords)
 
 
-def test_index_load_rejects_duplicate_doc_ids(tmp_path):
+def test_assemble_pairs_rejects_duplicate_doc_ids():
     index = build_index(tokenize_collection(make_collection(5, seed=2)))
     doc_ids = list(index.doc_ids)
     doc_ids[3] = doc_ids[1]
+    queries = [SyntheticQuery(doc_id=doc_ids[0], query_text="q", raw_completion="q",
+                              model_name="m")]
     with pytest.raises(DuplicateIdError):
-        load_index(_saved_variant(tmp_path, index, "dup", doc_ids=doc_ids))
+        assemble_pairs(Bm25Index(**{**_index_fields(index), "doc_ids": doc_ids}), queries,
+                       PipelineConfig())
 
 
 def test_pairs_roundtrip(tmp_path):

@@ -27,6 +27,7 @@ from rankforge.querygen import (
     MockCompletionClient,
     PromptTemplate,
     QueryPrompt,
+    SyntheticQuery,
     builtin_examples_path,
     builtin_template_path,
     build_prompt,
@@ -37,6 +38,7 @@ from rankforge.querygen import (
     load_template,
     make_client,
     parse_completion,
+    save_queries,
     truncate_at_whitespace,
 )
 
@@ -191,6 +193,16 @@ def test_load_examples_errors(tmp_path):
         path.write_text('{"document": "d", "query": "q"}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"line 2: `{field}` must be a string"):
             load_examples(path)
+
+
+def test_save_load_queries_roundtrip_keeps_the_raw_completion(tmp_path):
+    queries = [SyntheticQuery(doc_id="a", query_text="pruning apple trees",
+                              raw_completion=' "Pruning apple trees"\nand more', model_name="m"),
+               SyntheticQuery(doc_id="b", query_text="ü query", raw_completion="ü query",
+                              model_name="llama")]
+    path = tmp_path / "q.jsonl"
+    save_queries(queries, path)
+    assert load_queries(path) == queries
 
 
 def test_load_queries_rejects_bad_lines(tmp_path):
