@@ -9,6 +9,7 @@ emit reranker training files plus an evaluation harness.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
+    AccessDeniedError,
     AggregateGenerationError,
     AlignmentError,
     DataError,

@@ -224,10 +224,21 @@ def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _read_documents(workdir: Path, ids: list[str],
+                    wanted: set[str]) -> dict[str, corpus.Document]:
+    """The documents ``wanted`` from the collection, found by their line in the `.ids` sidecar."""
+    try:
+        return corpus.load_documents(_require(workdir, COLLECTION_FILE), ids, wanted)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{COLLECTION_FILE} does not hold the documents of {IDS_FILE} "
+                             f"line for line ({exc}); rerun `rankforge ingest`") from None
+
+
 def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
-    docs = corpus.load_collection(_require(workdir, COLLECTION_FILE))
     rows = selection.load_selected(_require(workdir, SELECTED_FILE))
+    ids = embeddings.load_ids(_require(workdir, IDS_FILE))
+    docs = _read_documents(workdir, ids, {row["doc_id"] for row in rows})
 
     template_path = getattr(args, "template", None) or querygen.builtin_template_path()
     examples_path = getattr(args, "examples", None) or querygen.builtin_examples_path("wikipedia")
@@ -280,16 +291,19 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
     for name in ARTIFACTS:      # every input is there before anything is written
         _require(workdir, name)
-    docs = corpus.load_collection(workdir / COLLECTION_FILE)
+    pairs = mine.load_pairs(workdir / PAIRS_FILE)
+    ids = embeddings.load_ids(workdir / IDS_FILE)
     rows_n, dim = embeddings.read_shape(workdir / EMBEDDINGS_FILE)
     clusters, _, assigned = clustering.read_shape(workdir / KMEANS_FILE)
-    if not (len(docs) == rows_n == assigned):
-        raise AlignmentError(f"{COLLECTION_FILE} has {len(docs)} documents, {EMBEDDINGS_FILE} "
+    if not (len(ids) == rows_n == assigned):
+        raise AlignmentError(f"{IDS_FILE} has {len(ids)} ids, {EMBEDDINGS_FILE} "
                              f"{rows_n} rows and {KMEANS_FILE} {assigned} assignments; "
                              "rerun the stale stage")
+    # the collection has one line per id, or this raises
+    docs = _read_documents(workdir, ids, {doc_id for p in pairs
+                                          for doc_id in (p.positive_doc_id, *p.negative_doc_ids)})
     rows = selection.load_selected(workdir / SELECTED_FILE)
     queries = querygen.load_queries(workdir / QUERIES_FILE)
-    pairs = mine.load_pairs(workdir / PAIRS_FILE)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -302,7 +316,7 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     manifest = {
         "config": dataclasses.asdict(cfg),
         "counts": {
-            "documents": len(docs),
+            "documents": len(ids),
             "embedding_dim": dim,
             "clusters": clusters,
             "selected": len(rows),

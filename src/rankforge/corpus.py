@@ -3,6 +3,7 @@
 Corpus files are JSONL in the BEIR convention: one object per line with
 a string or integer `_id`, a string `text` and an optional string `title`.
 A loaded collection is a ``dict`` from id to ``Document``, in file order.
+``load_documents`` decodes only the lines of the documents a stage needs.
 Every artifact is written whole through ``replacing``, every JSONL record
 is read through ``read_records``, and ``read_header`` checks binary headers.
 """
@@ -19,10 +20,11 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import (IO, TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Iterator,
+                    NamedTuple, Sequence)
 
-from .errors import (DuplicateIdError, FormatError, InvalidConfigError, SizeMismatchError,
-                     ValidationError)
+from .errors import (AlignmentError, DuplicateIdError, FormatError, InvalidConfigError,
+                     SizeMismatchError, ValidationError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,14 +51,29 @@ class Document:
     text: str
 
 
+def _decode(raw: bytes, path: str | Path, line_number: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line_number) from None
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) for each line of a UTF-8 text file; lines end at ``\\n``."""
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
-            try:
-                yield line_number, raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line_number) from None
+            yield line_number, _decode(raw, path, line_number)
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file, decoded at once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line_number) from None
 
 
 def encode_lines(lines: Iterable[str]) -> bytes:
@@ -64,29 +81,47 @@ def encode_lines(lines: Iterable[str]) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line of a JSONL file."""
-    for line_number, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-        if not isinstance(obj, dict):
-            raise FormatError("expected a JSON object", line_number)
-        yield line_number, obj
+def read_jsonl(path: str | Path, lines: bytes | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    ``lines``, when given, holds one flag per line of the file: only lines
+    whose flag is set are decoded, and each of them must hold an object. A
+    file with more or fewer lines than flags raises ``AlignmentError``.
+    """
+    line_number = 0
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            if lines is not None:
+                if line_number > len(lines):
+                    raise AlignmentError(f"line {line_number}: {path} has more than "
+                                         f"{len(lines)} lines")
+                if not lines[line_number - 1]:
+                    continue
+            line = _decode(raw, path, line_number)
+            if lines is None and not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+            if not isinstance(obj, dict):
+                raise FormatError("expected a JSON object", line_number)
+            yield line_number, obj
+    if lines is not None and line_number < len(lines):
+        raise AlignmentError(f"line {line_number + 1}: missing, {path} ends after "
+                             f"{line_number} of {len(lines)} lines")
 
 
-def read_records(path: str | Path,
-                 fields: dict[str, tuple[type, ...]]) -> Iterator[tuple[int, dict]]:
+def read_records(path: str | Path, fields: dict[str, tuple[type, ...]],
+                 lines: bytes | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each JSONL record whose fields have their types.
 
     ``fields`` maps a field to its exact JSON types, so ``true`` is no integer.
-    A field that may be None may also be absent.
+    A field that may be None may also be absent. ``lines`` picks the lines to
+    decode, as in ``read_jsonl``.
     """
     checks = tuple(fields.items())
-    for line_number, obj in read_jsonl(path):
+    for line_number, obj in read_jsonl(path, lines):
         for name, types in checks:
             if type(obj.get(name)) not in types:
                 if name not in obj:
@@ -154,23 +189,49 @@ def write_json(path: str | Path, obj: object, **dumps) -> None:
         fh.write(json.dumps(obj, **dumps) + "\n")
 
 
+def _document(obj: dict, line_number: int) -> Document:
+    """The Document of a record that ``read_records`` checked against ``_DOC_FIELDS``."""
+    doc_id, text, title = obj["_id"], obj["text"], obj.get("title") or ""
+    if type(doc_id) is int:
+        doc_id = str(doc_id)
+    if not doc_id:
+        raise FormatError("`_id` is empty", line_number)
+    if doc_id.splitlines() != [doc_id]:
+        # the embeddings `.ids` sidecar holds one id per line
+        raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
+    if "\x00" in title or "\x00" in text:
+        raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
+    return Document(id=doc_id, title=title, text=text)
+
+
 def load_collection(path: str | Path) -> dict[str, Document]:
     """Load a corpus file as id -> Document, in file order."""
     docs: dict[str, Document] = {}
     for line_number, obj in read_records(path, _DOC_FIELDS):
-        doc_id, text, title = obj["_id"], obj["text"], obj.get("title") or ""
-        if type(doc_id) is int:
-            doc_id = str(doc_id)
-        if not doc_id:
-            raise FormatError("`_id` is empty", line_number)
-        if doc_id.splitlines() != [doc_id]:
-            # the embeddings `.ids` sidecar holds one id per line
-            raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
-        if "\x00" in title or "\x00" in text:
-            raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
-        if doc_id in docs:
-            raise DuplicateIdError(f"duplicate `_id` {doc_id!r} at line {line_number}")
-        docs[doc_id] = Document(id=doc_id, title=title, text=text)
+        doc = _document(obj, line_number)
+        if doc.id in docs:
+            raise DuplicateIdError(f"duplicate `_id` {doc.id!r} at line {line_number}")
+        docs[doc.id] = doc
+    return docs
+
+
+def load_documents(path: str | Path, ids: Sequence[str],
+                   wanted: Collection[str]) -> dict[str, Document]:
+    """The documents ``wanted`` of a collection file whose line ``i + 1`` holds ``ids[i]``.
+
+    Only their lines are decoded and checked; the file must have one line per
+    id, and each decoded line must hold its id, or ``AlignmentError`` names the
+    line. Wanted ids that are not in ``ids`` are left out of the result.
+    """
+    wanted = set(wanted)
+    lines = bytes(map(wanted.__contains__, ids))
+    docs: dict[str, Document] = {}
+    for line_number, obj in read_records(path, _DOC_FIELDS, lines):
+        doc = _document(obj, line_number)
+        if doc.id != ids[line_number - 1]:
+            raise AlignmentError(f"line {line_number}: `_id` {doc.id!r} is not "
+                                 f"{ids[line_number - 1]!r}, the id of that line")
+        docs[doc.id] = doc
     return docs
 
 

@@ -17,7 +17,7 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .corpus import (TokenizedCollection, encode_lines, read_header, read_lines, replacing,
+from .corpus import (TokenizedCollection, encode_lines, read_header, read_text, replacing,
                      tokenize)
 from .errors import (
     AlignmentError,
@@ -95,7 +95,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, ids: list[str] | 
 
 def load_ids(path: str | Path) -> list[str]:
     """Read an `.ids` sidecar: one id per line (any ``str.splitlines`` break ends one)."""
-    return [doc_id for _, line in read_lines(path) for doc_id in line.splitlines() if doc_id]
+    return [doc_id for doc_id in read_text(path).splitlines() if doc_id]
 
 
 def check_alignment(doc_ids: Sequence[str], matrix: EmbeddingMatrix) -> None:

@@ -71,6 +71,10 @@ class EndpointError(RankforgeError):
     """LLM endpoint failure that aborts the generation stage."""
 
 
+class AccessDeniedError(EndpointError):
+    """The endpoint refused the request's credentials (HTTP 401 or 403); so would every other."""
+
+
 class AggregateGenerationError(EndpointError):
     """Every generation request failed."""
 

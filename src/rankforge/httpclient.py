@@ -21,7 +21,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .config import PipelineConfig
-from .errors import EndpointError
+from .errors import AccessDeniedError, EndpointError
 from .querygen import STOP
 
 API_KEY_ENV = "RANKFORGE_API_KEY"
@@ -130,8 +130,10 @@ class HttpCompletionClient:
             error = f"HTTP {status} {reason}".rstrip()
             if status in (408, 429) or status >= 500:
                 raise http.client.HTTPException(error)      # retried
-            # any other 4xx (a bad key, a wrong path) or a 3xx gives every
-            # retry the same answer
+            if status in (401, 403):
+                raise AccessDeniedError(f"request refused: {error}; check {API_KEY_ENV}")
+            # any other 4xx (a wrong path, a malformed request) or a 3xx gives
+            # every retry the same answer
             raise EndpointError(f"request failed: {error}")
         text = json.loads(data)["choices"][0]["text"]
         if not isinstance(text, str):       # a malformed reply, retried like a missing key

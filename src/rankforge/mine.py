@@ -102,19 +102,26 @@ class Bm25Index:
         return np.bincount(np.concatenate(postings), np.concatenate(weights),
                            minlength=self.n_docs)
 
-    def search(self, query_text: str, k: int) -> list[tuple[int, float]]:
+    def top_k(self, query_text: str, k: int) -> np.ndarray:
         """Top-k ordinals with positive score, ordered by score desc then ordinal asc."""
+        return _top_k(self.score_all(tokenize(query_text)), k)
+
+    def search(self, query_text: str, k: int) -> list[tuple[int, float]]:
+        """``top_k`` as (ordinal, score) pairs."""
         scores = self.score_all(tokenize(query_text))
-        hits = np.flatnonzero(scores > 0.0)
-        if 0 < k < hits.size:
-            # exactly the top k: all above the k-th largest score, then ties at it by ordinal
-            hit_scores = scores[hits]
-            kth = np.partition(hit_scores, hits.size - k)[hits.size - k]
-            above = hits[hit_scores > kth]
-            ties = hits[hit_scores == kth][: k - above.size]
-            hits = np.concatenate((above, ties))
-        order = hits[np.lexsort((hits, -scores[hits]))]
-        return [(int(o), float(scores[o])) for o in order[:k]]
+        return [(int(o), float(scores[o])) for o in _top_k(scores, k)]
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    hits = np.flatnonzero(scores > 0.0)
+    if 0 < k < hits.size:
+        # exactly the top k: all above the k-th largest score, then ties at it by ordinal
+        hit_scores = scores[hits]
+        kth = np.partition(hit_scores, hits.size - k)[hits.size - k]
+        above = hits[hit_scores > kth]
+        ties = hits[hit_scores == kth][: k - above.size]
+        hits = np.concatenate((above, ties))
+    return hits[np.lexsort((hits, -scores[hits]))][:k]
 
 
 def build_index(tokens: TokenizedCollection) -> Bm25Index:
@@ -154,12 +161,14 @@ def build_index(tokens: TokenizedCollection) -> Bm25Index:
 def mine_negatives(
     index: Bm25Index, query_text: str, positive_ordinal: int, cfg: PipelineConfig
 ) -> tuple[list[int], bool]:
-    """Tail of the top-x candidates minus the positive; flags when under quota."""
-    hits = index.search(query_text, cfg.first_stage_hits)
-    candidates = [ordinal for ordinal, _ in hits if ordinal != positive_ordinal]
-    negatives = candidates[-cfg.num_negatives:] if candidates else []
-    shortfall = len(negatives) < cfg.num_negatives
-    return negatives, shortfall
+    """Tail of the top-x candidates minus the positive; flags when under quota.
+
+    The tail is the last ``num_negatives + 1`` hits: with the positive removed,
+    its last ``num_negatives`` are those of the whole list.
+    """
+    tail = index.top_k(query_text, cfg.first_stage_hits)[-(cfg.num_negatives + 1):]
+    negatives = [int(o) for o in tail if o != positive_ordinal][-cfg.num_negatives:]
+    return negatives, len(negatives) < cfg.num_negatives
 
 
 def assemble_pairs(

@@ -23,8 +23,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import PipelineConfig
-from .corpus import read_lines, read_records, tokenize, write_jsonl
+from .corpus import read_records, read_text, tokenize, write_jsonl
 from .errors import (
+    AccessDeniedError,
     AggregateGenerationError,
     EmptyQueryError,
     EndpointError,
@@ -79,7 +80,7 @@ def builtin_examples_path(name: str) -> Path:
 
 def load_template(path: str | Path) -> PromptTemplate:
     try:
-        obj = json.loads("".join(line for _, line in read_lines(path)))
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise TemplateError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
@@ -205,30 +206,43 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
     """One completion per prompt, cfg.threads at a time; output follows input order.
 
     Items that fail transport after retries or parse to an empty query are
-    dropped and logged, in input order; the call only raises when every
-    request failed.
+    dropped and logged, in input order; the call raises when every request
+    failed. A refused credential (``AccessDeniedError``) is raised at once:
+    no worker sends another request, and the prompts not yet started are
+    cancelled.
     """
+    denied: list[AccessDeniedError] = []
+
     def attempt(prompt: QueryPrompt) -> str | EndpointError:
+        if denied:      # set before this worker took the prompt: send nothing
+            raise denied[0]
         try:
             return client.complete(prompt.text, cfg)
+        except AccessDeniedError as exc:
+            denied.append(exc)
+            raise
         except EndpointError as exc:
             return exc
 
     queries: list[SyntheticQuery] = []
     transport_failures = 0
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for prompt, raw in zip(prompts, pool.map(attempt, prompts)):
-            if isinstance(raw, EndpointError):
-                transport_failures += 1
-                log.warning("generation failed for doc %s: %s", prompt.doc_id, raw)
-                continue
-            try:
-                query_text = parse_completion(raw)
-            except EmptyQueryError:
-                log.warning("dropping doc %s: completion parsed empty", prompt.doc_id)
-                continue
-            queries.append(SyntheticQuery(doc_id=prompt.doc_id, query_text=query_text,
-                                          raw_completion=raw, model_name=client.model))
+        try:
+            for prompt, raw in zip(prompts, pool.map(attempt, prompts)):
+                if isinstance(raw, EndpointError):
+                    transport_failures += 1
+                    log.warning("generation failed for doc %s: %s", prompt.doc_id, raw)
+                    continue
+                try:
+                    query_text = parse_completion(raw)
+                except EmptyQueryError:
+                    log.warning("dropping doc %s: completion parsed empty", prompt.doc_id)
+                    continue
+                queries.append(SyntheticQuery(doc_id=prompt.doc_id, query_text=query_text,
+                                              raw_completion=raw, model_name=client.model))
+        except AccessDeniedError:
+            pool.shutdown(cancel_futures=True)
+            raise
     if prompts and transport_failures == len(prompts):
         raise AggregateGenerationError(transport_failures)
     return queries

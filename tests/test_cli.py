@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankforge import cli, corpus, embeddings, httpclient, mine, querygen
+from rankforge import cli, corpus, embeddings, httpclient, mine, querygen, selection
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
@@ -122,19 +122,33 @@ def test_run_all_matches_stagewise(tmp_path, corpus_file):
     # so it echoes the defaults of every other stage's settings (ROADMAP item 6)
 
 
-def test_run_all_parses_the_collection_three_times(tmp_path, corpus_file, monkeypatch):
-    parsed = []
-    load_collection = corpus.load_collection
+def test_run_all_parses_the_collection_once(tmp_path, corpus_file, monkeypatch):
+    parsed, decoded = [], []
+    load_collection, read_records = corpus.load_collection, corpus.read_records
 
     def counting(path):
         parsed.append(Path(path).name)
         return load_collection(path)
 
+    def recording(path, fields, lines=None):
+        records = list(read_records(path, fields, lines))
+        if Path(path).name == cli.COLLECTION_FILE:
+            decoded.append([line_number for line_number, _ in records])
+        return iter(records)
+
     monkeypatch.setattr(corpus, "load_collection", counting)
-    assert _run(["run-all", "--input", corpus_file, "--workdir", tmp_path / "w",
+    monkeypatch.setattr(corpus, "read_records", recording)
+    work = tmp_path / "w"
+    assert _run(["run-all", "--input", corpus_file, "--workdir", work,
                  "--out", tmp_path / "o"] + SMALL_PIPELINE) == 0
-    # ingest reads the input; generate and build read the text they emit
-    assert parsed == ["corpus.jsonl", cli.COLLECTION_FILE, cli.COLLECTION_FILE]
+    # ingest parses its input; generate, then build, decode only the lines of their documents
+    assert parsed == ["corpus.jsonl"]
+    line_of = {doc_id: i for i, doc_id in enumerate(embeddings.load_ids(work / cli.IDS_FILE), 1)}
+    selected = [row["doc_id"] for row in selection.load_selected(work / cli.SELECTED_FILE)]
+    in_pairs = {doc_id for pair in mine.load_pairs(work / cli.PAIRS_FILE)
+                for doc_id in (pair.positive_doc_id, *pair.negative_doc_ids)}
+    assert decoded == [sorted(map(line_of.get, selected)), sorted(map(line_of.get, in_pairs))]
+    assert len(decoded[0]) == 9 and len(decoded[1]) < len(line_of)
 
 
 def test_cluster_select_and_mine_do_not_read_the_collection(tmp_path, corpus_file):
@@ -290,6 +304,9 @@ def test_exit_codes(tmp_path, corpus_file, capsys):
     assert _run(["ingest", "--input", corpus_file, "--workdir", work] + BASE_FLAGS) == 0
     assert _run(["cluster", "--workdir", work, "--clusters", "3"]) == 0
     assert _run(["select", "--workdir", work, "--sample-size", "6"]) == 0
+    latin1_ids = tmp_path / "w5"
+    shutil.copytree(work, latin1_ids)
+    (latin1_ids / cli.IDS_FILE).write_bytes(latin1.read_bytes())
     capsys.readouterr()
     for argv in (
         ["ingest", "--input", latin1, "--workdir", tmp_path / "w4"],
@@ -300,6 +317,7 @@ def test_exit_codes(tmp_path, corpus_file, capsys):
         ["generate", "--workdir", work, "--examples", latin1],
         ["generate", "--workdir", work, "--template", bad_template],
         ["generate", "--workdir", work, "--examples", bad_examples],
+        ["generate", "--workdir", latin1_ids],
     ):
         assert _run(argv) == 2, argv
         err = capsys.readouterr().err
@@ -357,6 +375,35 @@ def test_ingest_holds_each_array_once(tmp_path):
         tracemalloc.stop()
     bound = loaded + n * d * 4 + n_tokens * (4 + 8) + 4 * embeddings._BLOCK_BYTES
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_build_peak_does_not_grow_with_the_collection_text(tmp_path):
+    # build decodes only the documents of the pairs. Ten-times-longer texts in a
+    # collection of the same ids raise its peak by those documents' texts, held
+    # once, and a few documents' temporaries; never by the rest of the collection.
+    corpus_path = write_corpus_jsonl(make_collection(3000, seed=7), tmp_path / "c.jsonl")
+    short, long = tmp_path / "short", tmp_path / "long"
+    assert _run(["run-all", "--input", corpus_path, "--workdir", short / "w",
+                 "--out", short / "o"] + SMALL_PIPELINE) == 0
+    shutil.copytree(short, long)
+    docs = load_collection(short / "w" / cli.COLLECTION_FILE)
+    corpus.save_collection({doc_id: dataclasses.replace(doc, text=" ".join([doc.text] * 10))
+                            for doc_id, doc in docs.items()}, long / "w" / cli.COLLECTION_FILE)
+    peaks = []
+    for root in (short, long):
+        tracemalloc.start()
+        try:
+            assert _run(["build", "--workdir", root / "w", "--out", root / "o"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    in_pairs = {doc_id for pair in mine.load_pairs(short / "w" / cli.PAIRS_FILE)
+                for doc_id in (pair.positive_doc_id, *pair.negative_doc_ids)}
+    growth = [9 * len(docs[doc_id].text) + 9 for doc_id in docs]      # chars added per document
+    read_growth = sum(growth[i] for i, doc_id in enumerate(docs) if doc_id in in_pairs)
+    bound = read_growth + 8 * max(growth)
+    assert peaks[1] - peaks[0] < bound, (peaks, bound)
+    assert bound < sum(growth) / 10       # the whole collection's growth would not pass
 
 
 def test_external_embeddings_reordered_sidecar(tmp_path):
@@ -438,14 +485,28 @@ def test_mine_rejects_index_of_another_collection(tmp_path, corpus_file, capsys)
     assert not (work / cli.PAIRS_FILE).exists()
     (work / cli.IDS_FILE).write_bytes(ids_original)
 
-    # the collection is read for its text, by id: its order no longer matters
+    # a document is read from its line of the collection, the line of its id in
+    # `.ids`: the same documents in another order are refused, and nothing is written
     (work / cli.INDEX_FILE).write_bytes(original)
     _mine_and_build(work, tmp_path / "out")
+    original_lines = (work / cli.COLLECTION_FILE).read_bytes().splitlines(keepends=True)
     (work / cli.COLLECTION_FILE).write_bytes((other / cli.COLLECTION_FILE).read_bytes())
-    _mine_and_build(work, tmp_path / "out_reordered")
-    for name in (cli.TRIPLES_FILE, cli.POINTWISE_FILE):
-        assert (tmp_path / "out_reordered" / name).read_bytes() == \
-            (tmp_path / "out" / name).read_bytes(), name
+    queries = (work / cli.QUERIES_FILE).read_bytes()
+    capsys.readouterr()
+    for argv in (["generate", "--workdir", work],
+                 ["build", "--workdir", work, "--out", tmp_path / "out_reordered"]):
+        assert _run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert re.search(r"collection\.jsonl does not hold the documents of embeddings\.bin\.ids "
+                         r"line for line \(line \d+: `_id` '[^']+' is not '[^']+', the id of that "
+                         r"line\); rerun `rankforge ingest`", err), err
+    assert (work / cli.QUERIES_FILE).read_bytes() == queries
+    assert not (tmp_path / "out_reordered").exists()
+    # a collection without its last line has fewer lines than `.ids` has ids
+    (work / cli.COLLECTION_FILE).write_bytes(b"".join(original_lines[:-1]))
+    assert _run(["build", "--workdir", work, "--out", tmp_path / "out_reordered"]) == 2
+    assert "(line 45: missing, " in capsys.readouterr().err
+    assert not (tmp_path / "out_reordered").exists()
 
     # ingest is the producer of the index; a failed build makes no --out
     (work / cli.INDEX_FILE).unlink()
@@ -639,6 +700,16 @@ def test_collection_takes_integer_ids_and_absent_or_null_titles(tmp_path):
                                                         ("-12", "T", "z")]
 
 
+@pytest.mark.parametrize("value", [None, 5, ["x"], ABSENT])
+def test_build_checks_the_types_of_the_lines_it_decodes(finished, tmp_path, capsys, value):
+    # line 2 holds a document of the pairs, so build decodes it
+    ids = embeddings.load_ids(finished / "w" / cli.IDS_FILE)
+    assert any(ids[1] in (pair.positive_doc_id, *pair.negative_doc_ids)
+               for pair in mine.load_pairs(finished / "w" / cli.PAIRS_FILE))
+    _bad_field_exits_two(finished, tmp_path, capsys, f"w/{cli.COLLECTION_FILE}", "text", value,
+                         ["build", "--workdir", tmp_path / "w", "--out", tmp_path / "o"])
+
+
 @pytest.mark.parametrize("field, value", [
     ("doc_id", None), ("doc_id", 5), ("doc_id", ABSENT),
     ("cluster", "0"), ("cluster", 1.0), ("cluster", True), ("cluster", None), ("cluster", ABSENT),
@@ -695,6 +766,25 @@ def test_generate_exits_three_when_no_completion_is_a_string(finished, tmp_path,
         assert _run(["generate", "--workdir", tmp_path / "w", "--endpoint", server.endpoint,
                      "--max-retries", "1"]) == 3
     assert "all 9 generation requests failed" in capsys.readouterr().err
+    assert (tmp_path / "w" / cli.QUERIES_FILE).read_bytes() == queries
+
+
+class _Unauthorized(_Handler):
+    """Answers every request with a 401."""
+
+    def _reply(self, status, obj):
+        super()._reply(401, {"error": "bad key"})
+
+
+def test_generate_exits_three_at_the_first_refused_credential(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    queries = (tmp_path / "w" / cli.QUERIES_FILE).read_bytes()
+    capsys.readouterr()
+    with MockLLMServer(handler=_Unauthorized) as server:
+        assert _run(["generate", "--workdir", tmp_path / "w", "--endpoint", server.endpoint,
+                     "--threads", "2"]) == 3
+    assert capsys.readouterr().err == ("endpoint error: request refused: HTTP 401 Unauthorized; "
+                                       f"check {httpclient.API_KEY_ENV}\n")
     assert (tmp_path / "w" / cli.QUERIES_FILE).read_bytes() == queries
 
 

@@ -12,13 +12,16 @@ from rankforge.corpus import (
     Document,
     filter_min_length,
     load_collection,
+    load_documents,
     render_document,
     replacing,
     save_collection,
     tokenize,
     tokenize_collection,
 )
-from rankforge.errors import DuplicateIdError, FormatError, InvalidConfigError, ValidationError
+from rankforge.errors import (AlignmentError, DuplicateIdError, FormatError, InvalidConfigError,
+                             ValidationError)
+from tests.conftest import make_collection
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -111,6 +114,29 @@ def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.jsonl"
     path.write_text('{"_id": "a", "text": "x"}\n\n   \n{"_id": "b", "text": "y"}\n', encoding="utf-8")
     assert len(load_collection(path)) == 2
+
+
+def test_load_documents_decodes_only_the_lines_of_the_wanted_ids(tmp_path):
+    docs = make_collection(6, seed=2)
+    ids = list(docs)
+    path = tmp_path / "c.jsonl"
+    save_collection(docs, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = b"not JSON, not UTF-8 \xff\n"        # a line no one asks for is not read
+    path.write_bytes(b"".join(lines))
+    assert load_documents(path, ids, [ids[4], ids[2], "no-such-id"]) == \
+        {doc_id: docs[doc_id] for doc_id in (ids[2], ids[4])}
+
+    for broken, error, message in [
+        (lines + [lines[1]], AlignmentError, rf"line 7: {path} has more than 6 lines"),
+        (lines[:5], AlignmentError, rf"line 6: missing, {path} ends after 5 of 6 lines"),
+        (lines[:2] + [b"\n"] + lines[3:], FormatError, "line 3: invalid JSON"),
+        (lines[:2] + lines[3:4] + lines[2:3] + lines[4:], AlignmentError,
+         rf"line 3: `_id` '{ids[3]}' is not '{ids[2]}', the id of that line"),
+    ]:
+        path.write_bytes(b"".join(broken))
+        with pytest.raises(error, match=message):
+            load_documents(path, ids, [ids[2]])
 
 
 def test_render_document_joins_title_and_text():

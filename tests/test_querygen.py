@@ -13,6 +13,7 @@ import pytest
 from rankforge import httpclient, querygen
 from rankforge.config import PipelineConfig
 from rankforge.errors import (
+    AccessDeniedError,
     AggregateGenerationError,
     EmptyQueryError,
     EndpointError,
@@ -495,6 +496,32 @@ def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkey
         client.close()
     assert len(seen) == requests
     assert sleeps == [0.5, 1.0][: requests - 1]
+
+
+@pytest.mark.parametrize("status, threads", [(401, 2), (403, 2), (401, 8)])
+def test_generate_stops_at_the_first_refused_credential(status, threads, monkeypatch):
+    # a refused key fails every prompt alike: each worker sends at most one request.
+    # Eight workers on a short switch interval race to take the next prompt.
+    seen = []
+
+    class Refusing(_Handler):
+        def do_POST(self):  # noqa: N802
+            seen.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self._reply(status, {"error": "bad key"})
+
+    monkeypatch.setattr(httpclient.time, "sleep", lambda seconds: None)
+    prompts = [QueryPrompt(f"d{i}", f"prompt {i}") for i in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with MockLLMServer(handler=Refusing) as server:
+            client = HttpCompletionClient(server.endpoint, model="m")
+            with pytest.raises(AccessDeniedError, match=f"HTTP {status}"):
+                generate_queries(client, prompts, _settings(threads=threads, max_retries=3))
+            client.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(seen) <= threads
 
 
 @pytest.mark.parametrize("choice", [{}, {"text": None}, {"text": 5}, {"text": ["q"]}])
