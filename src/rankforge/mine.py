@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -64,13 +65,7 @@ class Bm25Index:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.ords, self.tfs = ords, tfs
         self.k1, self.b = float(k1), float(b)
-        self._term_ids = {term: t for t, term in enumerate(self.terms)}
         self.avgdl = float(self.doc_lengths.mean()) if len(self.doc_ids) else 0.0
-        # length normalizer is constant per document, so precompute it
-        if self.avgdl > 0:
-            self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avgdl)
-        else:
-            self._norm = np.full(len(self.doc_ids), self.k1 * (1.0 - self.b))
         self._weights: dict[int, np.ndarray] = {}   # term id -> BM25 weight of each posting
 
     @property
@@ -80,13 +75,14 @@ class Bm25Index:
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
         """Score every document; repeated query tokens contribute once per occurrence.
 
-        ``np.bincount`` adds the weights into each document's bin in input
-        order, starting from 0.0, so the sum runs term by term in query order.
+        Each known term's weights are added in place in query order, so every
+        document's score runs ``0.0 + w1 + w2 ...``. ``terms`` is sorted, so a
+        binary search finds a term.
         """
-        postings, weights = [self.ords[:0]], [np.zeros(0)]     # so no known term scores 0
+        scores = np.zeros(self.n_docs)
         for term in query_tokens:
-            t = self._term_ids.get(term)
-            if t is None:
+            t = bisect_left(self.terms, term)
+            if t == len(self.terms) or self.terms[t] != term:
                 continue
             lo, hi = int(self.indptr[t]), int(self.indptr[t + 1])
             ords = self.ords[lo:hi]
@@ -95,12 +91,11 @@ class Bm25Index:
                 df = hi - lo
                 idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
                 tf = self.tfs[lo:hi].astype(np.float64)
-                term_weights = idf * tf * (self.k1 + 1.0) / (tf + self._norm[ords])
+                norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths[ords] / self.avgdl)
+                term_weights = idf * tf * (self.k1 + 1.0) / (tf + norm)
                 self._weights[t] = term_weights
-            postings.append(ords)
-            weights.append(term_weights)
-        return np.bincount(np.concatenate(postings), np.concatenate(weights),
-                           minlength=self.n_docs)
+            np.add.at(scores, ords, term_weights)
+        return scores
 
     def top_k(self, query_text: str, k: int) -> np.ndarray:
         """Top-k ordinals with positive score, ordered by score desc then ordinal asc."""
@@ -266,4 +261,7 @@ def load_index(path: str | Path, doc_ids: Sequence[str], k1: float = PipelineCon
     unordered[indptr[1:-1] - 1] = False              # a new term starts its own run
     if unordered.any():
         raise FormatError(f"{path}: postings out of order after posting {int(unordered.argmax())}")
+    wrong = np.bincount(ords, weights=tfs, minlength=n_docs) != doc_lengths   # so avgdl > 0
+    if wrong.any():
+        raise FormatError(f"{path}: document {int(wrong.argmax())}'s length is not its tf sum")
     return Bm25Index(doc_ids, doc_lengths, terms, indptr, ords, tfs, k1=k1, b=b)

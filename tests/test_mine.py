@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -109,15 +110,39 @@ def test_cached_term_weights_keep_score_bits():
             idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
             tf = index.tfs[lo:hi].astype(np.float64)
             ords = index.ords[lo:hi]
-            scores[ords] += idf * tf * (index.k1 + 1.0) / (tf + index._norm[ords])
+            norm = index.k1 * (1.0 - index.b + index.b * index.doc_lengths[ords] / index.avgdl)
+            scores[ords] += idf * tf * (index.k1 + 1.0) / (tf + norm)
         return scores
 
     index = build_index(tokenize_collection(coll))
-    for query in (["game", "orbit", "game", "salt", "unknown"], ["orbit", "orbit", "space"],
-                  ["unknown"], []):
-        want = uncached(index, query).tobytes()
-        assert index.score_all(query).tobytes() == want     # fills the weights
-        assert index.score_all(query).tobytes() == want     # reads them back
+    small = build_index(_collection_from_texts(["beta delta", "delta foxtrot foxtrot", "beta"]))
+    assert small.terms == ["beta", "delta", "foxtrot"]
+    # tokens before the first term, after the last and between two terms, then the edge terms
+    cases = [(index, q) for q in (["game", "orbit", "game", "salt", "unknown"],
+                                  ["orbit", "orbit", "space"], ["unknown"], [])]
+    cases += [(small, q) for q in (["alpha"], ["golf"], ["charlie", "echo"],
+                                   ["alpha", "beta", "charlie", "foxtrot", "golf"], [])]
+    for idx, query in cases:
+        want = uncached(idx, query).tobytes()
+        assert idx.score_all(query).tobytes() == want     # fills the weights
+        assert idx.score_all(query).tobytes() == want     # reads them back
+
+
+def test_score_all_holds_one_score_vector():
+    index = build_index(tokenize_collection(make_collection(3000, seed=5)))
+    query = tokenize("what is known about game team player season score win orbit")
+    known = [index.terms.index(term) for term in query if term in index.terms]
+    assert known
+    longest = max(int(index.indptr[t + 1] - index.indptr[t]) for t in known)
+    index.score_all(query)                              # fills the weight cache
+    tracemalloc.start()
+    try:
+        index.score_all(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the score vector, one intp copy of the longest posting list, and slack
+    assert peak <= 8 * index.n_docs + 8 * longest + 8192
 
 
 def test_index_uses_rendered_title_and_text():
@@ -400,6 +425,11 @@ def test_index_load_rejects_corruption(tmp_path):
     lo = index.indptr[t]
     ords[lo], ords[lo + 1] = ords[lo + 1], ords[lo]
     variant_rejects("postings out of order", "order", ords=ords)
+
+    variant_rejects("not its tf sum", "len0", doc_lengths=np.zeros_like(index.doc_lengths))
+    doc_lengths = index.doc_lengths.copy()
+    doc_lengths[-1] += 1
+    variant_rejects("document 4's length is not its tf sum", "len1", doc_lengths=doc_lengths)
 
 
 def test_assemble_pairs_rejects_duplicate_doc_ids():
