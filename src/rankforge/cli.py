@@ -130,7 +130,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     tokens = corpus.tokenize_collection(docs)
     index = mine.build_index(tokens)
     if getattr(args, "embeddings", None):
-        matrix = _align_external_embeddings(args.embeddings, index.doc_ids)
+        matrix = embeddings.load_aligned(args.embeddings, index.doc_ids)
     else:
         matrix = embeddings.embed_collection(tokens, cfg.hash_embed_dim, cfg.seed)
     del tokens
@@ -140,30 +140,8 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     corpus.save_collection(docs, workdir / COLLECTION_FILE)
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
     mine.save_index(index, workdir / INDEX_FILE)
-    print(f"ingest: kept {len(docs)} of {n_read} documents, embedding dim {matrix.d}")
+    print(f"ingest: kept {len(docs)} of {n_read} documents, embedding dim {matrix.shape[1]}")
     return 0
-
-
-def _align_external_embeddings(path: str, doc_ids: list[str]) -> embeddings.EmbeddingMatrix:
-    """Load user-provided vectors and line them up with the filtered collection's ids."""
-    matrix = embeddings.load_embeddings(path)
-    ids_path = Path(str(path) + ".ids")
-    if not ids_path.exists():
-        embeddings.check_alignment(doc_ids, matrix)
-        return matrix
-    ids = embeddings.load_ids(ids_path)
-    if len(ids) != matrix.n:
-        raise AlignmentError(f"sidecar has {len(ids)} ids for {matrix.n} embedding rows")
-    id_to_row: dict[str, int] = {}
-    for i, row_id in enumerate(ids):
-        if row_id in id_to_row:
-            raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
-        id_to_row[row_id] = i
-    try:
-        rows = [id_to_row[doc_id] for doc_id in doc_ids]
-    except KeyError as exc:
-        raise AlignmentError(f"no embedding row for document {exc.args[0]!r}") from None
-    return embeddings.EmbeddingMatrix(data=matrix.data[rows])
 
 
 def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -208,16 +186,19 @@ def _parse_k_scan(text: str) -> list[int]:
     return values
 
 
+def _check_rows(rows: int, ids: int, assignments: int) -> None:
+    """Raise unless the embedding rows, `.ids` lines and k-means assignments agree in number."""
+    if not rows == ids == assignments:
+        raise AlignmentError(f"{EMBEDDINGS_FILE} has {rows} rows, {IDS_FILE} {ids} ids and "
+                             f"{KMEANS_FILE} {assignments} assignments; rerun the stale stage")
+
+
 def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     workdir = Path(args.workdir)
     matrix = embeddings.load_embeddings(_require(workdir, EMBEDDINGS_FILE))
     ids = embeddings.load_ids(_require(workdir, IDS_FILE))
     model = clustering.load_model(_require(workdir, KMEANS_FILE))
-    if not (matrix.n == len(ids) == len(model.assignments)):
-        raise AlignmentError(
-            f"{EMBEDDINGS_FILE} has {matrix.n} rows, {IDS_FILE} {len(ids)} ids and "
-            f"{KMEANS_FILE} {len(model.assignments)} assignments; rerun the stale stage"
-        )
+    _check_rows(len(matrix), len(ids), len(model.assignments))
     selected = selection.select_representatives(matrix, model, cfg)
     selection.save_selected(selected, ids, workdir / SELECTED_FILE)
     print(f"select: {len(selected)} documents across {model.K} clusters")
@@ -295,10 +276,7 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     ids = embeddings.load_ids(workdir / IDS_FILE)
     rows_n, dim = embeddings.read_shape(workdir / EMBEDDINGS_FILE)
     clusters, _, assigned = clustering.read_shape(workdir / KMEANS_FILE)
-    if not (len(ids) == rows_n == assigned):
-        raise AlignmentError(f"{IDS_FILE} has {len(ids)} ids, {EMBEDDINGS_FILE} "
-                             f"{rows_n} rows and {KMEANS_FILE} {assigned} assignments; "
-                             "rerun the stale stage")
+    _check_rows(rows_n, len(ids), assigned)
     # the collection has one line per id, or this raises
     docs = _read_documents(workdir, ids, {doc_id for p in pairs
                                           for doc_id in (p.positive_doc_id, *p.negative_doc_ids)})

@@ -23,7 +23,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .corpus import read_header, replacing
-from .embeddings import EmbeddingMatrix
 from .errors import (DegenerateClusterError, DegenerateVectorError, InvalidConfigError,
                      ValidationError)
 
@@ -70,11 +69,11 @@ def groups(assignments: np.ndarray, K: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(assignments, minlength=K))[:-1])
 
 
-def _normalized_rows(X: EmbeddingMatrix) -> np.ndarray:
+def _normalized_rows(X: np.ndarray) -> np.ndarray:
     """The rows as float64 unit vectors, in the one n x d float64 array of the fit."""
-    rows = X.data.astype(np.float64)
-    norms = np.empty(X.n, dtype=np.float64)
-    for block in _row_blocks(X.n, X.d):     # norm() squares its input into a temporary
+    rows = X.astype(np.float64)
+    norms = np.empty(len(X), dtype=np.float64)
+    for block in _row_blocks(*X.shape):     # norm() squares its input into a temporary
         norms[block] = np.linalg.norm(rows[block], axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -421,15 +420,15 @@ def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
     )
 
 
-def kmeans_fit(X: EmbeddingMatrix, cfg: PipelineConfig) -> KMeansModel:
+def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
     """Fit spherical k-means; best of cfg.kmeans_restarts seeded runs by inertia.
 
     The fit holds one float64 and one float32 copy of the unit rows. A caller
     that passes its only reference to X lets the float32 input go once the
     unit rows exist.
     """
-    if cfg.clusters > X.n:
-        raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({X.n})")
+    if cfg.clusters > len(X):
+        raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({len(X)})")
     Xn = _normalized_rows(X)
     del X
     rows32 = Xn.astype(np.float32)
@@ -443,11 +442,11 @@ def kmeans_fit(X: EmbeddingMatrix, cfg: PipelineConfig) -> KMeansModel:
     return best
 
 
-def cosine_sse(X: EmbeddingMatrix, model: KMeansModel) -> float:
+def cosine_sse(X: np.ndarray, model: KMeansModel) -> float:
     """Sum over rows of (1 - cosine to the nearest centroid), nearest by cosine."""
-    if X.d != model.d:
-        raise ValidationError(f"matrix dimension {X.d} != model dimension {model.d}")
-    if X.n == 0:
+    if X.shape[1] != model.d:
+        raise ValidationError(f"matrix dimension {X.shape[1]} != model dimension {model.d}")
+    if len(X) == 0:
         return 0.0
     Xn = _normalized_rows(X)
     cen_norms = np.linalg.norm(model.centroids, axis=1)
@@ -455,8 +454,8 @@ def cosine_sse(X: EmbeddingMatrix, model: KMeansModel) -> float:
     if zero.all():
         raise DegenerateClusterError("all centroids have zero norm")
     unit_centroids = model.centroids / np.where(zero, 1.0, cen_norms)[:, None]
-    best = np.empty(X.n, dtype=np.float64)
-    for rows in _row_blocks(X.n, model.K):
+    best = np.empty(len(X), dtype=np.float64)
+    for rows in _row_blocks(len(X), model.K):
         cos = Xn[rows] @ unit_centroids.T
         cos[:, zero] = -np.inf   # zero-norm centroid is never nearest
         best[rows] = cos.max(axis=1)
@@ -470,7 +469,7 @@ class ElbowResult:
     knee: int | None                   # K maximizing the discrete second difference
 
 
-def elbow_scan(X: EmbeddingMatrix, k_values: list[int], cfg: PipelineConfig) -> ElbowResult:
+def elbow_scan(X: np.ndarray, k_values: list[int], cfg: PipelineConfig) -> ElbowResult:
     """Fit one model per K (cfg with its clusters replaced) and locate the SSE knee."""
     if not k_values:
         raise InvalidConfigError("k_values must be non-empty")

@@ -1,17 +1,17 @@
-"""Document embedding storage, vector math, and a deterministic test embedder.
+"""Document embeddings: storage, alignment with document ids, and a deterministic test embedder.
 
-The on-disk format is binary: 8-byte magic ``DQGEMB01``, row count n as
-unsigned 64-bit little-endian, dimension d as unsigned 32-bit little-endian,
-then n*d little-endian 32-bit floats in row-major order. An optional
-``<path>.ids`` sidecar (one document id per line, UTF-8) names the document
-of each row.
+Stages pass embeddings as one C-contiguous float32 ``(n, d)`` array whose row i belongs
+to document ordinal i; ``load_embeddings``, ``embed_collection`` and ``load_aligned``
+return one. On disk: 8-byte magic ``DQGEMB01``, row count n (u64 LE), dimension d
+(u32 LE), then n*d float32 LE in row-major order. The optional ``<path>.ids`` sidecar
+(one document id per line, UTF-8) names the document of each row; ``load_aligned``
+lines a file's rows up with document ids through it, or in file order without one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence
 
@@ -35,26 +35,6 @@ _HEADER = struct.Struct("<8sQI")
 _BLOCK_BYTES = 1 << 20
 
 
-@dataclass
-class EmbeddingMatrix:
-    """Dense float32 matrix; row i is aligned with collection ordinal i."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2:
-            raise ValidationError(f"embedding matrix must be 2-D, got {self.data.ndim}-D")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
-
-
 def _read_shape(fh: BinaryIO) -> tuple[int, int]:
     n, d = read_header(fh, _HEADER, MAGIC, lambda n, d: n * d * 4)
     if d < 1:
@@ -68,7 +48,7 @@ def read_shape(path: str | Path) -> tuple[int, int]:
         return _read_shape(fh)
 
 
-def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+def load_embeddings(path: str | Path) -> np.ndarray:
     """Read an embedding file, validating magic, shape, and finiteness."""
     with open(path, "rb") as fh:
         n, d = _read_shape(fh)
@@ -78,16 +58,17 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise ValidationError(f"{path}: non-finite value in row {bad}")
-    return EmbeddingMatrix(data=data)
+    return data
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, ids: list[str] | None = None) -> None:
-    """Write the binary format; optionally emit the `.ids` sidecar."""
-    if ids is not None and len(ids) != matrix.n:
-        raise SizeMismatchError(f"{len(ids)} ids for {matrix.n} rows")
+def save_embeddings(data: np.ndarray, path: str | Path, ids: list[str] | None = None) -> None:
+    """Write an ``(n, d)`` array in the binary format; optionally emit the `.ids` sidecar."""
+    n, d = data.shape
+    if ids is not None and len(ids) != n:
+        raise SizeMismatchError(f"{len(ids)} ids for {n} rows")
     with replacing(path, binary=True) as fh:
-        fh.write(_HEADER.pack(MAGIC, matrix.n, matrix.d))
-        fh.write(np.ascontiguousarray(matrix.data, dtype="<f4"))   # the buffer, not a copy
+        fh.write(_HEADER.pack(MAGIC, n, d))
+        fh.write(np.ascontiguousarray(data, dtype="<f4"))   # the buffer, not a copy
     if ids is not None:
         with replacing(str(path) + ".ids", binary=True) as fh:
             fh.write(encode_lines(ids))
@@ -98,12 +79,31 @@ def load_ids(path: str | Path) -> list[str]:
     return [doc_id for doc_id in read_text(path).splitlines() if doc_id]
 
 
-def check_alignment(doc_ids: Sequence[str], matrix: EmbeddingMatrix) -> None:
-    """Verify that there is one embedding row per document id."""
-    if matrix.n != len(doc_ids):
-        raise AlignmentError(
-            f"embedding rows ({matrix.n}) != collection size ({len(doc_ids)})"
-        )
+def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
+    """The rows of an embedding file for ``doc_ids``, in that order.
+
+    Through the sidecar, rows may come in any order and cover more documents.
+    """
+    data = load_embeddings(path)
+    ids_path = Path(str(path) + ".ids")
+    if not ids_path.exists():
+        if len(data) != len(doc_ids):
+            raise AlignmentError(
+                f"embedding rows ({len(data)}) != collection size ({len(doc_ids)})")
+        return data
+    ids = load_ids(ids_path)
+    if len(ids) != len(data):
+        raise AlignmentError(f"sidecar has {len(ids)} ids for {len(data)} embedding rows")
+    id_to_row: dict[str, int] = {}
+    for i, row_id in enumerate(ids):
+        if row_id in id_to_row:
+            raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
+        id_to_row[row_id] = i
+    try:
+        rows = [id_to_row[doc_id] for doc_id in doc_ids]
+    except KeyError as exc:
+        raise AlignmentError(f"no embedding row for document {exc.args[0]!r}") from None
+    return data[rows]
 
 
 def _term_hasher(d: int, seed: int) -> Callable[[str], tuple[int, float]]:
@@ -150,7 +150,7 @@ def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
     return (vec / norm).astype(np.float32)
 
 
-def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> EmbeddingMatrix:
+def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> np.ndarray:
     """hash_embed every document of a token stream, a block of rows at a time, in order.
 
     Each distinct term is hashed once. The +/-1 sums are integers, exact in
@@ -180,4 +180,4 @@ def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> Embeddin
             raise DegenerateVectorError(f"document {tokens.doc_ids[first]!r} has {what}")
         sums /= norms[:, None]
         rows[lo:hi] = sums
-    return EmbeddingMatrix(data=rows)
+    return rows

@@ -257,7 +257,7 @@ def load_index(path: str | Path, doc_ids: Sequence[str], k1: float = PipelineCon
         raise FormatError(f"{path}: posting ordinal {int(ords.max())} out of range")
     if (tfs < 1).any():
         raise FormatError(f"{path}: non-positive term frequency")
-    unordered = np.diff(ords.astype(np.int64)) <= 0
+    unordered = ords[1:] <= ords[:-1]
     unordered[indptr[1:-1] - 1] = False              # a new term starts its own run
     if unordered.any():
         raise FormatError(f"{path}: postings out of order after posting {int(unordered.argmax())}")

@@ -113,14 +113,12 @@ def truncate_at_whitespace(text: str, limit: int) -> str:
         return text
     if text[limit].isspace():
         return text[:limit].rstrip()
-    cut = text[:limit]
-    last_ws = -1
-    for i, ch in enumerate(cut):
-        if ch.isspace():
-            last_ws = i
+    last_ws = limit - 1             # the last whitespace before the cut, scanned backward
+    while last_ws > 0 and not text[last_ws].isspace():
+        last_ws -= 1
     if last_ws <= 0:
-        return cut
-    return cut[:last_ws].rstrip()
+        return text[:limit]
+    return text[:last_ws].rstrip()
 
 
 def build_prompt(

@@ -23,7 +23,6 @@ import numpy as np
 from .cluster import KMeansModel, groups
 from .config import PipelineConfig
 from .corpus import read_records, write_jsonl
-from .embeddings import EmbeddingMatrix
 from .errors import (
     DegenerateClusterError,
     DegenerateVectorError,
@@ -191,7 +190,7 @@ def _round_rng(seed: int, cluster: int, round_index: int) -> np.random.Generator
 
 
 def select_representatives(
-    X: EmbeddingMatrix, model: KMeansModel, cfg: PipelineConfig
+    X: np.ndarray, model: KMeansModel, cfg: PipelineConfig
 ) -> list[SelectedDoc]:
     """Run the full per-cluster sampling and diversification pass.
 
@@ -201,7 +200,7 @@ def select_representatives(
     sizes = allocate_sizes(model.cluster_sizes(), cfg.sample_size).sizes
     selected: list[SelectedDoc] = []
     for k, members in enumerate(groups(model.assignments, model.K)):
-        sims_to_mean, unit = centroid_similarities(X.data[members].astype(np.float64), k)
+        sims_to_mean, unit = centroid_similarities(X[members].astype(np.float64), k)
         probs = softmax_probabilities(sims_to_mean, cfg.softmax_temperature)
         n_k = int(sizes[k])
         # the pool of all rounds, in order of first draw

@@ -20,7 +20,6 @@ from mpmath import mp
 from rankforge import cli, cluster, selection
 from rankforge.config import PipelineConfig
 from rankforge.corpus import tokenize
-from rankforge.embeddings import EmbeddingMatrix
 from rankforge.evaluation import Qrels, Run, evaluate, ndcg_at_k, recall_at_k
 from rankforge.mine import build_index, mine_negatives
 from tests.conftest import blob_matrix, make_collection, write_corpus_jsonl
@@ -99,7 +98,7 @@ def test_c4_kmeans_behavior():
     with criterion("4 (k-means: monotone inertia, exact fit, elbow, determinism)"):
         rng = np.random.default_rng(3)
         centers = np.eye(3, 16)
-        X = EmbeddingMatrix(data=blob_matrix(rng, centers, per_blob=40, noise=0.05)[0])
+        X = blob_matrix(rng, centers, per_blob=40, noise=0.05)[0]
 
         for seed in range(3):
             cfg = PipelineConfig(clusters=5, seed=seed, kmeans_restarts=1)
@@ -107,7 +106,7 @@ def test_c4_kmeans_behavior():
             history = model.inertia_history
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
-        small = EmbeddingMatrix(data=rng.normal(size=(8, 6)).astype(np.float32))
+        small = rng.normal(size=(8, 6)).astype(np.float32)
         exact = cluster.kmeans_fit(small, PipelineConfig(clusters=8, seed=0))
         assert exact.inertia <= 1e-10
 

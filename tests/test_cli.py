@@ -17,7 +17,7 @@ from rankforge import cli, corpus, embeddings, httpclient, mine, querygen, selec
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
-from rankforge.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from rankforge.embeddings import load_embeddings, save_embeddings
 from rankforge.mockllm import MockLLMServer, _Handler
 from tests.conftest import child_pythonpath, make_collection, write_corpus_jsonl
 
@@ -294,7 +294,7 @@ def test_exit_codes(tmp_path, corpus_file, capsys):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes('{"_id": "a", "text": "café"}\n'.encode("latin-1"))
     ext = tmp_path / "ext.bin"
-    save_embeddings(EmbeddingMatrix(data=np.ones((1, 8), dtype=np.float32)), ext, ids=["a"])
+    save_embeddings(np.ones((1, 8), dtype=np.float32), ext, ids=["a"])
     Path(str(ext) + ".ids").write_bytes(latin1.read_bytes())
     bad_template = tmp_path / "template.json"
     bad_template.write_text('{"preamble": ', encoding="utf-8")
@@ -420,7 +420,7 @@ def test_external_embeddings_reordered_sidecar(tmp_path):
     ext_ids = ["extra0"] + kept_ids[::-1]                   # reversed plus a stranger
     ext = rng.normal(size=(len(ext_ids), 16)).astype(np.float32)
     ext_path = tmp_path / "ext.bin"
-    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=ext_ids)
+    save_embeddings(ext, ext_path, ids=ext_ids)
 
     work = tmp_path / "w"
     assert _run(["ingest", "--input", corpus_path, "--workdir", work,
@@ -429,13 +429,13 @@ def test_external_embeddings_reordered_sidecar(tmp_path):
     assert [d.id for d in coll.values()] == kept_ids
     stored = load_embeddings(work / cli.EMBEDDINGS_FILE)
     for i, doc_id in enumerate(kept_ids):
-        np.testing.assert_array_equal(stored.data[i], ext[ext_ids.index(doc_id)])
+        np.testing.assert_array_equal(stored[i], ext[ext_ids.index(doc_id)])
 
 
 def test_external_embeddings_missing_doc_fails(tmp_path, corpus_file):
     ext = np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32)
     ext_path = tmp_path / "ext.bin"
-    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=["a", "b", "c"])
+    save_embeddings(ext, ext_path, ids=["a", "b", "c"])
     assert _run(["ingest", "--input", corpus_file, "--workdir", tmp_path / "w",
                  "--embeddings", ext_path, "--min-chars", "50"]) == 2
 
@@ -446,7 +446,7 @@ def test_external_embeddings_ingest_writes_index_for_mine(tmp_path, corpus_file)
     coll = load_collection(plain / cli.COLLECTION_FILE)
     ext = np.random.default_rng(2).normal(size=(len(coll), 16)).astype(np.float32)
     ext_path = tmp_path / "ext.bin"
-    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=[d.id for d in coll.values()])
+    save_embeddings(ext, ext_path, ids=[d.id for d in coll.values()])
 
     work = tmp_path / "w"
     _ingest_to_generate(work, corpus_file, "--embeddings", ext_path)
@@ -562,7 +562,7 @@ def test_failed_ingest_leaves_the_previous_ingest_intact(tmp_path, capsys):
     # external vectors that miss the kept documents
     ext_path = tmp_path / "ext.bin"
     ext = np.random.default_rng(3).normal(size=(3, 8)).astype(np.float32)
-    save_embeddings(EmbeddingMatrix(data=ext), ext_path, ids=["a", "b", "c"])
+    save_embeddings(ext, ext_path, ids=["a", "b", "c"])
     assert _run(["ingest", "--input", first, "--workdir", work,
                  "--embeddings", ext_path] + BASE_FLAGS) == 2
     assert "no embedding row for document" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from rankforge.cluster import (
 )
 from rankforge.config import PipelineConfig
 from rankforge.corpus import tokenize_collection
-from rankforge.embeddings import EmbeddingMatrix, embed_collection
+from rankforge.embeddings import embed_collection
 from rankforge.errors import (
     DegenerateVectorError,
     FormatError,
@@ -36,9 +36,8 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
-def _random_matrix(rng: np.random.Generator, n: int, d: int) -> EmbeddingMatrix:
-    data = rng.normal(size=(n, d)).astype(np.float32)
-    return EmbeddingMatrix(data=data)
+def _random_matrix(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    return rng.normal(size=(n, d)).astype(np.float32)
 
 
 def test_inertia_history_non_increasing_randomized():
@@ -73,7 +72,7 @@ def test_centroids_are_member_means():
     rng = np.random.default_rng(2)
     X = _random_matrix(rng, 40, 5)
     model = kmeans_fit(X, PipelineConfig(clusters=6, seed=0))
-    Xn = _normalize(X.data)
+    Xn = _normalize(X)
     for k in range(model.K):
         members = np.flatnonzero(model.assignments == k)
         np.testing.assert_array_equal(model.centroids[k], Xn[members].mean(axis=0))
@@ -93,10 +92,10 @@ def test_assignments_are_nearest_centroid_at_fixpoint():
     rng = np.random.default_rng(3)
     centers = np.eye(4) * 3.0
     data, _ = blob_matrix(rng, centers, per_blob=12, noise=0.05)
-    X = EmbeddingMatrix(data=data)
+    X = data
     model = kmeans_fit(X, PipelineConfig(clusters=4, seed=1, kmeans_tol=0.0,
                                          kmeans_max_iters=200))
-    Xn = _normalize(X.data)
+    Xn = _normalize(X)
     d2 = ((Xn[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
     assigned = d2[np.arange(len(Xn)), model.assignments]
     assert np.all(assigned <= d2.min(axis=1) + 1e-9)
@@ -115,7 +114,7 @@ def test_k_one_gives_global_mean():
     X = _random_matrix(rng, 20, 3)
     model = kmeans_fit(X, PipelineConfig(clusters=1, seed=0))
     assert set(model.assignments.tolist()) == {0}
-    np.testing.assert_allclose(model.centroids[0], _normalize(X.data).mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(model.centroids[0], _normalize(X).mean(axis=0), atol=1e-12)
 
 
 def test_exhaustive_two_cluster_oracle():
@@ -123,7 +122,7 @@ def test_exhaustive_two_cluster_oracle():
     rng = np.random.default_rng(21)
     centers = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
     data, _ = blob_matrix(rng, centers, per_blob=5, noise=0.08)
-    X = EmbeddingMatrix(data=data)
+    X = data
     Xn = _normalize(data)
 
     best = np.inf
@@ -325,7 +324,7 @@ _LLOYD_CASES = {
     # K above the number of distinct rows: duplicate centroids, near ties, repairs
     "duplicates": lambda: (_duplicate_rows(np.random.default_rng(41), 9, 200, 20), 14),
     "topic": lambda: (_normalize(
-        embed_collection(tokenize_collection(make_collection(600, seed=7)), 32, 42).data), 30),
+        embed_collection(tokenize_collection(make_collection(600, seed=7)), 32, 42)), 30),
     # rows 1e-6 apart: centroids of one direction differ far inside the float32 margin
     "near_duplicates": lambda: (
         _normalize(_duplicate_rows(np.random.default_rng(43), 9, 200, 20)
@@ -453,8 +452,8 @@ def test_late_iterations_rescan_few_rows():
     model = kmeans_fit(X, PipelineConfig(clusters=100, seed=42, kmeans_restarts=1,
                                          kmeans_tol=0.0))
     assert len(model.rescanned) == len(model.inertia_history) > 8
-    assert model.rescanned[0] == X.n          # the first iteration scans every row
-    assert all(r < 0.05 * X.n for r in model.rescanned[7:])
+    assert model.rescanned[0] == len(X)       # the first iteration scans every row
+    assert all(r < 0.05 * len(X) for r in model.rescanned[7:])
 
 
 def test_kmeans_peak_memory_below_one_distance_matrix():
@@ -527,7 +526,7 @@ def test_validate_rejects_bad_config():
     with pytest.raises(InvalidConfigError):
         PipelineConfig(clusters=2, kmeans_restarts=0)
     with pytest.raises(DegenerateVectorError):
-        kmeans_fit(EmbeddingMatrix(data=np.zeros((3, 2), dtype=np.float32)),
+        kmeans_fit(np.zeros((3, 2), dtype=np.float32),
                    PipelineConfig(clusters=1, seed=0))
 
 
@@ -535,7 +534,7 @@ def test_elbow_scan_finds_three_blobs():
     rng = np.random.default_rng(8)
     centers = np.eye(3) * 2.0
     data, _ = blob_matrix(rng, centers, per_blob=15, noise=0.05)
-    X = EmbeddingMatrix(data=data)
+    X = data
     result = elbow_scan(X, [1, 2, 3, 4, 5, 6],
                         PipelineConfig(clusters=1, seed=0, kmeans_restarts=3))
     assert [k for k, _ in result.points] == [1, 2, 3, 4, 5, 6]
@@ -559,7 +558,7 @@ def test_cosine_sse_decreases_with_k():
     rng = np.random.default_rng(6)
     centers = np.eye(3) * 2.0
     data, _ = blob_matrix(rng, centers, per_blob=10, noise=0.1)
-    X = EmbeddingMatrix(data=data)
+    X = data
     sses = []
     for k in (1, 2, 3):
         model = kmeans_fit(X, PipelineConfig(clusters=k, seed=0, kmeans_restarts=3))
@@ -573,7 +572,7 @@ def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
     model = kmeans_fit(X, PipelineConfig(clusters=4, seed=1))
     model.centroids[2] = 0.0               # a zero-norm centroid is never nearest
     others = [0, 1, 3]
-    cos = _normalize(X.data) @ _normalize(model.centroids[others]).T
+    cos = _normalize(X) @ _normalize(model.centroids[others]).T
     want = float(np.sum(1.0 - np.clip(cos.max(axis=1), -1.0, 1.0)))
     assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 5 * 8 * model.K)
@@ -583,7 +582,7 @@ def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
 def test_cosine_sse_rejects_a_zero_row():
     X = _random_matrix(np.random.default_rng(35), 12, 5)
     model = kmeans_fit(X, PipelineConfig(clusters=3, seed=1))
-    X.data[7] = 0.0
+    X[7] = 0.0
     with pytest.raises(DegenerateVectorError, match="row 7"):
         cosine_sse(X, model)
 

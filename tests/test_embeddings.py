@@ -13,10 +13,9 @@ from rankforge import embeddings
 from rankforge.corpus import Document, render_document, tokenize_collection
 from rankforge.embeddings import (
     MAGIC,
-    EmbeddingMatrix,
-    check_alignment,
     embed_collection,
     hash_embed,
+    load_aligned,
     load_embeddings,
     load_ids,
     save_embeddings,
@@ -36,25 +35,25 @@ def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(7, 5)).astype(np.float32)
     path = tmp_path / "e.bin"
-    save_embeddings(EmbeddingMatrix(data=data), path, ids=[f"d{i}" for i in range(7)])
+    save_embeddings(data, path, ids=[f"d{i}" for i in range(7)])
     loaded = load_embeddings(path)
-    assert loaded.n == 7 and loaded.d == 5
-    np.testing.assert_array_equal(loaded.data, data)
-    assert loaded.data.flags.writeable
+    assert loaded.shape == (7, 5)
+    np.testing.assert_array_equal(loaded, data)
+    assert loaded.flags.writeable
     assert load_ids(str(path) + ".ids") == [f"d{i}" for i in range(7)]
 
     # an id list of the wrong length is refused before either file is touched
     with pytest.raises(SizeMismatchError):
-        save_embeddings(EmbeddingMatrix(data=data[:3]), path, ids=[f"d{i}" for i in range(7)])
-    np.testing.assert_array_equal(load_embeddings(path).data, data)
+        save_embeddings(data[:3], path, ids=[f"d{i}" for i in range(7)])
+    np.testing.assert_array_equal(load_embeddings(path), data)
 
 
 def test_save_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.normal(size=(4, 3)).astype(np.float32)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_embeddings(EmbeddingMatrix(data=data), a)
-    save_embeddings(EmbeddingMatrix(data=data), b)
+    save_embeddings(data, a)
+    save_embeddings(data, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes()[:8] == MAGIC
 
@@ -84,7 +83,7 @@ def test_load_rejects_nonfinite_rows(tmp_path):
     data = np.ones((3, 2), dtype=np.float32)
     data[1, 0] = np.nan
     path = tmp_path / "nan.bin"
-    save_embeddings(EmbeddingMatrix(data=np.ones((3, 2), dtype=np.float32)), path)
+    save_embeddings(np.ones((3, 2), dtype=np.float32), path)
     blob = bytearray(path.read_bytes())
     offset = struct.calcsize("<8sQI") + 2 * 4            # row 1, column 0
     blob[offset:offset + 4] = struct.pack("<f", float("nan"))
@@ -94,12 +93,34 @@ def test_load_rejects_nonfinite_rows(tmp_path):
     assert "row 1" in str(err.value)
 
 
-def test_check_alignment(tmp_path):
+def test_load_aligned_without_a_sidecar(tmp_path):
     ids = list(make_collection(5))
-    matrix = EmbeddingMatrix(data=np.ones((5, 3), dtype=np.float32))
-    check_alignment(ids, matrix)
-    with pytest.raises(AlignmentError):
-        check_alignment(ids, EmbeddingMatrix(data=np.ones((4, 3), dtype=np.float32)))
+    data = np.arange(15, dtype=np.float32).reshape(5, 3)
+    save_embeddings(data, tmp_path / "five.bin")
+    np.testing.assert_array_equal(load_aligned(tmp_path / "five.bin", ids), data)
+    save_embeddings(data[:4], tmp_path / "four.bin")
+    with pytest.raises(AlignmentError, match=r"embedding rows \(4\) != collection size \(5\)"):
+        load_aligned(tmp_path / "four.bin", ids)
+
+
+def _assert_stage_array(rows, n, d):
+    assert type(rows) is np.ndarray and rows.shape == (n, d)
+    assert rows.dtype == np.float32 and rows.flags.c_contiguous
+
+
+def test_producers_return_the_array_that_stages_read(tmp_path):
+    coll = make_collection(12, seed=2)
+    rows = embed_collection(tokenize_collection(coll), 16, seed=4)
+    _assert_stage_array(rows, 12, 16)
+    path = tmp_path / "e.bin"
+    save_embeddings(rows, path)
+    _assert_stage_array(load_embeddings(path), 12, 16)
+    ids = list(coll)
+    _assert_stage_array(load_aligned(path, ids), 12, 16)
+    save_embeddings(rows, path, ids=ids)
+    reordered = load_aligned(path, ids[::-1][:5])       # through the sidecar: a gather
+    _assert_stage_array(reordered, 5, 16)
+    np.testing.assert_array_equal(reordered, rows[::-1][:5])
 
 
 def test_hash_embed_is_unit_norm_and_seeded():
@@ -125,7 +146,7 @@ def test_hash_embed_bytes_are_pinned():
     assert hashlib.sha256(one).hexdigest() == (
         "56e0d28b345584a6e059bfd32d7298addfe311384f14370e244da73c88164616")
     tokens = tokenize_collection(make_collection(50, seed=3))
-    rows = embed_collection(tokens, 64, seed=9).data.tobytes()
+    rows = embed_collection(tokens, 64, seed=9).tobytes()
     assert hashlib.sha256(rows).hexdigest() == (
         "4bd4b5327399373ad134cdfd21aa7ceae1aac265d8843e329b440f7b159624ba")
 
@@ -167,9 +188,9 @@ def test_hash_embed_stable_across_processes():
 def test_embed_collection_rows_follow_order():
     coll = make_collection(6, seed=1)
     matrix = embed_collection(tokenize_collection(coll), 32, seed=3)
-    assert matrix.n == 6 and matrix.d == 32
+    assert matrix.shape == (6, 32)
     for i, doc in enumerate(coll.values()):
-        np.testing.assert_array_equal(matrix.data[i], hash_embed(render_document(doc), 32, seed=3))
+        np.testing.assert_array_equal(matrix[i], hash_embed(render_document(doc), 32, seed=3))
 
 
 def _collection(texts):
@@ -179,11 +200,11 @@ def _collection(texts):
 
 def _assert_matches_per_document(coll, d, seed, monkeypatch):
     want = np.stack([hash_embed(render_document(doc), d, seed) for doc in coll.values()]).tobytes()
-    assert embed_collection(tokenize_collection(coll), d, seed).data.tobytes() == want
+    assert embed_collection(tokenize_collection(coll), d, seed).tobytes() == want
     for rows_per_block in (7, 1):
         with monkeypatch.context() as patch:
             patch.setattr(embeddings, "_BLOCK_BYTES", rows_per_block * 8 * d)
-            assert embed_collection(tokenize_collection(coll), d, seed).data.tobytes() == want
+            assert embed_collection(tokenize_collection(coll), d, seed).tobytes() == want
 
 
 def test_embed_collection_bytes_match_hash_embed(monkeypatch):
@@ -232,8 +253,3 @@ def test_embed_collection_rejects_degenerate_documents(monkeypatch):
         with pytest.raises(DegenerateVectorError, match="'d1' has tokens that cancel"):
             embed_collection(tokenize_collection(_collection([texts[0], texts[3], texts[2]])), 16,
                              seed=0)
-
-
-def test_embedding_matrix_validates_shape():
-    with pytest.raises(ValidationError):
-        EmbeddingMatrix(data=np.ones(5, dtype=np.float32))          # not 2-D

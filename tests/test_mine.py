@@ -218,8 +218,8 @@ def test_index_and_embedding_read_only_the_token_stream(tmp_path):
         save_index(build_index(tokens), tmp_path / f"{name}.idx")
     assert (tmp_path / "hand.idx").read_bytes() == (tmp_path / "docs.idx").read_bytes()
     for d, seed in ((8, 0), (32, 5)):
-        assert (embed_collection(by_hand, d, seed).data.tobytes()
-                == embed_collection(from_docs, d, seed).data.tobytes())
+        assert (embed_collection(by_hand, d, seed).tobytes()
+                == embed_collection(from_docs, d, seed).tobytes())
 
 
 def test_build_index_rejects_empty_collection():

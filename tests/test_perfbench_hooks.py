@@ -19,7 +19,6 @@ from rankforge import mine, selection
 from rankforge.cluster import kmeans_fit
 from rankforge.config import PipelineConfig
 from rankforge.corpus import tokenize_collection
-from rankforge.embeddings import EmbeddingMatrix
 from rankforge.querygen import SyntheticQuery
 from tests.conftest import blob_matrix, make_collection
 
@@ -63,7 +62,7 @@ def test_selection_calls_its_kernels_through_module_globals(monkeypatch):
     rng = np.random.default_rng(0)
     centers = np.eye(3, 4) * 2.0
     data, _ = blob_matrix(rng, centers, per_blob=12, noise=0.1)
-    X = EmbeddingMatrix(data=data)
+    X = data
     model = kmeans_fit(X, PipelineConfig(clusters=3, seed=1, kmeans_restarts=1))
     draws = _counting(monkeypatch, selection, "sample_without_replacement")
     mmr = _counting(monkeypatch, selection, "mmr_select")

@@ -3,6 +3,7 @@
 import http.client
 import io
 import json
+import random
 import sys
 import threading
 import time
@@ -136,6 +137,31 @@ def test_truncate_at_whitespace_rules():
     # the character just past the limit is a boundary: keep the whole cut
     assert truncate_at_whitespace("abcdefghij klm", 10) == "abcdefghij"
     assert truncate_at_whitespace("abcdefghijklm", 5) == "abcde"     # single long token
+
+
+def _truncate_forward(text: str, limit: int) -> str:
+    """The rule as a forward scan over the whole cut: the reference for the backward scan."""
+    if len(text) <= limit:
+        return text
+    if text[limit].isspace():
+        return text[:limit].rstrip()
+    cut = text[:limit]
+    last_ws = -1
+    for i, ch in enumerate(cut):
+        if ch.isspace():
+            last_ws = i
+    if last_ws <= 0:
+        return cut
+    return cut[:last_ws].rstrip()
+
+
+def test_truncate_at_whitespace_matches_a_forward_scan():
+    rng = random.Random(11)
+    alphabet = "ab \t\n\u3000\xa0\x1c x\xe9"      # ideographic space, NBSP and FS are str.isspace
+    for _ in range(20_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
+        limit = rng.randrange(0, 45)
+        assert truncate_at_whitespace(text, limit) == _truncate_forward(text, limit), (text, limit)
 
 
 # -------------------------------------------------------- completion parsing

@@ -19,7 +19,7 @@ from rankforge import selection
 from rankforge.cluster import groups, kmeans_fit
 from rankforge.config import PipelineConfig
 from rankforge.corpus import filter_min_length, tokenize_collection
-from rankforge.embeddings import EmbeddingMatrix, embed_collection
+from rankforge.embeddings import embed_collection
 from rankforge.errors import (
     DegenerateClusterError,
     DegenerateVectorError,
@@ -359,7 +359,7 @@ def _fit_fixture(seed=0):
     rng = np.random.default_rng(seed)
     centers = np.asarray([[2.0, 0.0, 0.0, 0.5], [0.0, 2.0, 0.5, 0.0]])
     data, labels = blob_matrix(rng, centers, per_blob=16, noise=0.15)
-    X = EmbeddingMatrix(data=data)
+    X = data
     from rankforge.cluster import kmeans_fit
 
     model = kmeans_fit(X, PipelineConfig(clusters=2, seed=1, kmeans_restarts=3, kmeans_tol=0.0))
@@ -376,7 +376,7 @@ def oracle_select_representatives(X, model, cfg):
     out = []
     for k in range(model.K):
         members = np.flatnonzero(model.assignments == k)
-        raw = X.data[members].astype(np.float64)
+        raw = X[members].astype(np.float64)
         mean = raw.mean(axis=0)
         sims = raw @ mean / (np.linalg.norm(raw, axis=1) * np.linalg.norm(mean))
         sims = np.clip(sims, -1.0, 1.0)
@@ -457,7 +457,7 @@ def test_mmr_after_an_anchor_in_the_pool_picks_the_smallest_ordinal(monkeypatch)
         pools.clear()
         selected = select_representatives(X, model, cfg)
         for k, (pool, members) in enumerate(zip(pools, groups(model.assignments, model.K))):
-            sims, _ = centroid_similarities(X.data[members].astype(np.float64), k)
+            sims, _ = centroid_similarities(X[members].astype(np.float64), k)
             anchor = int(np.argmax(sims))
             if anchor not in pool:
                 continue
@@ -501,7 +501,7 @@ def test_select_representatives_deterministic():
 
 def test_selected_roundtrip(tmp_path):
     X, model = _fit_fixture(seed=7)
-    ids = [f"d{i}" for i in range(X.n)]
+    ids = [f"d{i}" for i in range(len(X))]
     cfg = PipelineConfig(sample_size=6, seed=1)
     selected = select_representatives(X, model, cfg)
     path = tmp_path / "sel.jsonl"
