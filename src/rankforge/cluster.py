@@ -48,9 +48,9 @@ class KMeansModel:
     converged: bool = True
     # work counters of the fit, kept out of the model file
     rescanned: list[int] = field(default_factory=list)   # rows scanned whole, per iteration
-    near_ties: int = 0          # rows resolved through their whole row block
+    near_ties: int = 0          # (row, centroid) candidates evaluated by _pair_d2
     repairs: int = 0            # empty clusters reseeded
-    float64_rows: int = 0       # scanned rows the float32 filter left to float64
+    float64_rows: int = 0       # scanned rows the float32 filter left to _pair_d2
 
     @property
     def d(self) -> int:
@@ -141,20 +141,23 @@ def _row_blocks(n: int, width: int):
         yield slice(start, min(start + step, n))
 
 
-def _distances(rows: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
-    """Squared distances of unit rows to centroids: 1 - 2 x.c + ||c||^2, clamped at 0."""
-    d2 = rows @ centroids.T
-    d2 *= 2.0
-    np.subtract(1.0, d2, out=d2)
+def _pair_d2(rows: np.ndarray, cents: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
+    """The fit's one exact distance: 1 - 2 x.c + ||c||^2, clamped at 0, for each
+    unit row x and the centroid c beside it (``c_sq`` holds its squared norm).
+
+    einsum sums each pair's products apart from the others, so a value's bits
+    depend on its row and centroid alone, not on the other pairs in the call.
+    That needs C-ordered rows: a Fortran-ordered operand sums in another order.
+    """
+    d2 = 1.0 - 2.0 * np.einsum("ij,ij->i", rows, cents)
     d2 += c_sq
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _offsets32(rows32: np.ndarray, c2: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
     """||c||^2 - 2 x.c in float32, from c2 = -2 c: each squared distance less 1.
 
-    Comparisons need no more, so the float32 passes skip _distances' other steps.
+    Comparisons need no more, so the float32 passes neither add 1 nor clamp.
     """
     v = rows32 @ c2.T
     v += c_sq
@@ -176,72 +179,53 @@ def _nearest_two(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, best_d2, _row_min(d2)
 
 
-def _margin(d: int, dtype) -> float:
-    """Slack for comparing distances of d-dimensional rows computed in dtype.
+def _margin(d: int) -> float:
+    """Slack between 1 plus a float32 offset and _pair_d2, for d-dimensional rows.
 
-    Let u be dtype's unit roundoff. Rows are unit vectors and centroids have
-    norm at most 1, so one float64 evaluation of 1 - 2 x.c + ||c||^2 is within
-    (3d + 7) u of the exact value, and two evaluations of it differ by at most
-    (6d + 14) u. The float32 operands of _offsets32 are roundings of the
-    float64 unit rows and centroids, so their exact dot product is within
-    (2 + u) u of the float64 operands'; the float32 dot product of d terms adds
-    at most d u / (1 - d u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, §3.1). With the exact factor -2, the rounding of
-    ||c||^2 to float32 and that of the sum, which is at most 3 in size, 1 plus
-    the float32 value is within (2d + 8) u of the exact one. The margin taken,
-    16 (d + 4) u, is at least twice either gap: in float64, a gap wider than
-    one margin cannot change sign from one product to another; in float32, it
-    also covers the far smaller float64 error several times over.
+    Let u be float32's unit roundoff and v float64's. Rows are unit vectors and
+    centroids have norm at most 1. A d-term dot product is within d u / (1 - d u)
+    of the exact one in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, §3.1), so _pair_d2, whatever order
+    einsum sums in, is within (3d + 7) v of the exact 1 - 2 x.c + ||c||^2. The
+    float32 operands of _offsets32 are roundings of the float64 unit rows and
+    centroids, so their exact dot product is within (2 + u) u of the float64
+    operands'. With the float32 dot product's error, the exact factor -2, the
+    rounding of ||c||^2 to float32 and that of the sum, at most 3 in size, 1
+    plus the float32 offset is within (2d + 8) u of the exact value. The margin,
+    16 (d + 4) u, is at least twice both gaps together: 1 plus a float32 offset
+    less the margin is below the _pair_d2 value, and a float32 gap wider than
+    twice the margin orders the two _pair_d2 values the same way.
     """
-    return 8.0 * (d + 4) * float(np.finfo(dtype).eps)
-
-
-def _block_argmin(Xn: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray,
-                  points: np.ndarray) -> np.ndarray:
-    """Nearest centroid of each point, read off the whole row block that holds it.
-
-    Blocks are the _row_blocks(n, K) slices, so a near tie resolves to the
-    same index, bit for bit, as a full blocked pass over every row would.
-    """
-    step = _row_step(centroids.shape[0])
-    out = np.empty(points.size, dtype=np.int64)
-    blocks = points // step
-    for b in np.unique(blocks):
-        start = int(b) * step
-        sel = blocks == b
-        d2 = _distances(Xn[start:start + step], centroids, c_sq)
-        out[sel] = d2[points[sel] - start].argmin(axis=1)
-        del d2      # one block alive at a time
-    return out
+    return 8.0 * (d + 4) * float(np.finfo(np.float32).eps)
 
 
 def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
             assignments: np.ndarray, lb: np.ndarray,
             moved: np.ndarray) -> tuple[np.ndarray, int, int, int]:
-    """Nearest centroid per row, lowest index on ties, by exact incremental assignment.
+    """Nearest centroid per row by _pair_d2, lowest index on ties, found incrementally.
 
-    ``lb[i]`` is at most the squared distance from row i to every centroid
-    other than its own, less the float64 margin, as of the previous call; -inf
-    forces a whole-row scan. A centroid whose bytes did not change has
-    unchanged distances, so only the ``moved`` centroids can lower it. lb is
-    updated in place.
+    ``lb[i]`` is at most the _pair_d2 distance from row i to every centroid
+    other than its own, as of the previous call; -inf forces a whole-row scan.
+    A centroid whose bytes did not change has unchanged distances, so only the
+    ``moved`` centroids can lower it. lb is updated in place.
 
     Distances are found in float32 (_offsets32, on ``rows32``, the float32
-    copy of Xn, and a float32 copy of the centroids), each within the float32
-    margin of every float64 evaluation. A row whose float32 best is nearer
-    than its second by more than twice that keeps the float32 argmin, which a
-    full float64 pass would also pick; its bound is the float32 second less
-    the float32 margin. Every other row is decided in float64.
+    copy of Xn, and a float32 copy of the centroids), each within the margin
+    of _pair_d2. A row whose float32 best is nearer than its second by more
+    than twice that keeps the float32 argmin; its bound is the float32 second
+    less the margin. Every other row is decided by _pair_d2 among its
+    candidates, the centroids within twice the margin of its float32 best: no
+    other centroid can be nearest.
 
-    Returns (assignments, rows scanned whole, rows decided in float64, near-tie
-    rows resolved through _block_argmin).
+    Returns (assignments, rows scanned whole, rows decided by _pair_d2,
+    candidates evaluated).
     """
     n, K = Xn.shape[0], centroids.shape[0]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
     c2 *= -2.0
-    margin, margin32 = _margin(Xn.shape[1], np.float64), _margin(Xn.shape[1], np.float32)
-    shift = 1.0 - margin32 - margin     # float32 offset + shift: a bound for lb
+    margin = _margin(Xn.shape[1])
+    shift = 1.0 - margin        # float32 offset + shift: a bound for lb
     # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
     width = max(K, Xn.shape[1])
     if moved.all():
@@ -263,42 +247,36 @@ def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
                 del v       # one distance block alive at a time
                 rival += shift
                 np.minimum(lb[rows], rival, out=lb[rows])
-            own[rows] = np.einsum("ij,ij->i", Xn[rows], centroids[a])
-        own *= -2.0
-        own += 1.0
-        own += c_sq[assignments]
-        np.maximum(own, 0.0, out=own)
-        # own < lb - margin: the own centroid is nearer than any rival, whatever product
-        scan = np.flatnonzero(own >= lb - margin)
+            own[rows] = _pair_d2(Xn[rows], centroids[a], c_sq[a])
+        scan = np.flatnonzero(own >= lb)    # own < lb: nearer than any rival
         del own
     out = assignments.copy()
     whole = scan.size == n      # every row: read the rows in place, not gathered
     step = _row_step(K if whole else width)
-    unsure = []
+    decided = candidates = 0
     for start in range(0, scan.size, step):
         points = scan[start:start + step]
-        best, best_v, second = _nearest_two(
-            _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32))
+        v = _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32)
+        best, best_v, second = _nearest_two(v)
         second = second.astype(np.float64)
         out[points] = best
         lb[points] = second + shift
-        unsure.append(points[second - best_v <= 2.0 * margin32])
-    # rows the float32 gap cannot decide: float64 distances, and a near tie
-    # there reads the whole row block, so it resolves as a full pass would
-    unsure = np.concatenate(unsure or [scan])
-    ties = 0
-    step = _row_step(2 * width)     # half blocks: _block_argmin's block is the largest
-    for start in range(0, unsure.size, step):
-        points = unsure[start:start + step]
-        best, best_d2, second = _nearest_two(_distances(Xn[points], centroids, c_sq))
-        tie = np.flatnonzero(second - best_d2 <= margin)
-        if tie.size:
-            best[tie] = _block_argmin(Xn, centroids, c_sq, points[tie])
-            second[tie] = best_d2[tie]      # the subset's best may be a rival now
-            ties += tie.size
-        out[points] = best
-        lb[points] = second - margin
-    return out, int(scan.size), int(unsure.size), ties
+        # rows the float32 gap cannot decide: _pair_d2 over their candidates,
+        # the best (v holds inf there now) and every offset within twice the margin of it
+        unsure = np.flatnonzero(second - best_v <= 2.0 * margin)
+        gap = v[unsure] - best_v[unsure, None].astype(np.float64)
+        del v       # one distance block alive at a time
+        near = gap <= 2.0 * margin
+        near[np.arange(unsure.size), best[unsure]] = True
+        r, c = np.nonzero(near)
+        d2 = np.full(near.shape, np.inf)
+        d2[r, c] = _pair_d2(Xn[points[unsure[r]]], centroids[c], c_sq[c])
+        out[points[unsure]], _, rival = _nearest_two(d2)
+        gap[near] = np.inf      # the others' bound: the nearest float32 offset + shift
+        lb[points[unsure]] = np.minimum(rival, _row_min(gap) + best_v[unsure] + shift)
+        decided += unsure.size
+        candidates += r.size
+    return out, int(scan.size), decided, candidates
 
 
 def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,

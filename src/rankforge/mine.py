@@ -37,7 +37,8 @@ MAGIC = b"DQGIDX03"
 
 # magic, n_docs, n_terms, n_postings, term table bytes, SHA-256 of the `.ids` bytes
 _HEADER = struct.Struct("<8sQQQQ32s")
-# build_index adds document ordinals to its per-token keys about this many tokens at a time
+# build_index adds document ordinals to its per-token keys, and load_index sums
+# document lengths, about this many tokens or postings at a time
 _BLOCK_TOKENS = 1 << 19
 
 
@@ -261,7 +262,12 @@ def load_index(path: str | Path, doc_ids: Sequence[str], k1: float = PipelineCon
     unordered[indptr[1:-1] - 1] = False              # a new term starts its own run
     if unordered.any():
         raise FormatError(f"{path}: postings out of order after posting {int(unordered.argmax())}")
-    wrong = np.bincount(ords, weights=tfs, minlength=n_docs) != doc_lengths   # so avgdl > 0
+    # so avgdl > 0; summed over runs of postings, as bincount casts both inputs to 8 bytes
+    lengths = np.zeros(n_docs)
+    for start in range(0, nnz, _BLOCK_TOKENS):
+        end = start + _BLOCK_TOKENS
+        lengths += np.bincount(ords[start:end], weights=tfs[start:end], minlength=n_docs)
+    wrong = lengths != doc_lengths
     if wrong.any():
         raise FormatError(f"{path}: document {int(wrong.argmax())}'s length is not its tf sum")
     return Bm25Index(doc_ids, doc_lengths, terms, indptr, ords, tfs, k1=k1, b=b)

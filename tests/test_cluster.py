@@ -265,18 +265,51 @@ def test_blocked_assignment_matches_default(monkeypatch):
         assert blocked.inertia_history == default.inertia_history
 
 
-def _brute_assign(Xn, centroids):
-    """Every row against every centroid, one _row_blocks slice at a time."""
+def _pair_distances(Xn, centroids):
+    """1 - 2 x.c + ||c||^2, clamped at 0, for every (row, centroid) pair: n x K.
+
+    Each pair's dot product is one einsum row, so its bits are those of
+    cluster._pair_d2 for that pair alone.
+    """
+    n, K = len(Xn), len(centroids)
+    rows, cents = np.repeat(np.arange(n), K), np.tile(np.arange(K), n)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    out = np.empty(Xn.shape[0], dtype=np.int64)
-    for rows in cluster._row_blocks(Xn.shape[0], centroids.shape[0]):
-        d2 = Xn[rows] @ centroids.T
-        d2 *= 2.0
-        np.subtract(1.0, d2, out=d2)
-        d2 += c_sq
-        np.maximum(d2, 0.0, out=d2)
-        out[rows] = d2.argmin(axis=1)
-    return out
+    dot = np.einsum("ij,ij->i", Xn[rows], centroids[cents])
+    return np.maximum(1.0 - 2.0 * dot + c_sq[cents], 0.0).reshape(n, K)
+
+
+def _brute_assign(Xn, centroids):
+    """Every row against every centroid: the lowest index at the least distance."""
+    return _pair_distances(Xn, centroids).argmin(axis=1)
+
+
+@pytest.mark.parametrize("d", [8, 33, 128, 256, 768])
+def test_pair_distance_bits_depend_only_on_the_pair(d):
+    # the exact distance of a (row, centroid) pair must not change with the
+    # other pairs in the call: the fit evaluates subsets that a full pass would not
+    rng = np.random.default_rng(d)
+    n = 203
+    rows = _normalize(rng.normal(size=(n, d)))
+    cents = rng.normal(size=(n, d)) * 0.1
+    c_sq = np.einsum("ij,ij->i", cents, cents)
+    full = cluster._pair_d2(rows, cents, c_sq)
+
+    def same(idx, rows_view=None, cents_view=None):
+        got = cluster._pair_d2(rows[idx] if rows_view is None else rows_view,
+                               cents[idx] if cents_view is None else cents_view, c_sq[idx])
+        return got.tobytes() == full[idx].tobytes()
+
+    assert same(np.sort(rng.choice(n, size=57, replace=False)))         # subset
+    assert same(rng.permutation(n))                                     # shuffled
+    assert all(same(np.array([i])) for i in (0, 1, 100, n - 1))         # one row
+    shifted = np.empty(n * d + 1)[1:].reshape(n, d)                     # 8 bytes off
+    shifted[...] = rows
+    assert same(np.arange(n), shifted)
+    strided = np.empty((2 * n, d))[::2]                                 # every other row
+    strided[...] = rows
+    strided_cents = np.empty((3 * n, d))[1::3]
+    strided_cents[...] = cents
+    assert same(np.arange(n), strided, strided_cents)
 
 
 def _reference_repair(Xn, centroids, assignments, K):
@@ -355,12 +388,12 @@ def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
-def test_near_tie_rows_take_the_whole_block_argmin(monkeypatch, block_rows):
-    # one row equidistant, in exact arithmetic, from two centroids: the
-    # last bit of each distance depends on the product that computes it
+def test_near_tie_rows_take_the_pair_kernel_argmin(monkeypatch, block_rows):
+    # one row equidistant, in exact arithmetic, from two centroids: float32
+    # cannot order them, so the exact kernel decides between the two
     if block_rows is not None:           # 3-row blocks of 8 centroids; d = 24 > K
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * 8)
-    bad = near_ties = 0
+    bad = near_ties = rescans = rescan_ties = 0
     for trial in range(30):
         rng = np.random.default_rng(trial)
         d = 24
@@ -377,29 +410,27 @@ def test_near_tie_rows_take_the_whole_block_argmin(monkeypatch, block_rows):
                         _normalize((mid + offset)[None])])
         Xn = Xn[rng.permutation(len(Xn))]
         rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
-        assignments, _, _, _ = cluster._assign(Xn, rows32, centroids, np.full(len(Xn), -1),
-                                               lb, np.ones(8, dtype=bool))
+        assignments, _, _, ties = cluster._assign(Xn, rows32, centroids, np.full(len(Xn), -1),
+                                                  lb, np.ones(8, dtype=bool))
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
-        centroids[2] = _normalize(centroids[2:3] + 0.001)[0]   # only the tie row is rescanned
+        near_ties += ties
+        # only the tie row can be rescanned: when its own distance is not below its rival's
+        centroids[2] = _normalize(centroids[2:3] + 0.001)[0]
         assignments, scanned, _, ties = cluster._assign(Xn, rows32, centroids, assignments,
                                                         lb, np.arange(8) == 2)
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
-        near_ties += ties
+        rescans += scanned
+        rescan_ties += ties
     assert bad == 0
-    assert near_ties == 30
+    assert near_ties == 60                 # the tie row against each of its two centroids
+    assert 0 < rescans < 30 and rescan_ties == 2 * rescans
 
 
 def _bounds_hold(lb, Xn, centroids, assignments):
-    """Every lower bound is below each rival's float64 distance by half the margin or more.
-
-    A bound is one float64 evaluation less the margin, and two evaluations
-    differ by at most half the margin (_margin), so this holds for any product.
-    """
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = cluster._distances(Xn, centroids, c_sq)
+    """Every lower bound is at most each rival's distance."""
+    d2 = _pair_distances(Xn, centroids)
     d2[np.arange(len(Xn)), assignments] = np.inf
-    margin = cluster._margin(Xn.shape[1], np.float64)
-    return bool(np.all(lb <= d2.min(axis=1) - margin / 2))
+    return bool(np.all(lb <= d2.min(axis=1)))
 
 
 @pytest.mark.parametrize("block_rows", [None, 7, 1])
@@ -428,7 +459,7 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
     order = rng.permutation(len(rows))
     Xn = _normalize(np.array(rows))[order]
     # gaps of 0.2 step: only the steps of 1e-3 and 1e-2 clear twice the float32 margin
-    assert 2 * cluster._margin(d, np.float32) < 0.2 * 1e-3 * 0.9
+    assert 2 * cluster._margin(d) < 0.2 * 1e-3 * 0.9
     rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
     assignments, scanned, float64_rows, ties = cluster._assign(
         Xn, rows32, centroids, np.full(len(Xn), -1), lb, np.ones(len(centroids), dtype=bool))
@@ -436,7 +467,7 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
     assert _bounds_hold(lb, Xn, centroids, assignments)
     assert scanned == len(Xn)
     assert float64_rows == len(Xn) - 10
-    assert ties == 5 + len(steps)          # the rows on the bisector and at the duplicates
+    assert ties == 2 * float64_rows        # each against its bisected pair or the duplicates
 
     # one rival moves: its distances come from the float32 pass over moved centroids
     centroids[4] = _normalize(mid[None] - 3 * delta)[0] * 0.9

@@ -432,6 +432,29 @@ def test_index_load_rejects_corruption(tmp_path):
     variant_rejects("document 4's length is not its tf sum", "len1", doc_lengths=doc_lengths)
 
 
+def test_index_load_checks_lengths_without_postings_sized_copies(tmp_path, monkeypatch):
+    n_docs, n_terms = 1000, 100                     # every term in every document
+    nnz = n_docs * n_terms
+    index = Bm25Index([f"d{i}" for i in range(n_docs)], np.full(n_docs, 2 * n_terms),
+                      [f"t{t:03d}" for t in range(n_terms)], np.arange(0, nnz + 1, n_docs),
+                      np.tile(np.arange(n_docs, dtype=np.uint32), n_terms),
+                      np.full(nnz, 2, dtype=np.uint32))
+    path = tmp_path / "i.idx"
+    save_index(index, path)
+    monkeypatch.setattr(mine, "_BLOCK_TOKENS", 4096)
+    tracemalloc.start()
+    try:
+        loaded = load_index(path, index.doc_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
+    # the loaded u32 ords and tfs, one order flag per posting, one block's 8-byte
+    # casts, the per-document arrays and slack; 8-byte copies of every posting exceed it
+    bound = nnz * (4 + 4 + 1) + 4096 * 16 + n_docs * 8 * 4 + 65536
+    assert peak < bound < nnz * (4 + 4 + 1 + 8)
+
+
 def test_assemble_pairs_rejects_duplicate_doc_ids():
     index = build_index(tokenize_collection(make_collection(5, seed=2)))
     doc_ids = list(index.doc_ids)
