@@ -181,6 +181,8 @@ def _parse_k_scan(text: str) -> list[int]:
         raise UsageError(f"--k-scan expects comma-separated integers, got {text!r}") from None
     if not values:
         raise UsageError("--k-scan needs at least one K")
+    if min(values) < 1:
+        raise UsageError(f"--k-scan values must be >= 1, got {min(values)}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError("--k-scan values must be strictly increasing")
     return values

@@ -421,11 +421,7 @@ def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
 
 
 def cosine_sse(X: np.ndarray, model: KMeansModel) -> float:
-    """Sum over rows of (1 - cosine to the nearest centroid), nearest by cosine."""
-    if X.shape[1] != model.d:
-        raise ValidationError(f"matrix dimension {X.shape[1]} != model dimension {model.d}")
-    if len(X) == 0:
-        return 0.0
+    """Sum of (1 - cosine to the nearest centroid) over X, the rows the model was fitted on."""
     Xn = _normalized_rows(X)
     cen_norms = np.linalg.norm(model.centroids, axis=1)
     zero = cen_norms == 0.0
@@ -448,11 +444,7 @@ class ElbowResult:
 
 
 def elbow_scan(X: np.ndarray, k_values: list[int], cfg: PipelineConfig) -> ElbowResult:
-    """Fit one model per K (cfg with its clusters replaced) and locate the SSE knee."""
-    if not k_values:
-        raise InvalidConfigError("k_values must be non-empty")
-    if any(b <= a for a, b in zip(k_values, k_values[1:])):
-        raise InvalidConfigError("k_values must be strictly ascending")
+    """Fit one model per K >= 1, ascending (cfg with its clusters replaced); locate the SSE knee."""
     points: list[tuple[int, float]] = []
     for k in k_values:
         model = kmeans_fit(X, dataclasses.replace(cfg, clusters=k))

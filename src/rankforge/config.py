@@ -11,6 +11,7 @@ through ``querygen``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 
 from .errors import InvalidConfigError
@@ -68,6 +69,9 @@ class PipelineConfig:
         for name in _POSITIVE:
             if not getattr(self, name) > 0:
                 _reject(name, getattr(self, name), "> 0")
+        # socket.settimeout overflows on a longer timeout
+        if not self.request_timeout <= threading.TIMEOUT_MAX:
+            _reject("request_timeout", self.request_timeout, f"<= {threading.TIMEOUT_MAX}")
         for name in _UNIT_INTERVAL:
             if not 0 <= getattr(self, name) <= 1:
                 _reject(name, getattr(self, name), "in [0, 1]")
@@ -77,8 +81,7 @@ class PipelineConfig:
         if not self.num_negatives < self.first_stage_hits:
             _reject("num_negatives", self.num_negatives,
                     f"< first_stage_hits ({self.first_stage_hits})")
-        # infinity passes the lower bounds, but an infinite bm25_k1 makes every BM25
-        # score NaN and an infinite request_timeout overflows the socket timeout
+        # infinity passes the lower bounds, but an infinite bm25_k1 makes every BM25 score NaN
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import (IO, TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Iterator,
                     NamedTuple, Sequence)
 
-from .errors import (AlignmentError, DuplicateIdError, FormatError, InvalidConfigError,
-                     SizeMismatchError, ValidationError)
+from .errors import (AlignmentError, DuplicateIdError, FormatError, SizeMismatchError,
+                     ValidationError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,9 +288,8 @@ def tokenize_collection(collection: dict[str, Document]) -> TokenizedCollection:
 def filter_min_length(collection: dict[str, Document], min_chars: int) -> dict[str, Document]:
     """Drop documents whose rendered string is shorter than min_chars, keeping order.
 
-    Length counts Unicode scalar values of the rendered title+text string.
+    Length counts Unicode scalar values of the rendered title+text string;
+    min_chars is >= 0 (``PipelineConfig`` checks it).
     """
-    if min_chars < 0:
-        raise InvalidConfigError(f"min_chars must be >= 0, got {min_chars}")
     return {doc_id: doc for doc_id, doc in collection.items()
             if len(render_document(doc)) >= min_chars}

@@ -156,9 +156,8 @@ def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> np.ndarr
     Each distinct term is hashed once. The +/-1 sums are integers, exact in
     float64 in any order, and so is each row's sum of squares, so every row
     has the bytes ``hash_embed`` gives for that document's rendered text.
+    d is >= 8 (``PipelineConfig`` checks ``hash_embed_dim``).
     """
-    if d < 8:
-        raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
     hashed = list(map(_term_hasher(d, seed), tokens.terms))
     bucket = np.array([h[0] for h in hashed], dtype=np.int64)
     sign = np.array([h[1] for h in hashed], dtype=np.float64)

@@ -30,7 +30,7 @@ import numpy as np
 from .config import PipelineConfig
 from .corpus import (TokenizedCollection, encode_lines, read_header, read_records, replacing,
                      tokenize, write_jsonl)
-from .errors import AlignmentError, DataError, DuplicateIdError, FormatError
+from .errors import AlignmentError, DataError, FormatError
 from .querygen import SyntheticQuery
 
 MAGIC = b"DQGIDX03"
@@ -125,10 +125,9 @@ def build_index(tokens: TokenizedCollection) -> Bm25Index:
 
     One in-place sort of ``term_rank * n + ordinal`` keys gives the postings
     (the starts of runs of equal keys) and their term frequencies (the run lengths).
+    The collection holds at least one document.
     """
     n = len(tokens.doc_ids)
-    if n == 0:
-        raise DataError("cannot build an index over an empty collection")
     by_term = sorted(range(len(tokens.terms)), key=tokens.terms.__getitem__)
     rank = np.empty(len(by_term), dtype=np.int64)
     rank[by_term] = np.arange(len(by_term))
@@ -170,10 +169,8 @@ def mine_negatives(
 def assemble_pairs(
     index: Bm25Index, queries: Sequence[SyntheticQuery], cfg: PipelineConfig
 ) -> list[TrainingPair]:
-    """One training pair per query, in query order; positives are looked up in the index."""
+    """One training pair per query, in query order; positives are looked up by distinct id."""
     ordinals = {doc_id: o for o, doc_id in enumerate(index.doc_ids)}
-    if len(ordinals) != index.n_docs:
-        raise DuplicateIdError("duplicate document ids in index")
     pairs = []
     for q in queries:
         positive = ordinals.get(q.doc_id)

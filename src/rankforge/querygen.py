@@ -30,7 +30,6 @@ from .errors import (
     EmptyQueryError,
     EndpointError,
     FormatError,
-    InvalidConfigError,
     TemplateError,
 )
 
@@ -129,12 +128,10 @@ def build_prompt(
 ) -> str:
     """Assemble preamble, rendered examples, and the target block into one prompt.
 
-    Reads ``shots`` and ``max_doc_chars`` from cfg.
+    Reads ``max_doc_chars`` from cfg; examples holds the first ``shots`` examples.
     """
     if tmpl.target_block_format.count("{document}") != 1:
         raise TemplateError("target block must contain {document} exactly once")
-    if len(examples) != cfg.shots:
-        raise InvalidConfigError(f"expected {cfg.shots} examples, got {len(examples)}")
     if examples and (
         "{document}" not in tmpl.example_block_format
         or "{query}" not in tmpl.example_block_format

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateVectorError,
     InfeasibleBudgetError,
     InvalidConfigError,
-    ValidationError,
 )
 
 
@@ -49,15 +48,14 @@ class SelectedDoc:
 def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
     """Stratified per-cluster budgets: one guaranteed slot each, the rest by size.
 
-    After the proportional split, the P leftover units go to the P largest
-    clusters (ties by ascending index). Budgets are then capped at cluster
-    size, redistributing overflow one unit at a time to the largest cluster
-    with remaining capacity.
+    cluster_sizes names at least one cluster (``clusters >= 1``). After the
+    proportional split, the P leftover units go to the P largest clusters
+    (ties by ascending index). Budgets are then capped at cluster size,
+    redistributing overflow one unit at a time to the largest cluster with
+    remaining capacity.
     """
     c = [int(x) for x in cluster_sizes]
     n_clusters = len(c)
-    if n_clusters < 1:
-        raise InvalidConfigError("need at least one cluster")
     if any(ck < 1 for ck in c):
         raise InvalidConfigError("every cluster must have at least one member")
     collection_size = sum(c)
@@ -87,9 +85,7 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
 
 
 def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine of each of cluster k's float64 rows to their raw mean, and the rows at unit length."""
-    if rows.shape[0] == 0:
-        raise DegenerateClusterError(f"cluster {k} is empty")
+    """Cosine of non-empty cluster k's float64 rows to their raw mean, and the unit-length rows."""
     norms = np.linalg.norm(rows, axis=1)
     if (norms == 0.0).any():
         raise DegenerateVectorError(f"zero-norm member vector in cluster {k}")
@@ -101,15 +97,8 @@ def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
 
 
 def softmax_probabilities(values: Sequence[float], temperature: float) -> np.ndarray:
-    """Temperature softmax with max-subtraction; strictly positive, sums to 1."""
-    if temperature <= 0:
-        raise InvalidConfigError(f"temperature must be > 0, got {temperature}")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise InvalidConfigError("softmax over an empty array")
-    if not np.isfinite(arr).all():
-        raise ValidationError("non-finite value in softmax input")
-    z = arr / temperature
+    """Softmax of finite values at temperature > 0, max-subtracted; strictly positive, sums to 1."""
+    z = np.asarray(values, dtype=np.float64) / temperature
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -120,15 +109,10 @@ def sample_without_replacement(p: Sequence[float], n: int, rng: np.random.Genera
 
     Each draw consumes exactly one uniform from rng and picks the first index
     whose running cumulative weight strictly exceeds u * remaining_mass, so
-    zero-weight indices are never selected.
+    zero-weight indices are never selected. p holds at least one weight and
+    none is negative; n beyond the positive weights raises when the mass runs out.
     """
     weights = np.asarray(p, dtype=np.float64).copy()
-    if n < 0:
-        raise InvalidConfigError(f"cannot draw {n} items")
-    if n > weights.size:
-        raise InfeasibleBudgetError(f"cannot draw {n} items from {weights.size}")
-    if (weights < 0).any():
-        raise ValidationError("negative probability")
     out: list[int] = []
     for _ in range(n):
         cum = np.cumsum(weights)
@@ -153,25 +137,16 @@ def mmr_select(
 ) -> list[int]:
     """Greedy maximal marginal relevance over a candidate pool.
 
-    Row i of vectors is the unit vector of pool_ordinals[i]; two candidates'
-    similarity is the dot product of their rows. Repeatedly picks argmax of
-    lam * sim_to_anchor - (1 - lam) * max similarity to anything already
-    selected; the first pick has no diversity term. Ties break toward the
-    smaller ordinal. Returns at most min(n, pool size) ordinals in selection
-    order.
+    Row i of vectors (a unit vector) and entry i of sims_to_anchor belong to
+    pool_ordinals[i]; two candidates' similarity is the dot product of their
+    rows. Repeatedly picks argmax of lam * sim_to_anchor - (1 - lam) * max
+    similarity to anything already selected, with lam in [0, 1]; the first
+    pick has no diversity term. Ties break toward the smaller ordinal.
+    Returns at most min(n, pool size) ordinals in selection order.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidConfigError(f"lambda must be in [0, 1], got {lam}")
-    if n < 1:
-        raise InvalidConfigError(f"selection size must be >= 1, got {n}")
     pool = list(pool_ordinals)
-    sims = np.asarray(sims_to_anchor, dtype=np.float64)
-    if len(pool) != sims.size:
-        raise ValidationError("pool and similarity lengths differ")
-    if vectors.ndim != 2 or vectors.shape[0] != len(pool):
-        raise ValidationError("pool and vector row counts differ")
     ordinals = np.asarray(pool, dtype=np.int64)
-    relevance = lam * sims
+    relevance = lam * np.asarray(sims_to_anchor, dtype=np.float64)
     redundancy = np.full(len(pool), -np.inf)   # max similarity to the picks so far
     remaining = np.ones(len(pool), dtype=bool)
     selected: list[int] = []

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from rankforge import cli, corpus, embeddings, httpclient, mine, querygen, selection
+from rankforge import cluster as clustering
 from rankforge.config import PipelineConfig
 from rankforge.corpus import load_collection
 from rankforge.dataset import sha256_file
@@ -266,8 +268,11 @@ def test_k_scan_writes_elbow(tmp_path, corpus_file, capsys):
     assert elbow["knee"] == 3               # the corpus has three topics
     assert not (work / cli.KMEANS_FILE).exists()
 
-    assert _run(["cluster", "--workdir", work, "--k-scan", "5,2"]) == 1
-    assert _run(["cluster", "--workdir", work, "--k-scan", "a,b"]) == 1
+    capsys.readouterr()
+    for text in ("5,2", "a,b", "0,2", ","):
+        assert _run(["cluster", "--workdir", work, "--k-scan", text]) == 1, text
+        assert capsys.readouterr().err.startswith("usage error: --k-scan "), text
+    assert not (work / cli.KMEANS_FILE).exists()
 
 
 def test_exit_codes(tmp_path, corpus_file, capsys):
@@ -748,6 +753,44 @@ def test_example_fields_have_their_types(finished, tmp_path, capsys, field, valu
     _bad_field_exits_two(finished, tmp_path, capsys, "examples.jsonl", field, value,
                          ["generate", "--workdir", tmp_path / "w",
                           "--examples", tmp_path / "examples.jsonl"])
+
+
+def test_generate_needs_as_many_examples_as_shots(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "w" / cli.QUERIES_FILE).unlink()
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text("".join(examples.read_text(encoding="utf-8").splitlines(True)[:2]),
+                        encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["generate", "--workdir", tmp_path / "w", "--examples", examples]) == 2
+    assert capsys.readouterr().err == f"error: {examples} has 2 examples, need 3\n"
+    assert not (tmp_path / "w" / cli.QUERIES_FILE).exists()
+    assert _run(["generate", "--workdir", tmp_path / "w", "--examples", examples,
+                 "--shots", "2"]) == 0
+
+
+def test_generate_takes_the_longest_request_timeout(finished, tmp_path):
+    # PipelineConfig's upper bound on request_timeout is one that the socket accepts
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "w" / cli.QUERIES_FILE).unlink()
+    with MockLLMServer() as server:
+        assert _run(["generate", "--workdir", tmp_path / "w", "--endpoint", server.endpoint,
+                     "--request-timeout", repr(threading.TIMEOUT_MAX)]) == 0
+    assert len(querygen.load_queries(tmp_path / "w" / cli.QUERIES_FILE)) == 9
+
+
+def test_select_refuses_a_model_with_an_empty_cluster(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    work = tmp_path / "w"
+    (work / cli.SELECTED_FILE).unlink()
+    model = clustering.load_model(work / cli.KMEANS_FILE)
+    model.assignments[model.assignments == 2] = 0
+    clustering.save_model(model, work / cli.KMEANS_FILE)
+    capsys.readouterr()
+    assert _run(["select", "--workdir", work, "--sample-size", "9", "--sample-rounds", "3",
+                 "--seed", "7"]) == 2
+    assert capsys.readouterr().err == "error: every cluster must have at least one member\n"
+    assert not (work / cli.SELECTED_FILE).exists()
 
 
 class _NullCompletion(_Handler):

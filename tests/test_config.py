@@ -27,6 +27,7 @@ OUT_OF_BOUNDS = [
     ("bm25_k1", -0.1), ("bm25_k1", NAN), ("bm25_k1", INF),
     ("softmax_temperature", 0.0), ("softmax_temperature", NAN), ("softmax_temperature", INF),
     ("request_timeout", 0.0), ("request_timeout", NAN), ("request_timeout", INF),
+    ("request_timeout", 1e10),
     ("mmr_lambda", -0.1), ("mmr_lambda", 1.1), ("mmr_lambda", NAN),
     ("bm25_b", -0.1), ("bm25_b", 5.0), ("bm25_b", NAN),
     ("first_stage_hits", 1), ("num_negatives", 0), ("num_negatives", 100),

@@ -19,8 +19,7 @@ from rankforge.corpus import (
     tokenize,
     tokenize_collection,
 )
-from rankforge.errors import (AlignmentError, DuplicateIdError, FormatError, InvalidConfigError,
-                             ValidationError)
+from rankforge.errors import AlignmentError, DuplicateIdError, FormatError, ValidationError
 from tests.conftest import make_collection
 
 
@@ -160,11 +159,6 @@ def test_filter_counts_unicode_scalars():
     coll = {"e": doc}
     assert len(filter_min_length(coll, 4)) == 1
     assert len(filter_min_length(coll, 5)) == 0
-
-
-def test_filter_rejects_negative_min_chars(tiny_collection):
-    with pytest.raises(InvalidConfigError):
-        filter_min_length(tiny_collection, -1)
 
 
 def test_tokenize_collection_matches_tokenize():

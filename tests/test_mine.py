@@ -17,7 +17,6 @@ from rankforge.embeddings import embed_collection
 from rankforge.errors import (
     AlignmentError,
     DataError,
-    DuplicateIdError,
     FormatError,
     InvalidConfigError,
     SizeMismatchError,
@@ -220,11 +219,6 @@ def test_index_and_embedding_read_only_the_token_stream(tmp_path):
     for d, seed in ((8, 0), (32, 5)):
         assert (embed_collection(by_hand, d, seed).tobytes()
                 == embed_collection(from_docs, d, seed).tobytes())
-
-
-def test_build_index_rejects_empty_collection():
-    with pytest.raises(DataError):
-        build_index(tokenize_collection({}))
 
 
 # ------------------------------------------------------------------- mining
@@ -453,17 +447,6 @@ def test_index_load_checks_lengths_without_postings_sized_copies(tmp_path, monke
     # casts, the per-document arrays and slack; 8-byte copies of every posting exceed it
     bound = nnz * (4 + 4 + 1) + 4096 * 16 + n_docs * 8 * 4 + 65536
     assert peak < bound < nnz * (4 + 4 + 1 + 8)
-
-
-def test_assemble_pairs_rejects_duplicate_doc_ids():
-    index = build_index(tokenize_collection(make_collection(5, seed=2)))
-    doc_ids = list(index.doc_ids)
-    doc_ids[3] = doc_ids[1]
-    queries = [SyntheticQuery(doc_id=doc_ids[0], query_text="q", raw_completion="q",
-                              model_name="m")]
-    with pytest.raises(DuplicateIdError):
-        assemble_pairs(Bm25Index(**{**_index_fields(index), "doc_ids": doc_ids}), queries,
-                       PipelineConfig())
 
 
 def test_pairs_roundtrip(tmp_path):

@@ -94,11 +94,6 @@ def test_build_prompt_zero_shot_and_empty_preamble():
     assert prompt == "just this ->"
 
 
-def test_build_prompt_requires_matching_shot_count():
-    with pytest.raises(InvalidConfigError):
-        build_prompt(TMPL, EXAMPLES, "doc", _settings(shots=3))
-
-
 def test_build_prompt_validates_slots():
     bad_target = PromptTemplate("p", "{document} {query}", "no slot here", "\n")
     with pytest.raises(TemplateError):
