@@ -32,9 +32,7 @@ _HEADER = struct.Struct("<8sIIQd")
 # Byte budget of the rows x K distance block in the assignment step and in
 # cosine_sse; memory stays bounded however large n x K grows.
 _BLOCK_BYTES = 4 << 20
-# Largest run of squared differences that _inertia hands to numpy's own sum.
-_LEAF = 1 << 16
-# k-means++ seeding distances below this are recomputed exactly (see _seed_dists).
+# k-means++ seeding distances below this are recomputed exactly (see _kmeans_pp_init).
 _EXACT_BELOW = 1e-9
 
 
@@ -82,21 +80,6 @@ def _normalized_rows(X: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _seed_dists(Xn: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distance of every row to c, from one mat-vec (rows are unit vectors).
-
-    Distances below _EXACT_BELOW are recomputed as sum((x - c)**2), so a row
-    equal to c gets exactly 0 and duplicate points leave no stray mass.
-    """
-    d2 = Xn @ c
-    d2 *= -2.0
-    d2 += 2.0
-    np.maximum(d2, 0.0, out=d2)
-    near = np.flatnonzero(d2 < _EXACT_BELOW)
-    d2[near] = np.sum((Xn[near] - c) ** 2, axis=1)
-    return d2
-
-
 def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:
     """A row drawn with probability d2 / sum(d2); uniform when every d2 is 0.
 
@@ -112,21 +95,6 @@ def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:
     if idx == d2.size:
         idx = int(np.flatnonzero(d2)[-1])
     return idx
-
-
-def _kmeans_pp_init(Xn: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    n = Xn.shape[0]
-    centroids = np.empty((K, Xn.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = Xn[first]
-    if K == 1:
-        return centroids
-    d2 = _seed_dists(Xn, centroids[0])
-    for j in range(1, K):
-        idx = _pp_index(d2, rng)
-        centroids[j] = Xn[idx]
-        np.minimum(d2, _seed_dists(Xn, centroids[j]), out=d2)
-    return centroids
 
 
 def _row_step(width: int) -> int:
@@ -148,6 +116,7 @@ def _pair_d2(rows: np.ndarray, cents: np.ndarray, c_sq: np.ndarray) -> np.ndarra
     einsum sums each pair's products apart from the others, so a value's bits
     depend on its row and centroid alone, not on the other pairs in the call.
     That needs C-ordered rows: a Fortran-ordered operand sums in another order.
+    A stride-0 view of one centroid, as seeding passes, sums as its copies do.
     """
     d2 = 1.0 - 2.0 * np.einsum("ij,ij->i", rows, cents)
     d2 += c_sq
@@ -197,6 +166,42 @@ def _margin(d: int) -> float:
     twice the margin orders the two _pair_d2 values the same way.
     """
     return 8.0 * (d + 4) * float(np.finfo(np.float32).eps)
+
+
+def _kmeans_pp_init(Xn: np.ndarray, rows32: np.ndarray, K: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) on the unit rows Xn.
+
+    d2 holds each row's distance to its nearest centre so far: _pair_d2, or
+    sum((x - c)**2) where that is below _EXACT_BELOW, so a row equal to a centre
+    gets exactly 0 and duplicate points leave no stray mass.
+
+    A new centre c is evaluated only on the rows whose bound, 1 plus the float32
+    offset to c (from ``rows32``) less m = _margin(d), is below their d2; the
+    first centre meets d2 = inf on every row. By _margin's proof a row's _pair_d2
+    is at least 1 plus its offset less m/2, so at least its bound plus m/2 (the
+    float64 rounding of the bound, some 1e-16, is far smaller). A skipped row has
+    a bound of at least d2 >= 0, so its _pair_d2 is above d2, which stays, and at
+    least m/2 > 2e-6 > _EXACT_BELOW: it would not take the exact branch either.
+    """
+    n, d = Xn.shape
+    centroids = np.empty((K, d), dtype=np.float64)
+    centroids[0] = Xn[int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
+    shift = 1.0 - _margin(d)
+    for j in range(1, K):
+        c = centroids[j - 1:j]
+        c_sq = np.einsum("ij,ij->i", c, c)
+        bound = _offsets32(rows32, -2.0 * c.astype(np.float32), c_sq.astype(np.float32))
+        open_rows = np.flatnonzero(bound[:, 0].astype(np.float64) + shift < d2)
+        for block in _row_blocks(open_rows.size, 8 * d):     # 2^16 values, as in _own_d2
+            rows = open_rows[block]
+            new = _pair_d2(Xn[rows], np.broadcast_to(c, (rows.size, d)), c_sq)
+            near = np.flatnonzero(new < _EXACT_BELOW)
+            new[near] = np.sum((Xn[rows[near]] - c) ** 2, axis=1)
+            d2[rows] = np.minimum(d2[rows], new)
+        centroids[j] = Xn[_pp_index(d2, rng)]
+    return centroids
 
 
 def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
@@ -287,6 +292,22 @@ def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.nda
         centroids[k] = Xn[members[k]].mean(axis=0)
 
 
+def _own_d2(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+    """Each row's sum((x - c)**2) to its own centroid c; a value's bits depend on
+    its row alone.
+
+    Blocks hold 2^16 values, an eighth of _BLOCK_BYTES: this runs every
+    iteration, and 4 MiB blocks here raised peak RSS by 3.6 MB at 10k x 128.
+    """
+    own = np.empty(assignments.size, dtype=np.float64)
+    for rows in _row_blocks(assignments.size, 8 * Xn.shape[1]):
+        diff = centroids[assignments[rows]]
+        np.subtract(Xn[rows], diff, out=diff)
+        np.square(diff, out=diff)
+        own[rows] = diff.sum(axis=1)
+    return own
+
+
 def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
                   K: int) -> np.ndarray:
     """Reseed each empty cluster with the point farthest from its own centroid.
@@ -300,11 +321,7 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     moved = np.empty(empty.size, dtype=np.int64)
     if not empty.size:
         return moved
-    own = np.empty(assignments.size, dtype=np.float64)
-    for rows in _row_blocks(assignments.size, Xn.shape[1]):
-        diff = Xn[rows] - centroids[assignments[rows]]
-        np.square(diff, out=diff)
-        own[rows] = diff.sum(axis=1)
+    own = _own_d2(Xn, centroids, assignments)
     own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
     for i, k in enumerate(empty):
         p = int(np.argmax(own))
@@ -320,36 +337,12 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     return moved
 
 
-def _inertia(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
-             start: int = 0, stop: int | None = None) -> float:
-    """float(np.sum((Xn - centroids[assignments]) ** 2)), bit for bit, without the
-    n x d temporary; start and stop bound a run of the flattened n x d values.
-
-    numpy sums a contiguous float64 array pairwise: a run of more than 128
-    values splits at n2 = n//2 - (n//2) % 8 and sums each half the same way.
-    Replaying the splits down to runs of at most _LEAF values, each summed by
-    numpy from the rows that hold it, gives the same tree and so the same bits.
-    """
-    stop = Xn.size if stop is None else stop
-    size = stop - start
-    if size > _LEAF:
-        half = size // 2
-        half -= half % 8
-        return (_inertia(Xn, centroids, assignments, start, start + half)
-                + _inertia(Xn, centroids, assignments, start + half, stop))
-    d = Xn.shape[1]
-    first, last = start // d, -(-stop // d)
-    sq = Xn[first:last] - centroids[assignments[first:last]]
-    np.square(sq, out=sq)
-    return float(sq.ravel()[start - first * d:stop - first * d].sum())
-
-
 def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
            rng: np.random.Generator) -> KMeansModel:
     """One seeded Lloyd run on the unit rows Xn and their float32 copy rows32."""
     n = Xn.shape[0]
     K = cfg.clusters
-    centroids = _kmeans_pp_init(Xn, K, rng)
+    centroids = _kmeans_pp_init(Xn, rows32, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     lb = np.full(n, -np.inf)
     previous = np.full_like(centroids, np.nan)      # NaN: every centroid moved at first
@@ -357,7 +350,6 @@ def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
     rescanned: list[int] = []
     float64_rows = near_ties = repairs = 0
     converged = False
-    prev_inertia: float | None = None
 
     for _ in range(cfg.kmeans_max_iters):
         moved = (centroids != previous).any(axis=1)
@@ -371,18 +363,16 @@ def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
         lb[repaired] = -np.inf
         repairs += repaired.size
         changed = np.flatnonzero(new_assignments != assignments)
-        touched = np.unique(np.concatenate((assignments[changed], new_assignments[changed])))
-        _update_centroids(Xn, centroids, new_assignments, touched[touched >= 0])
-        inertia = _inertia(Xn, centroids, new_assignments)
+        touched = np.concatenate((assignments[changed], new_assignments[changed]))
+        touched = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=K))
+        _update_centroids(Xn, centroids, new_assignments, touched)
+        inertia = float(np.sum(_own_d2(Xn, centroids, new_assignments)))
         history.append(inertia)
-        if not changed.size:
-            converged = True
-            break
         assignments = new_assignments
-        if prev_inertia is not None and prev_inertia - inertia <= cfg.kmeans_tol * prev_inertia:
+        if not changed.size or (len(history) > 1
+                                and history[-2] - inertia <= cfg.kmeans_tol * history[-2]):
             converged = True
             break
-        prev_inertia = inertia
 
     return KMeansModel(
         K=K,

@@ -186,7 +186,7 @@ def _reference_pp_init(Xn, K, rng):
 
 
 def _seed_pair(Xn, K, seed):
-    got = _kmeans_pp_init(Xn, K, np.random.default_rng(seed))
+    got = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(seed))
     want = _reference_pp_init(Xn, K, np.random.default_rng(seed))
     return got, want
 
@@ -238,18 +238,76 @@ def test_seeding_draw_never_lands_on_a_row_without_mass():
     assert cluster._pp_index(d2, _FixedDraws(0.5)) == 0
 
 
+def _every_row_pp_init(Xn, K, rng):
+    """k-means++ seeding that evaluates every row against every centre with the
+    fit's kernel: _pair_d2, or sum((x - c)**2) below _EXACT_BELOW."""
+    centroids = np.empty((K, Xn.shape[1]))
+    centroids[0] = Xn[int(rng.integers(len(Xn)))]
+    d2 = np.full(len(Xn), np.inf)
+    for j in range(1, K):
+        c = centroids[j - 1:j]
+        new = cluster._pair_d2(Xn, np.repeat(c, len(Xn), axis=0),
+                               np.einsum("ij,ij->i", c, c))
+        exact = new < cluster._EXACT_BELOW
+        new[exact] = np.sum((Xn[exact] - c) ** 2, axis=1)
+        np.minimum(d2, new, out=d2)
+        centroids[j] = Xn[cluster._pp_index(d2, rng)]
+    return centroids
+
+
+_SEEDING_CASES = {
+    "random": lambda rng: _normalize(rng.normal(size=(int(rng.integers(2, 400)),
+                                                      int(rng.integers(2, 130))))),
+    "duplicates": lambda rng: _duplicate_rows(rng, int(rng.integers(1, 8)),
+                                              int(rng.integers(8, 200)), 16),
+    # rows 1e-7 apart: inside the float32 margin and near _EXACT_BELOW once squared
+    "near_duplicates": lambda rng: _normalize(
+        _duplicate_rows(rng, 5, 150, 24) + rng.normal(size=(150, 24)) * 1e-7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEEDING_CASES))
+def test_filtered_seeding_matches_every_row_evaluation(monkeypatch, case):
+    # the float32 filter may skip a row only when the kernel would leave its d2 as it is
+    evaluated = []
+
+    def counting(rows, cents, c_sq):
+        evaluated.append(len(rows))
+        return pair_d2(rows, cents, c_sq)
+
+    pair_d2 = cluster._pair_d2
+    monkeypatch.setattr(cluster, "_pair_d2", counting)
+    rng = np.random.default_rng(60)
+    full = skipped = 0
+    for trial in range(40):
+        Xn = _SEEDING_CASES[case](rng)
+        K = int(rng.integers(1, min(len(Xn), 60) + 1))
+        evaluated.clear()
+        got = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(trial))
+        full += (K - 1) * len(Xn)
+        skipped += (K - 1) * len(Xn) - sum(evaluated)
+        want = _every_row_pp_init(Xn, K, np.random.default_rng(trial))
+        assert got.tobytes() == want.tobytes(), f"trial {trial}"
+    assert skipped > full // 4             # the filter did skip rows
+
+
 @pytest.mark.parametrize("n, d", [(203, 8), (10_000, 128), (4099, 33)])
-@pytest.mark.parametrize("leaf", [None, 512])
-def test_inertia_replays_numpy_pairwise_sum(monkeypatch, n, d, leaf):
-    # 4099 x 33 values are not a multiple of 8, and its runs start mid-row
-    if leaf is not None:
-        monkeypatch.setattr(cluster, "_LEAF", leaf)
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+def test_inertia_is_the_sum_of_row_distances(monkeypatch, n, d, block_rows):
+    # 4099 rows are not a multiple of 7: the last block is short
+    if block_rows is not None:
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 64 * d)
     rng = np.random.default_rng(n)
     Xn = _normalize(rng.normal(size=(n, d)))
     centroids = rng.normal(size=(37, d)) * 0.3
     assignments = rng.integers(0, 37, size=n)
-    want = float(np.sum((Xn - centroids[assignments]) ** 2))
-    assert cluster._inertia(Xn, centroids, assignments) == want
+    own = cluster._own_d2(Xn, centroids, assignments)
+    assert own.tobytes() == np.sum((Xn - centroids[assignments]) ** 2, axis=1).tobytes()
+    model = cluster._lloyd(Xn, Xn.astype(np.float32),
+                           PipelineConfig(clusters=37, kmeans_max_iters=1),
+                           np.random.default_rng(n))
+    want = np.sum((Xn - model.centroids[model.assignments]) ** 2, axis=1)
+    assert model.inertia == float(np.sum(want))
 
 
 def test_blocked_assignment_matches_default(monkeypatch):
@@ -310,6 +368,12 @@ def test_pair_distance_bits_depend_only_on_the_pair(d):
     strided_cents = np.empty((3 * n, d))[1::3]
     strided_cents[...] = cents
     assert same(np.arange(n), strided, strided_cents)
+    # one centroid against every row, as k-means++ seeding passes it: a stride-0 view
+    repeated = np.repeat(cents[:1], n, axis=0)
+    want = cluster._pair_d2(rows, repeated, np.repeat(c_sq[:1], n))
+    for view in (np.broadcast_to(cents[0], (n, d)), np.broadcast_to(cents[:1], (n, d))):
+        assert cluster._pair_d2(rows, view, c_sq[:1]).tobytes() == want.tobytes()
+    assert cluster._pair_d2(rows[7:8], cents[:1], c_sq[:1]).tobytes() == want[7:8].tobytes()
 
 
 def _reference_repair(Xn, centroids, assignments, K):
@@ -328,7 +392,7 @@ def _reference_repair(Xn, centroids, assignments, K):
 def _reference_lloyd(Xn, cfg, seed):
     """Brute-force Lloyd iterations; (assignments, centroids, inertia) after each."""
     K = cfg.clusters
-    centroids = _kmeans_pp_init(Xn, K, np.random.default_rng(seed))
+    centroids = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(seed))
     assignments = np.full(Xn.shape[0], -1, dtype=np.int64)
     states = []
     prev = None
@@ -337,7 +401,7 @@ def _reference_lloyd(Xn, cfg, seed):
         _reference_repair(Xn, centroids, new, K)
         for k in range(K):
             centroids[k] = Xn[np.flatnonzero(new == k)].mean(axis=0)
-        inertia = float(np.sum((Xn - centroids[new]) ** 2))
+        inertia = float(np.sum(np.sum((Xn - centroids[new]) ** 2, axis=1)))
         states.append((new, centroids.copy(), inertia))
         if np.array_equal(new, assignments):
             break
