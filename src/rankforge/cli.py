@@ -116,7 +116,7 @@ def _require(workdir: Path, name: str) -> Path:
     return path
 
 
-def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     docs = corpus.load_collection(args.input)
     n_read = len(docs)
     docs = corpus.filter_min_length(docs, cfg.min_chars)
@@ -141,10 +141,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
     mine.save_index(index, workdir / INDEX_FILE)
     print(f"ingest: kept {len(docs)} of {n_read} documents, embedding dim {matrix.shape[1]}")
-    return 0
 
 
-def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     path = _require(workdir, EMBEDDINGS_FILE)
 
@@ -160,7 +159,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             print(f"suggested K (elbow): {result.knee}")
         else:
             print("no elbow suggestion (need at least 3 scanned K values)")
-        return 0
+        return
 
     # the matrix's only reference goes to kmeans_fit, which frees it once the rows are unit
     model = clustering.kmeans_fit(embeddings.load_embeddings(path), cfg)
@@ -171,7 +170,6 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         f"rescanned={sum(model.rescanned)} near_ties={model.near_ties} repairs={model.repairs} "
         f"float64_rows={model.float64_rows} (docs={model.assignments.size})"
     )
-    return 0
 
 
 def _parse_k_scan(text: str) -> list[int]:
@@ -195,7 +193,7 @@ def _check_rows(rows: int, ids: int, assignments: int) -> None:
                              f"{KMEANS_FILE} {assignments} assignments; rerun the stale stage")
 
 
-def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     matrix = embeddings.load_embeddings(_require(workdir, EMBEDDINGS_FILE))
     ids = embeddings.load_ids(_require(workdir, IDS_FILE))
@@ -204,7 +202,6 @@ def cmd_select(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     selected = selection.select_representatives(matrix, model, cfg)
     selection.save_selected(selected, ids, workdir / SELECTED_FILE)
     print(f"select: {len(selected)} documents across {model.K} clusters")
-    return 0
 
 
 def _read_documents(workdir: Path, ids: list[str],
@@ -217,7 +214,7 @@ def _read_documents(workdir: Path, ids: list[str],
                              f"line for line ({exc}); rerun `rankforge ingest`") from None
 
 
-def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     rows = selection.load_selected(_require(workdir, SELECTED_FILE))
     ids = embeddings.load_ids(_require(workdir, IDS_FILE))
@@ -250,10 +247,9 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     querygen.save_queries(queries, workdir / QUERIES_FILE)
     dropped = len(prompts) - len(queries)
     print(f"generate: {len(queries)} queries from {len(prompts)} prompts ({dropped} dropped)")
-    return 0
 
 
-def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     queries = querygen.load_queries(_require(workdir, QUERIES_FILE))
     ids = embeddings.load_ids(_require(workdir, IDS_FILE))
@@ -267,10 +263,9 @@ def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     shortfalls = sum(1 for p in pairs if p.shortfall)
     negatives = sum(len(p.negative_doc_ids) for p in pairs)
     print(f"mine: {len(pairs)} pairs, {negatives} negatives, {shortfalls} under quota")
-    return 0
 
 
-def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     for name in ARTIFACTS:      # every input is there before anything is written
         _require(workdir, name)
@@ -315,25 +310,20 @@ def cmd_build(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     }
     corpus.write_json(outdir / MANIFEST_FILE, manifest, sort_keys=True, indent=2)
     print(f"build: {triples} triples, {pointwise} pointwise records -> {outdir}")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     run = evaluation.load_run(args.run)
     qrels = evaluation.load_qrels(args.qrels)
     report = evaluation.evaluate(run, qrels, ndcg_k=cfg.ndcg_k, recall_k=cfg.recall_k)
     sys.stdout.write(evaluation.format_report(report))
     if getattr(args, "report", None):
         evaluation.save_report(report, args.report)
-    return 0
 
 
-def cmd_run_all(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_run_all(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     for step in (cmd_ingest, cmd_cluster, cmd_select, cmd_generate, cmd_mine, cmd_build):
-        code = step(args, cfg)
-        if code != 0:
-            return code
-    return 0
+        step(args, cfg)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
@@ -416,17 +406,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        return args.func(args, resolve_config(args))
+        args.func(args, resolve_config(args))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return 3
-    except RankforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RankforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

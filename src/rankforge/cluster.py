@@ -32,8 +32,6 @@ _HEADER = struct.Struct("<8sIIQd")
 # Byte budget of the rows x K distance block in the assignment step and in
 # cosine_sse; memory stays bounded however large n x K grows.
 _BLOCK_BYTES = 4 << 20
-# k-means++ seeding distances below this are recomputed exactly (see _kmeans_pp_init).
-_EXACT_BELOW = 1e-9
 
 
 @dataclass
@@ -116,7 +114,6 @@ def _pair_d2(rows: np.ndarray, cents: np.ndarray, c_sq: np.ndarray) -> np.ndarra
     einsum sums each pair's products apart from the others, so a value's bits
     depend on its row and centroid alone, not on the other pairs in the call.
     That needs C-ordered rows: a Fortran-ordered operand sums in another order.
-    A stride-0 view of one centroid, as seeding passes, sums as its copies do.
     """
     d2 = 1.0 - 2.0 * np.einsum("ij,ij->i", rows, cents)
     d2 += c_sq
@@ -172,17 +169,20 @@ def _kmeans_pp_init(Xn: np.ndarray, rows32: np.ndarray, K: int,
                     rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) on the unit rows Xn.
 
-    d2 holds each row's distance to its nearest centre so far: _pair_d2, or
-    sum((x - c)**2) where that is below _EXACT_BELOW, so a row equal to a centre
-    gets exactly 0 and duplicate points leave no stray mass.
-
-    A new centre c is evaluated only on the rows whose bound, 1 plus the float32
+    d2 holds each row's sum((x - c)**2) to its nearest centre so far. A new
+    centre c is evaluated only on the rows whose bound, 1 plus the float32
     offset to c (from ``rows32``) less m = _margin(d), is below their d2; the
-    first centre meets d2 = inf on every row. By _margin's proof a row's _pair_d2
-    is at least 1 plus its offset less m/2, so at least its bound plus m/2 (the
-    float64 rounding of the bound, some 1e-16, is far smaller). A skipped row has
-    a bound of at least d2 >= 0, so its _pair_d2 is above d2, which stays, and at
-    least m/2 > 2e-6 > _EXACT_BELOW: it would not take the exact branch either.
+    first centre meets d2 = inf on every row.
+
+    A skipped row's sum((x - c)**2) is above its bound, so at least d2, which
+    stays. By _margin's proof (u and v as there) 1 plus the offset is within
+    (2d + 8) u of the exact 1 - 2 x.c + ||c||^2. That differs from ||x - c||^2 by
+    the gap of ||x||^2 from 1, at most (d + 6) v for a float64 unit row, and the
+    float64 sum, at most 4 for unit x and c, is within 4 (d + 2) v of its exact
+    value in any order. All three, and the float64 rounding of the bound, stay
+    far below m/2 = 8 (d + 4) u. A row equal to c gets exactly 0, every x - c
+    being 0, and is evaluated: its bound is below -m/2 < 0 <= d2. So duplicate
+    points leave no stray mass.
     """
     n, d = Xn.shape
     centroids = np.empty((K, d), dtype=np.float64)
@@ -194,12 +194,8 @@ def _kmeans_pp_init(Xn: np.ndarray, rows32: np.ndarray, K: int,
         c_sq = np.einsum("ij,ij->i", c, c)
         bound = _offsets32(rows32, -2.0 * c.astype(np.float32), c_sq.astype(np.float32))
         open_rows = np.flatnonzero(bound[:, 0].astype(np.float64) + shift < d2)
-        for block in _row_blocks(open_rows.size, 8 * d):     # 2^16 values, as in _own_d2
-            rows = open_rows[block]
-            new = _pair_d2(Xn[rows], np.broadcast_to(c, (rows.size, d)), c_sq)
-            near = np.flatnonzero(new < _EXACT_BELOW)
-            new[near] = np.sum((Xn[rows[near]] - c) ** 2, axis=1)
-            d2[rows] = np.minimum(d2[rows], new)
+        new = _sq_dists(Xn, open_rows, centroids, np.full_like(open_rows, j - 1))
+        d2[open_rows] = np.minimum(d2[open_rows], new)
         centroids[j] = Xn[_pp_index(d2, rng)]
     return centroids
 
@@ -292,20 +288,23 @@ def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.nda
         centroids[k] = Xn[members[k]].mean(axis=0)
 
 
-def _own_d2(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """Each row's sum((x - c)**2) to its own centroid c; a value's bits depend on
-    its row alone.
+def _sq_dists(Xn: np.ndarray, rows: np.ndarray, centroids: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+    """sum((x - c)**2) for each row x = Xn[rows[i]] and its centre c = centroids[labels[i]].
 
-    Blocks hold 2^16 values, an eighth of _BLOCK_BYTES: this runs every
-    iteration, and 4 MiB blocks here raised peak RSS by 3.6 MB at 10k x 128.
+    A value's bits depend on its row and centre alone. Blocks hold 2^16 values,
+    an eighth of _BLOCK_BYTES: the inertia runs this every iteration, and 4 MiB
+    blocks raised peak RSS by 3.6 MB at 10k x 128.
     """
-    own = np.empty(assignments.size, dtype=np.float64)
-    for rows in _row_blocks(assignments.size, 8 * Xn.shape[1]):
-        diff = centroids[assignments[rows]]
-        np.subtract(Xn[rows], diff, out=diff)
+    d2 = np.empty(rows.size, dtype=np.float64)
+    step = max(1, _BLOCK_BYTES // 8 // (8 * Xn.shape[1]))
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        diff = centroids[labels[block]]
+        np.subtract(Xn[rows[block]], diff, out=diff)
         np.square(diff, out=diff)
-        own[rows] = diff.sum(axis=1)
-    return own
+        d2[block] = diff.sum(axis=1)
+    return d2
 
 
 def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
@@ -321,7 +320,7 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     moved = np.empty(empty.size, dtype=np.int64)
     if not empty.size:
         return moved
-    own = _own_d2(Xn, centroids, assignments)
+    own = _sq_dists(Xn, np.arange(assignments.size), centroids, assignments)
     own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
     for i, k in enumerate(empty):
         p = int(np.argmax(own))
@@ -366,7 +365,7 @@ def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
         touched = np.concatenate((assignments[changed], new_assignments[changed]))
         touched = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=K))
         _update_centroids(Xn, centroids, new_assignments, touched)
-        inertia = float(np.sum(_own_d2(Xn, centroids, new_assignments)))
+        inertia = float(np.sum(_sq_dists(Xn, np.arange(n), centroids, new_assignments)))
         history.append(inertia)
         assignments = new_assignments
         if not changed.size or (len(history) > 1

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .config import PipelineConfig
 from .corpus import read_lines, write_json
 from .errors import FormatError
 
@@ -115,7 +116,8 @@ class EvalReport:
     evaluated_queries: int
 
 
-def evaluate(run: Run, qrels: Qrels, ndcg_k: int = 10, recall_k: int = 100) -> EvalReport:
+def evaluate(run: Run, qrels: Qrels, ndcg_k: int = PipelineConfig.ndcg_k,
+             recall_k: int = PipelineConfig.recall_k) -> EvalReport:
     """Evaluate every query present in both run and qrels."""
     query_ids = sorted(set(run.by_query) & set(qrels.by_query))
     ndcg_scores: dict[str, float] = {}

@@ -240,17 +240,12 @@ def test_seeding_draw_never_lands_on_a_row_without_mass():
 
 def _every_row_pp_init(Xn, K, rng):
     """k-means++ seeding that evaluates every row against every centre with the
-    fit's kernel: _pair_d2, or sum((x - c)**2) below _EXACT_BELOW."""
+    fit's kernel, sum((x - c)**2)."""
     centroids = np.empty((K, Xn.shape[1]))
     centroids[0] = Xn[int(rng.integers(len(Xn)))]
     d2 = np.full(len(Xn), np.inf)
     for j in range(1, K):
-        c = centroids[j - 1:j]
-        new = cluster._pair_d2(Xn, np.repeat(c, len(Xn), axis=0),
-                               np.einsum("ij,ij->i", c, c))
-        exact = new < cluster._EXACT_BELOW
-        new[exact] = np.sum((Xn[exact] - c) ** 2, axis=1)
-        np.minimum(d2, new, out=d2)
+        np.minimum(d2, np.sum((Xn - centroids[j - 1]) ** 2, axis=1), out=d2)
         centroids[j] = Xn[cluster._pp_index(d2, rng)]
     return centroids
 
@@ -260,7 +255,7 @@ _SEEDING_CASES = {
                                                       int(rng.integers(2, 130))))),
     "duplicates": lambda rng: _duplicate_rows(rng, int(rng.integers(1, 8)),
                                               int(rng.integers(8, 200)), 16),
-    # rows 1e-7 apart: inside the float32 margin and near _EXACT_BELOW once squared
+    # rows 1e-7 apart: inside the float32 margin, so the filter leaves them open
     "near_duplicates": lambda rng: _normalize(
         _duplicate_rows(rng, 5, 150, 24) + rng.normal(size=(150, 24)) * 1e-7),
 }
@@ -271,12 +266,12 @@ def test_filtered_seeding_matches_every_row_evaluation(monkeypatch, case):
     # the float32 filter may skip a row only when the kernel would leave its d2 as it is
     evaluated = []
 
-    def counting(rows, cents, c_sq):
+    def counting(Xn, rows, centroids, labels):
         evaluated.append(len(rows))
-        return pair_d2(rows, cents, c_sq)
+        return sq_dists(Xn, rows, centroids, labels)
 
-    pair_d2 = cluster._pair_d2
-    monkeypatch.setattr(cluster, "_pair_d2", counting)
+    sq_dists = cluster._sq_dists
+    monkeypatch.setattr(cluster, "_sq_dists", counting)
     rng = np.random.default_rng(60)
     full = skipped = 0
     for trial in range(40):
@@ -284,6 +279,7 @@ def test_filtered_seeding_matches_every_row_evaluation(monkeypatch, case):
         K = int(rng.integers(1, min(len(Xn), 60) + 1))
         evaluated.clear()
         got = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(trial))
+        assert sum(evaluated) >= (K > 1) * len(Xn)    # the first centre meets every row
         full += (K - 1) * len(Xn)
         skipped += (K - 1) * len(Xn) - sum(evaluated)
         want = _every_row_pp_init(Xn, K, np.random.default_rng(trial))
@@ -301,7 +297,7 @@ def test_inertia_is_the_sum_of_row_distances(monkeypatch, n, d, block_rows):
     Xn = _normalize(rng.normal(size=(n, d)))
     centroids = rng.normal(size=(37, d)) * 0.3
     assignments = rng.integers(0, 37, size=n)
-    own = cluster._own_d2(Xn, centroids, assignments)
+    own = cluster._sq_dists(Xn, np.arange(n), centroids, assignments)
     assert own.tobytes() == np.sum((Xn - centroids[assignments]) ** 2, axis=1).tobytes()
     model = cluster._lloyd(Xn, Xn.astype(np.float32),
                            PipelineConfig(clusters=37, kmeans_max_iters=1),
@@ -343,37 +339,46 @@ def _brute_assign(Xn, centroids):
 
 @pytest.mark.parametrize("d", [8, 33, 128, 256, 768])
 def test_pair_distance_bits_depend_only_on_the_pair(d):
-    # the exact distance of a (row, centroid) pair must not change with the
-    # other pairs in the call: the fit evaluates subsets that a full pass would not
+    # the distance of a (row, centre) pair must not change with the other pairs
+    # in the call: the fit evaluates subsets that a full pass would not. Both
+    # kernels: _pair_d2 decides assignments, _sq_dists seeds and sums the inertia
     rng = np.random.default_rng(d)
     n = 203
+    every = np.arange(n)
     rows = _normalize(rng.normal(size=(n, d)))
     cents = rng.normal(size=(n, d)) * 0.1
     c_sq = np.einsum("ij,ij->i", cents, cents)
     full = cluster._pair_d2(rows, cents, c_sq)
+    sq_full = cluster._sq_dists(rows, every, cents, every)
+    assert sq_full.tobytes() == np.sum((rows - cents) ** 2, axis=1).tobytes()
 
     def same(idx, rows_view=None, cents_view=None):
-        got = cluster._pair_d2(rows[idx] if rows_view is None else rows_view,
-                               cents[idx] if cents_view is None else cents_view, c_sq[idx])
-        return got.tobytes() == full[idx].tobytes()
+        # a view holds every row (centre) in order: _pair_d2 takes it whole, _sq_dists indexes it
+        X = rows if rows_view is None else rows_view
+        C = cents if cents_view is None else cents_view
+        got = cluster._pair_d2(X[idx] if rows_view is None else X,
+                               C[idx] if cents_view is None else C, c_sq[idx])
+        sq = cluster._sq_dists(X, idx, C, idx)
+        return got.tobytes() == full[idx].tobytes() and sq.tobytes() == sq_full[idx].tobytes()
 
     assert same(np.sort(rng.choice(n, size=57, replace=False)))         # subset
     assert same(rng.permutation(n))                                     # shuffled
     assert all(same(np.array([i])) for i in (0, 1, 100, n - 1))         # one row
     shifted = np.empty(n * d + 1)[1:].reshape(n, d)                     # 8 bytes off
     shifted[...] = rows
-    assert same(np.arange(n), shifted)
+    assert same(every, shifted)
     strided = np.empty((2 * n, d))[::2]                                 # every other row
     strided[...] = rows
     strided_cents = np.empty((3 * n, d))[1::3]
     strided_cents[...] = cents
-    assert same(np.arange(n), strided, strided_cents)
-    # one centroid against every row, as k-means++ seeding passes it: a stride-0 view
-    repeated = np.repeat(cents[:1], n, axis=0)
-    want = cluster._pair_d2(rows, repeated, np.repeat(c_sq[:1], n))
-    for view in (np.broadcast_to(cents[0], (n, d)), np.broadcast_to(cents[:1], (n, d))):
-        assert cluster._pair_d2(rows, view, c_sq[:1]).tobytes() == want.tobytes()
-    assert cluster._pair_d2(rows[7:8], cents[:1], c_sq[:1]).tobytes() == want[7:8].tobytes()
+    assert same(every, strided, strided_cents)
+    # one centre against every row, as seeding evaluates it: a repeated label
+    # and a stride-0 view of the centre give the bits of the explicit sum
+    want = np.sum((rows - cents[0]) ** 2, axis=1)
+    for C, labels in ((cents, np.zeros(n, dtype=np.int64)),
+                      (np.broadcast_to(cents[0], (n, d)), every)):
+        assert cluster._sq_dists(rows, every, C, labels).tobytes() == want.tobytes()
+    assert cluster._sq_dists(rows, every[7:8], cents, every[:1]).tobytes() == want[7:8].tobytes()
 
 
 def _reference_repair(Xn, centroids, assignments, K):
