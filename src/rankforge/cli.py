@@ -161,7 +161,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> None:
             print("no elbow suggestion (need at least 3 scanned K values)")
         return
 
-    # the matrix's only reference goes to kmeans_fit, which frees it once the rows are unit
+    # the loaded matrix is the fit's only n x d array
     model = clustering.kmeans_fit(embeddings.load_embeddings(path), cfg)
     clustering.save_model(model, workdir / KMEANS_FILE)
     print(

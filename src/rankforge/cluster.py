@@ -65,17 +65,47 @@ def groups(assignments: np.ndarray, K: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(assignments, minlength=K))[:-1])
 
 
-def _normalized_rows(X: np.ndarray) -> np.ndarray:
-    """The rows as float64 unit vectors, in the one n x d float64 array of the fit."""
-    rows = X.astype(np.float64)
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a float64 array, with the bits of
+    ``np.linalg.norm(x, axis=1)``."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+# Row norms for which the float32 filter is certified (see _margin). A row
+# outside gets a NaN reciprocal, and every comparison leaves it to the exact path.
+_FILTER_NORMS = (2.0 ** -100, 2.0 ** 100)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The fit's rows: the caller's X, read but never changed, beside each row's
+    float64 norm and the float32 reciprocal of it that scales the float32 filter."""
+    X: np.ndarray
+    norms: np.ndarray       # float64, all positive
+    recip: np.ndarray       # float32 1 / norm; NaN outside _FILTER_NORMS
+
+    def unit(self, idx) -> np.ndarray:
+        """The float64 unit rows X[idx], with the bits of casting all of X and
+        dividing each row by its norm: the division is per value."""
+        x = self.X[idx].astype(np.float64)
+        x /= self.norms[idx, None]
+        return x
+
+
+def _rows(X: np.ndarray) -> _Rows:
+    """X with its row norms."""
     norms = np.empty(len(X), dtype=np.float64)
-    for block in _row_blocks(*X.shape):     # norm() squares its input into a temporary
-        norms[block] = np.linalg.norm(rows[block], axis=1)
+    step = _value_step(X.shape[1])
+    for start in range(0, len(X), step):
+        block = slice(start, start + step)
+        norms[block] = row_norms(X[block].astype(np.float64))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateVectorError(f"zero-norm embedding row {int(zero[0])}")
-    rows /= norms[:, None]
-    return rows
+    recip = np.full(len(X), np.nan, dtype=np.float32)
+    certified = (norms >= _FILTER_NORMS[0]) & (norms <= _FILTER_NORMS[1])
+    recip[certified] = 1.0 / norms[certified]
+    return _Rows(X, norms, recip)
 
 
 def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:
@@ -120,12 +150,16 @@ def _pair_d2(rows: np.ndarray, cents: np.ndarray, c_sq: np.ndarray) -> np.ndarra
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _offsets32(rows32: np.ndarray, c2: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
-    """||c||^2 - 2 x.c in float32, from c2 = -2 c: each squared distance less 1.
+def _offsets32(x: np.ndarray, recip: np.ndarray, c2: np.ndarray,
+               c_sq: np.ndarray) -> np.ndarray:
+    """||c||^2 - 2 x.c / ||x|| in float32, for rows x of X, their reciprocal norms
+    and c2 = -2 c: each squared distance less 1. NaN where recip is NaN.
 
     Comparisons need no more, so the float32 passes neither add 1 nor clamp.
     """
-    v = rows32 @ c2.T
+    with np.errstate(over="ignore", invalid="ignore"):   # only a NaN-scaled row can overflow
+        v = x @ c2.T
+    v *= recip[:, None]
     v += c_sq
     return v
 
@@ -148,130 +182,139 @@ def _nearest_two(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _margin(d: int) -> float:
     """Slack between 1 plus a float32 offset and _pair_d2, for d-dimensional rows.
 
-    Let u be float32's unit roundoff and v float64's. Rows are unit vectors and
-    centroids have norm at most 1. A d-term dot product is within d u / (1 - d u)
-    of the exact one in any summation order (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, §3.1), so _pair_d2, whatever order
-    einsum sums in, is within (3d + 7) v of the exact 1 - 2 x.c + ||c||^2. The
-    float32 operands of _offsets32 are roundings of the float64 unit rows and
-    centroids, so their exact dot product is within (2 + u) u of the float64
-    operands'. With the float32 dot product's error, the exact factor -2, the
-    rounding of ||c||^2 to float32 and that of the sum, at most 3 in size, 1
-    plus the float32 offset is within (2d + 8) u of the exact value. The margin,
-    16 (d + 4) u, is at least twice both gaps together: 1 plus a float32 offset
-    less the margin is below the _pair_d2 value, and a float32 gap wider than
-    twice the margin orders the two _pair_d2 values the same way.
+    Let u be float32's unit roundoff, v float64's, x a row of X and
+    x' = x / ||x||. Centroids have norm at most 1, and a d-term dot product is
+    within d u / (1 - d u) of the exact one in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, §3.1). Each
+    value of the float64 unit row is within (d/2 + 2) v of that of x',
+    relatively (the norm and the division), so _pair_d2, whatever order einsum
+    sums in, is within (4d + 11) v of the exact 1 - 2 x'.c + ||c||^2.
+    _offsets32 takes x as given, exact, -2c rounded to float32, within u of
+    it, and the float32 reciprocal of the float64 norm, within u + (d/2 + 2) v
+    of 1 / ||x||. With the float32 dot product's error, the rounding of its
+    product by the reciprocal, that of ||c||^2 to float32 and that of the sum,
+    at most 3 in size, 1 plus the float32 offset is within (2d + 11) u of the
+    exact value, to first order in u. That needs a row norm in _FILTER_NORMS:
+    the reciprocal is then a normal float32, x.c cannot overflow, and
+    underflow adds at most d 2^-150 to the dot product, d 2^-50 once scaled.
+    The margin, 16 (d + 4) u, is at least twice both gaps together, with
+    12 d u to spare for the higher-order terms: 1 plus a float32 offset less
+    the margin is below the _pair_d2 value, and a float32 gap wider than twice
+    the margin orders the two _pair_d2 values the same way. Outside
+    _FILTER_NORMS the offset is NaN, and every test of an offset is written
+    so that NaN proves nothing.
     """
     return 8.0 * (d + 4) * float(np.finfo(np.float32).eps)
 
 
-def _kmeans_pp_init(Xn: np.ndarray, rows32: np.ndarray, K: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) on the unit rows Xn.
+def _kmeans_pp_init(rows: _Rows, K: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) on the unit rows.
 
     d2 holds each row's sum((x - c)**2) to its nearest centre so far. A new
     centre c is evaluated only on the rows whose bound, 1 plus the float32
-    offset to c (from ``rows32``) less m = _margin(d), is below their d2; the
-    first centre meets d2 = inf on every row.
+    offset to c less m = _margin(d), is below their d2 or is NaN; the first
+    centre meets d2 = inf on every row.
 
     A skipped row's sum((x - c)**2) is above its bound, so at least d2, which
-    stays. By _margin's proof (u and v as there) 1 plus the offset is within
-    (2d + 8) u of the exact 1 - 2 x.c + ||c||^2. That differs from ||x - c||^2 by
-    the gap of ||x||^2 from 1, at most (d + 6) v for a float64 unit row, and the
-    float64 sum, at most 4 for unit x and c, is within 4 (d + 2) v of its exact
-    value in any order. All three, and the float64 rounding of the bound, stay
-    far below m/2 = 8 (d + 4) u. A row equal to c gets exactly 0, every x - c
-    being 0, and is evaluated: its bound is below -m/2 < 0 <= d2. So duplicate
-    points leave no stray mass.
+    stays. By _margin's proof (u, v and x' as there) 1 plus the offset is
+    within (2d + 11) u of the exact 1 - 2 x'.c + ||c||^2. For the float64 unit
+    row x, ||x - c||^2 differs from that by at most (2d + 10) v, the gap of
+    ||x||^2 from 1 and that of x from x', and the float64 sum, at most 4 for
+    unit x and c, is within 4 (d + 2) v of its exact value in any order. All
+    three, and the float64 rounding of the bound, stay far below
+    m/2 = 8 (d + 4) u. A row equal to c gets exactly 0, every x - c being 0,
+    and is evaluated: its bound is below -m/2 < 0 <= d2. So duplicate points
+    leave no stray mass.
     """
-    n, d = Xn.shape
+    n, d = rows.X.shape
     centroids = np.empty((K, d), dtype=np.float64)
-    centroids[0] = Xn[int(rng.integers(n))]
+    centroids[0] = rows.unit(int(rng.integers(n)))
     d2 = np.full(n, np.inf)
     shift = 1.0 - _margin(d)
     for j in range(1, K):
         c = centroids[j - 1:j]
         c_sq = np.einsum("ij,ij->i", c, c)
-        bound = _offsets32(rows32, -2.0 * c.astype(np.float32), c_sq.astype(np.float32))
-        open_rows = np.flatnonzero(bound[:, 0].astype(np.float64) + shift < d2)
-        new = _sq_dists(Xn, open_rows, centroids, np.full_like(open_rows, j - 1))
+        bound = _offsets32(rows.X, rows.recip, -2.0 * c.astype(np.float32),
+                           c_sq.astype(np.float32))
+        open_rows = np.flatnonzero(~(bound[:, 0].astype(np.float64) + shift >= d2))
+        new = _sq_dists(rows, open_rows, centroids, np.full_like(open_rows, j - 1))
         d2[open_rows] = np.minimum(d2[open_rows], new)
-        centroids[j] = Xn[_pp_index(d2, rng)]
+        centroids[j] = rows.unit(_pp_index(d2, rng))
     return centroids
 
 
-def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
-            assignments: np.ndarray, lb: np.ndarray,
-            moved: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.ndarray,
+            moved: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, int, int, int]:
     """Nearest centroid per row by _pair_d2, lowest index on ties, found incrementally.
 
     ``lb[i]`` is at most the _pair_d2 distance from row i to every centroid
-    other than its own, as of the previous call; -inf forces a whole-row scan.
-    A centroid whose bytes did not change has unchanged distances, so only the
-    ``moved`` centroids can lower it. lb is updated in place.
+    other than its own, as of the previous call; -inf forces a whole-row scan
+    and NaN, an uncertified row's bound, does too. A centroid whose bytes did
+    not change has unchanged distances, so only the ``moved`` centroids can
+    lower it. lb is updated in place. ``own[i]`` is the _pair_d2 distance from
+    row i to its own centroid, read only when some centroid did not move.
 
-    Distances are found in float32 (_offsets32, on ``rows32``, the float32
-    copy of Xn, and a float32 copy of the centroids), each within the margin
-    of _pair_d2. A row whose float32 best is nearer than its second by more
-    than twice that keeps the float32 argmin; its bound is the float32 second
-    less the margin. Every other row is decided by _pair_d2 among its
-    candidates, the centroids within twice the margin of its float32 best: no
-    other centroid can be nearest.
+    Distances are found in float32 (_offsets32, on the rows of X and a
+    float32 copy of the centroids), each within the margin of _pair_d2. A row
+    whose float32 best is nearer than its second by more than twice that
+    keeps the float32 argmin; its bound is the float32 second less the
+    margin. Every other row is decided by _pair_d2 among its candidates, the
+    centroids within twice the margin of its float32 best: no other centroid
+    can be nearest. A NaN offset is within no margin, so every centroid is a
+    candidate of an uncertified row.
 
     Returns (assignments, rows scanned whole, rows decided by _pair_d2,
     candidates evaluated).
     """
-    n, K = Xn.shape[0], centroids.shape[0]
+    X, recip = rows.X, rows.recip
+    n, K = len(X), centroids.shape[0]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
     c2 *= -2.0
-    margin = _margin(Xn.shape[1])
+    margin = _margin(X.shape[1])
     shift = 1.0 - margin        # float32 offset + shift: a bound for lb
     # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
-    width = max(K, Xn.shape[1])
+    width = max(K, X.shape[1])
     if moved.all():
         scan = np.arange(n)
     else:
         idx = np.flatnonzero(moved)
-        moved_c2, moved_sq = c2[idx], c_sq32[idx]
-        column = np.full(K, -1, dtype=np.int64)
-        column[idx] = np.arange(idx.size)
-        own = np.empty(n, dtype=np.float64)
-        for rows in _row_blocks(n, width):
-            a = assignments[rows]
-            if idx.size:
-                v = _offsets32(rows32[rows], moved_c2, moved_sq)
-                col = column[a]
+        if idx.size:
+            moved_c2, moved_sq = c2[idx], c_sq32[idx]
+            column = np.full(K, -1, dtype=np.int64)
+            column[idx] = np.arange(idx.size)
+            for block in _row_blocks(n, width):
+                v = _offsets32(X[block], recip[block], moved_c2, moved_sq)
+                col = column[assignments[block]]
                 hit = np.flatnonzero(col >= 0)
                 v[hit, col[hit]] = np.inf       # a row's own centroid is not a rival
                 rival = _row_min(v).astype(np.float64)
                 del v       # one distance block alive at a time
                 rival += shift
-                np.minimum(lb[rows], rival, out=lb[rows])
-            own[rows] = _pair_d2(Xn[rows], centroids[a], c_sq[a])
-        scan = np.flatnonzero(own >= lb)    # own < lb: nearer than any rival
-        del own
+                np.minimum(lb[block], rival, out=lb[block])
+        scan = np.flatnonzero(~(own < lb))      # own < lb: nearer than any rival
     out = assignments.copy()
     whole = scan.size == n      # every row: read the rows in place, not gathered
     step = _row_step(K if whole else width)
     decided = candidates = 0
     for start in range(0, scan.size, step):
         points = scan[start:start + step]
-        v = _offsets32(rows32[start:start + step] if whole else rows32[points], c2, c_sq32)
+        block = slice(start, start + step) if whole else points
+        v = _offsets32(X[block], recip[block], c2, c_sq32)
         best, best_v, second = _nearest_two(v)
         second = second.astype(np.float64)
         out[points] = best
         lb[points] = second + shift
         # rows the float32 gap cannot decide: _pair_d2 over their candidates,
         # the best (v holds inf there now) and every offset within twice the margin of it
-        unsure = np.flatnonzero(second - best_v <= 2.0 * margin)
+        unsure = np.flatnonzero(~(second - best_v > 2.0 * margin))
         gap = v[unsure] - best_v[unsure, None].astype(np.float64)
         del v       # one distance block alive at a time
-        near = gap <= 2.0 * margin
+        near = ~(gap > 2.0 * margin)
         near[np.arange(unsure.size), best[unsure]] = True
         r, c = np.nonzero(near)
         d2 = np.full(near.shape, np.inf)
-        d2[r, c] = _pair_d2(Xn[points[unsure[r]]], centroids[c], c_sq[c])
+        d2[r, c] = _pair_d2(rows.unit(points[unsure[r]]), centroids[c], c_sq[c])
         out[points[unsure]], _, rival = _nearest_two(d2)
         gap[near] = np.inf      # the others' bound: the nearest float32 offset + shift
         lb[points[unsure]] = np.minimum(rival, _row_min(gap) + best_v[unsure] + shift)
@@ -280,34 +323,71 @@ def _assign(Xn: np.ndarray, rows32: np.ndarray, centroids: np.ndarray,
     return out, int(scan.size), decided, candidates
 
 
-def _update_centroids(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+def _update_centroids(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray,
                       clusters: np.ndarray) -> None:
-    """Each listed centroid becomes the mean of its members, taken in ascending row order."""
+    """Each listed centroid becomes the mean of its members, taken in ascending row order.
+
+    The members' unit rows are rebuilt a block at a time, and their sum is
+    carried into the next block as its first row. For d >= 2 numpy's mean over
+    axis 0 adds the rows one after another, so this gives its bits; for d = 1
+    every unit row is +-1, and every order gives the same exact sum.
+    """
     members = groups(assignments, centroids.shape[0])
     for k in clusters:
-        centroids[k] = Xn[members[k]].mean(axis=0)
+        total = None
+        for _, x in _unit_blocks(rows, members[k]):
+            total = np.add.reduce(x if total is None else np.vstack((total, x)), axis=0)
+        centroids[k] = total / members[k].size
 
 
-def _sq_dists(Xn: np.ndarray, rows: np.ndarray, centroids: np.ndarray,
-              labels: np.ndarray) -> np.ndarray:
-    """sum((x - c)**2) for each row x = Xn[rows[i]] and its centre c = centroids[labels[i]].
+def _value_step(d: int) -> int:
+    """Rows per block of 2^16 float64 values, an eighth of _BLOCK_BYTES (at least
+    one). The passes that rebuild unit rows use it: most run every iteration,
+    and 4 MiB blocks raised peak RSS by 3.6 MB at 10k x 128."""
+    return max(1, _BLOCK_BYTES // 8 // (8 * d))
 
-    A value's bits depend on its row and centre alone. Blocks hold 2^16 values,
-    an eighth of _BLOCK_BYTES: the inertia runs this every iteration, and 4 MiB
-    blocks raised peak RSS by 3.6 MB at 10k x 128.
-    """
-    d2 = np.empty(rows.size, dtype=np.float64)
-    step = max(1, _BLOCK_BYTES // 8 // (8 * Xn.shape[1]))
-    for start in range(0, rows.size, step):
+
+def _unit_blocks(rows: _Rows, idx: np.ndarray):
+    """(positions in idx, float64 unit rows X[idx[positions]]) in _value_step blocks."""
+    step = _value_step(rows.X.shape[1])
+    for start in range(0, idx.size, step):
         block = slice(start, start + step)
-        diff = centroids[labels[block]]
-        np.subtract(Xn[rows[block]], diff, out=diff)
-        np.square(diff, out=diff)
-        d2[block] = diff.sum(axis=1)
+        yield block, rows.unit(idx[block])
+
+
+def _sq_rows(x: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """sum((x - c)**2) for each unit row x and the centre c beside it; overwrites cents.
+
+    A value's bits depend on its row and centre alone.
+    """
+    np.subtract(x, cents, out=cents)
+    np.square(cents, out=cents)
+    return cents.sum(axis=1)
+
+
+def _sq_dists(rows: _Rows, idx: np.ndarray, centroids: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+    """sum((x - c)**2) for each unit row x of idx[i] and its centre c = centroids[labels[i]]."""
+    d2 = np.empty(idx.size, dtype=np.float64)
+    for block, x in _unit_blocks(rows, idx):
+        d2[block] = _sq_rows(x, centroids[labels[block]])
     return d2
 
 
-def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+def _own_distances(rows: _Rows, idx: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                   own: np.ndarray, own_sq: np.ndarray) -> None:
+    """Set own[i], the _pair_d2 distance of row i to c = centroids[labels[i]], and
+    own_sq[i], its sum((x - c)**2), for each listed row, rebuilding each row once."""
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    for block, x in _unit_blocks(rows, idx):
+        i = idx[block]
+        a = labels[i]
+        cents = centroids[a]
+        own[i] = _pair_d2(x, cents, c_sq[a])
+        own_sq[i] = _sq_rows(x, cents)
+
+
+def _repair_empty(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray,
                   K: int) -> np.ndarray:
     """Reseed each empty cluster with the point farthest from its own centroid.
 
@@ -320,7 +400,7 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
     moved = np.empty(empty.size, dtype=np.int64)
     if not empty.size:
         return moved
-    own = _sq_dists(Xn, np.arange(assignments.size), centroids, assignments)
+    own = _sq_dists(rows, np.arange(assignments.size), centroids, assignments)
     own[counts[assignments] < 2] = -np.inf   # never empty a donor cluster
     for i, k in enumerate(empty):
         p = int(np.argmax(own))
@@ -331,41 +411,48 @@ def _repair_empty(Xn: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
         assignments[p] = k
         counts[k] = 1
         own[p] = -np.inf
-        centroids[k] = Xn[p]
+        centroids[k] = rows.unit(p)
         moved[i] = p
     return moved
 
 
-def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
-           rng: np.random.Generator) -> KMeansModel:
-    """One seeded Lloyd run on the unit rows Xn and their float32 copy rows32."""
-    n = Xn.shape[0]
+def _lloyd(rows: _Rows, cfg: PipelineConfig, rng: np.random.Generator) -> KMeansModel:
+    """One seeded Lloyd run on the rows."""
+    n = len(rows.X)
     K = cfg.clusters
-    centroids = _kmeans_pp_init(Xn, rows32, K, rng)
+    centroids = _kmeans_pp_init(rows, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     lb = np.full(n, -np.inf)
-    previous = np.full_like(centroids, np.nan)      # NaN: every centroid moved at first
+    # each row's _pair_d2 (own) and sum((x - c)**2) (own_sq, the inertia's terms) to
+    # its own centroid, recomputed only where the centroid's bytes or the row's
+    # assignment changed; the first iteration changes every row's
+    own, own_sq = np.empty(n), np.empty(n)
+    moved = np.ones(K, dtype=bool)
+    previous = np.empty_like(centroids)
     history: list[float] = []
     rescanned: list[int] = []
     float64_rows = near_ties = repairs = 0
     converged = False
 
     for _ in range(cfg.kmeans_max_iters):
-        moved = (centroids != previous).any(axis=1)
         previous[...] = centroids
-        new_assignments, scanned, rows64, ties = _assign(Xn, rows32, centroids, assignments,
-                                                         lb, moved)
+        new_assignments, scanned, rows64, ties = _assign(rows, centroids, assignments,
+                                                         lb, moved, own)
         rescanned.append(scanned)
         float64_rows += rows64
         near_ties += ties
-        repaired = _repair_empty(Xn, centroids, new_assignments, K)
+        repaired = _repair_empty(rows, centroids, new_assignments, K)
         lb[repaired] = -np.inf
         repairs += repaired.size
         changed = np.flatnonzero(new_assignments != assignments)
         touched = np.concatenate((assignments[changed], new_assignments[changed]))
         touched = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=K))
-        _update_centroids(Xn, centroids, new_assignments, touched)
-        inertia = float(np.sum(_sq_dists(Xn, np.arange(n), centroids, new_assignments)))
+        _update_centroids(rows, centroids, new_assignments, touched)
+        moved = (centroids != previous).any(axis=1)
+        stale = moved[new_assignments]
+        stale[changed] = True
+        _own_distances(rows, np.flatnonzero(stale), centroids, new_assignments, own, own_sq)
+        inertia = float(np.sum(own_sq))
         history.append(inertia)
         assignments = new_assignments
         if not changed.size or (len(history) > 1
@@ -390,19 +477,17 @@ def _lloyd(Xn: np.ndarray, rows32: np.ndarray, cfg: PipelineConfig,
 def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
     """Fit spherical k-means; best of cfg.kmeans_restarts seeded runs by inertia.
 
-    The fit holds one float64 and one float32 copy of the unit rows. A caller
-    that passes its only reference to X lets the float32 input go once the
-    unit rows exist.
+    X is the fit's only n x d array, and the fit leaves it as it is: beside it
+    the fit keeps each row's norm, and rebuilds the float64 unit rows it
+    needs from X block by block.
     """
     if cfg.clusters > len(X):
         raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({len(X)})")
-    Xn = _normalized_rows(X)
-    del X
-    rows32 = Xn.astype(np.float32)
+    rows = _rows(X)
     best: KMeansModel | None = None
     for restart in range(cfg.kmeans_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
-        model = _lloyd(Xn, rows32, cfg, rng)
+        model = _lloyd(rows, cfg, rng)
         if best is None or model.inertia < best.inertia:
             best = model
     assert best is not None
@@ -411,17 +496,18 @@ def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
 
 def cosine_sse(X: np.ndarray, model: KMeansModel) -> float:
     """Sum of (1 - cosine to the nearest centroid) over X, the rows the model was fitted on."""
-    Xn = _normalized_rows(X)
+    rows = _rows(X)
     cen_norms = np.linalg.norm(model.centroids, axis=1)
     zero = cen_norms == 0.0
     if zero.all():
         raise DegenerateClusterError("all centroids have zero norm")
     unit_centroids = model.centroids / np.where(zero, 1.0, cen_norms)[:, None]
     best = np.empty(len(X), dtype=np.float64)
-    for rows in _row_blocks(len(X), model.K):
-        cos = Xn[rows] @ unit_centroids.T
+    # rows per block: the rebuilt rows and the cosines both fit in _BLOCK_BYTES
+    for block in _row_blocks(len(X), max(model.K, X.shape[1])):
+        cos = rows.unit(block) @ unit_centroids.T
         cos[:, zero] = -np.inf   # zero-norm centroid is never nearest
-        best[rows] = cos.max(axis=1)
+        best[block] = cos.max(axis=1)
     np.clip(best, -1.0, 1.0, out=best)
     return float(np.sum(1.0 - best))
 

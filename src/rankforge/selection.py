@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import KMeansModel, groups
+from .cluster import KMeansModel, groups, row_norms
 from .config import PipelineConfig
 from .corpus import read_records, write_jsonl
 from .errors import (
@@ -86,7 +86,7 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
 
 def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine of non-empty cluster k's float64 rows to their raw mean, and the unit-length rows."""
-    norms = np.linalg.norm(rows, axis=1)
+    norms = row_norms(rows)
     if (norms == 0.0).any():
         raise DegenerateVectorError(f"zero-norm member vector in cluster {k}")
     mean = rows.mean(axis=0)
@@ -195,6 +195,7 @@ def select_representatives(
                         prob=float(probs[pos]), rank_in_cluster=rank)
             for rank, pos in enumerate(chosen)
         )
+        del unit, vectors   # the next cluster's rows are built without this one's beside them
     return selected
 
 

@@ -40,6 +40,12 @@ def _random_matrix(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return rng.normal(size=(n, d)).astype(np.float32)
 
 
+def _fit_rows(X):
+    """The fit's rows of X as a float32 matrix, and every float64 unit row the fit rebuilds."""
+    rows = cluster._rows(np.asarray(X, dtype=np.float32))
+    return rows, rows.unit(np.arange(len(X)))
+
+
 def test_inertia_history_non_increasing_randomized():
     rng = np.random.default_rng(11)
     for trial in range(15):
@@ -185,8 +191,9 @@ def _reference_pp_init(Xn, K, rng):
     return centroids
 
 
-def _seed_pair(Xn, K, seed):
-    got = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(seed))
+def _seed_pair(X, K, seed):
+    rows, Xn = _fit_rows(X)
+    got = _kmeans_pp_init(rows, K, np.random.default_rng(seed))
     want = _reference_pp_init(Xn, K, np.random.default_rng(seed))
     return got, want
 
@@ -197,8 +204,7 @@ def test_seeding_matches_reference_on_random_unit_rows():
         n = int(rng.integers(2, 400))
         d = int(rng.integers(2, 130))
         K = int(rng.integers(1, min(n, 60) + 1))
-        Xn = _normalize(rng.normal(size=(n, d)))
-        got, want = _seed_pair(Xn, K, trial)
+        got, want = _seed_pair(rng.normal(size=(n, d)), K, trial)
         assert got.tobytes() == want.tobytes(), f"trial {trial}"
 
 
@@ -210,9 +216,9 @@ def test_seeding_matches_reference_on_repeated_rows():
         distinct = int(rng.integers(1, 6))
         d = int(rng.integers(2, 64))
         base = _normalize(rng.normal(size=(distinct, d)))
-        Xn = base[rng.integers(0, distinct, size=int(rng.integers(distinct + 1, 40)))]
-        K = int(rng.integers(distinct + 1, Xn.shape[0] + 1))
-        got, want = _seed_pair(Xn, K, trial)
+        X = base[rng.integers(0, distinct, size=int(rng.integers(distinct + 1, 40)))]
+        K = int(rng.integers(distinct + 1, X.shape[0] + 1))
+        got, want = _seed_pair(X, K, trial)
         assert got.tobytes() == want.tobytes(), f"trial {trial}"
 
 
@@ -266,19 +272,19 @@ def test_filtered_seeding_matches_every_row_evaluation(monkeypatch, case):
     # the float32 filter may skip a row only when the kernel would leave its d2 as it is
     evaluated = []
 
-    def counting(Xn, rows, centroids, labels):
-        evaluated.append(len(rows))
-        return sq_dists(Xn, rows, centroids, labels)
+    def counting(rows, idx, centroids, labels):
+        evaluated.append(len(idx))
+        return sq_dists(rows, idx, centroids, labels)
 
     sq_dists = cluster._sq_dists
     monkeypatch.setattr(cluster, "_sq_dists", counting)
     rng = np.random.default_rng(60)
     full = skipped = 0
     for trial in range(40):
-        Xn = _SEEDING_CASES[case](rng)
+        rows, Xn = _fit_rows(_SEEDING_CASES[case](rng))
         K = int(rng.integers(1, min(len(Xn), 60) + 1))
         evaluated.clear()
-        got = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(trial))
+        got = _kmeans_pp_init(rows, K, np.random.default_rng(trial))
         assert sum(evaluated) >= (K > 1) * len(Xn)    # the first centre meets every row
         full += (K - 1) * len(Xn)
         skipped += (K - 1) * len(Xn) - sum(evaluated)
@@ -294,13 +300,12 @@ def test_inertia_is_the_sum_of_row_distances(monkeypatch, n, d, block_rows):
     if block_rows is not None:
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 64 * d)
     rng = np.random.default_rng(n)
-    Xn = _normalize(rng.normal(size=(n, d)))
+    rows, Xn = _fit_rows(rng.normal(size=(n, d)))
     centroids = rng.normal(size=(37, d)) * 0.3
     assignments = rng.integers(0, 37, size=n)
-    own = cluster._sq_dists(Xn, np.arange(n), centroids, assignments)
+    own = cluster._sq_dists(rows, np.arange(n), centroids, assignments)
     assert own.tobytes() == np.sum((Xn - centroids[assignments]) ** 2, axis=1).tobytes()
-    model = cluster._lloyd(Xn, Xn.astype(np.float32),
-                           PipelineConfig(clusters=37, kmeans_max_iters=1),
+    model = cluster._lloyd(rows, PipelineConfig(clusters=37, kmeans_max_iters=1),
                            np.random.default_rng(n))
     want = np.sum((Xn - model.centroids[model.assignments]) ** 2, axis=1)
     assert model.inertia == float(np.sum(want))
@@ -345,20 +350,22 @@ def test_pair_distance_bits_depend_only_on_the_pair(d):
     rng = np.random.default_rng(d)
     n = 203
     every = np.arange(n)
-    rows = _normalize(rng.normal(size=(n, d)))
+    X = rng.normal(size=(n, d)).astype(np.float32)
+    fit_rows, rows = _fit_rows(X)
     cents = rng.normal(size=(n, d)) * 0.1
     c_sq = np.einsum("ij,ij->i", cents, cents)
     full = cluster._pair_d2(rows, cents, c_sq)
-    sq_full = cluster._sq_dists(rows, every, cents, every)
+    sq_full = cluster._sq_dists(fit_rows, every, cents, every)
     assert sq_full.tobytes() == np.sum((rows - cents) ** 2, axis=1).tobytes()
 
-    def same(idx, rows_view=None, cents_view=None):
-        # a view holds every row (centre) in order: _pair_d2 takes it whole, _sq_dists indexes it
-        X = rows if rows_view is None else rows_view
+    def same(idx, rows_view=None, cents_view=None, x_view=None):
+        # a view holds every row (centre) in order: _pair_d2 takes it whole, _sq_dists
+        # indexes it; x_view holds X as the unit rows in rows_view are laid out
+        R = rows if rows_view is None else rows_view
         C = cents if cents_view is None else cents_view
-        got = cluster._pair_d2(X[idx] if rows_view is None else X,
+        got = cluster._pair_d2(R[idx] if rows_view is None else R,
                                C[idx] if cents_view is None else C, c_sq[idx])
-        sq = cluster._sq_dists(X, idx, C, idx)
+        sq = cluster._sq_dists(fit_rows if x_view is None else cluster._rows(x_view), idx, C, idx)
         return got.tobytes() == full[idx].tobytes() and sq.tobytes() == sq_full[idx].tobytes()
 
     assert same(np.sort(rng.choice(n, size=57, replace=False)))         # subset
@@ -366,19 +373,87 @@ def test_pair_distance_bits_depend_only_on_the_pair(d):
     assert all(same(np.array([i])) for i in (0, 1, 100, n - 1))         # one row
     shifted = np.empty(n * d + 1)[1:].reshape(n, d)                     # 8 bytes off
     shifted[...] = rows
-    assert same(every, shifted)
+    shifted_x = np.empty(n * d + 1, dtype=np.float32)[1:].reshape(n, d)
+    shifted_x[...] = X
+    assert same(every, shifted, x_view=shifted_x)
     strided = np.empty((2 * n, d))[::2]                                 # every other row
     strided[...] = rows
     strided_cents = np.empty((3 * n, d))[1::3]
     strided_cents[...] = cents
-    assert same(every, strided, strided_cents)
+    strided_x = np.empty((2 * n, d), dtype=np.float32)[::2]
+    strided_x[...] = X
+    assert same(every, strided, strided_cents, strided_x)
     # one centre against every row, as seeding evaluates it: a repeated label
     # and a stride-0 view of the centre give the bits of the explicit sum
     want = np.sum((rows - cents[0]) ** 2, axis=1)
     for C, labels in ((cents, np.zeros(n, dtype=np.int64)),
                       (np.broadcast_to(cents[0], (n, d)), every)):
-        assert cluster._sq_dists(rows, every, C, labels).tobytes() == want.tobytes()
-    assert cluster._sq_dists(rows, every[7:8], cents, every[:1]).tobytes() == want[7:8].tobytes()
+        assert cluster._sq_dists(fit_rows, every, C, labels).tobytes() == want.tobytes()
+    assert (cluster._sq_dists(fit_rows, every[7:8], cents, every[:1]).tobytes()
+            == want[7:8].tobytes())
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 128, 768])
+def test_row_norms_have_the_bits_of_linalg_norm(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(97, d)) * rng.lognormal(0.0, 3.0, size=(97, 1))
+    assert cluster.row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+    assert cluster.row_norms(x[::3]).tobytes() == np.linalg.norm(x[::3], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("d", [1, 7, 256])
+def test_rebuilt_rows_have_the_bits_of_whole_matrix_normalisation(monkeypatch, d, block_rows):
+    # the fit rebuilds each float64 unit row it needs from X and the row's norm;
+    # it must equal the row of one cast of all of X divided by np.linalg.norm's norms
+    rng = np.random.default_rng(d)
+    n = 301
+    X = (rng.normal(size=(n, d)) * rng.lognormal(0.0, 3.0, size=(n, 1))).astype(np.float32)
+    want = X.astype(np.float64)
+    want /= np.linalg.norm(want, axis=1)[:, None]
+    if block_rows is not None:           # norms over 7-row blocks, the last one short
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * d)
+    rows = cluster._rows(X)
+    assert rows.norms.tobytes() == np.linalg.norm(X.astype(np.float64), axis=1).tobytes()
+    for idx in (np.arange(n),                                   # every row
+                np.sort(rng.choice(n, size=57, replace=False)),  # gathered
+                rng.permutation(n),                             # shuffled
+                np.arange(3, n, 5), slice(3, None, 5),          # strided
+                slice(10, 20)):
+        assert rows.unit(idx).tobytes() == want[idx].tobytes()
+    for i in (0, 1, n - 1):                                     # one row
+        assert rows.unit(i).tobytes() == want[i].tobytes()
+        assert rows.unit(np.array([i])).tobytes() == want[i:i + 1].tobytes()
+
+
+def test_fit_is_unchanged_by_power_of_two_row_scales():
+    # scaling a float32 row by 2^k is exact, so its unit row keeps its bits. Rows
+    # scaled by 2^+-66 (norms near 1e+-20) stay in cluster._FILTER_NORMS; 2^+-104
+    # puts them outside it, and at 2^127 their float32 dot products overflow
+    rng = np.random.default_rng(37)
+    X = _duplicate_rows(rng, 9, 300, 16) + rng.normal(size=(300, 16)) * 0.01
+    X = (X / np.abs(X).max(axis=1, keepdims=True)).astype(np.float32)   # |values| <= 1
+    cfg = PipelineConfig(clusters=12, seed=5, kmeans_restarts=2)
+    want = kmeans_fit(X, cfg)
+    scales = np.array([2.0 ** k for k in (0, -66, 66, -104, 104, 127)])
+    for trial in range(3):
+        scaled = (X * scales[rng.integers(0, len(scales), size=len(X))][:, None]).astype(
+            np.float32)
+        assert np.isfinite(scaled).all()
+        got = kmeans_fit(scaled, cfg)
+        assert got.centroids.tobytes() == want.centroids.tobytes(), f"trial {trial}"
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.inertia_history == want.inertia_history
+
+
+def test_kmeans_fit_leaves_its_input_unchanged():
+    # the fit reads X through every restart, repair and centroid update
+    X = _duplicate_rows(np.random.default_rng(41), 9, 200, 20).astype(np.float32)
+    before = X.copy()
+    model = kmeans_fit(X, PipelineConfig(clusters=14, seed=3, kmeans_restarts=3))
+    assert model.repairs > 0
+    elbow_scan(X, [2, 5, 14], PipelineConfig(seed=3))
+    assert X.tobytes() == before.tobytes()
 
 
 def _reference_repair(Xn, centroids, assignments, K):
@@ -394,10 +469,11 @@ def _reference_repair(Xn, centroids, assignments, K):
         centroids[k] = Xn[p]
 
 
-def _reference_lloyd(Xn, cfg, seed):
-    """Brute-force Lloyd iterations; (assignments, centroids, inertia) after each."""
+def _reference_lloyd(rows, Xn, cfg, seed):
+    """Brute-force Lloyd iterations on the unit rows Xn of rows; (assignments,
+    centroids, inertia) after each."""
     K = cfg.clusters
-    centroids = _kmeans_pp_init(Xn, Xn.astype(np.float32), K, np.random.default_rng(seed))
+    centroids = _kmeans_pp_init(rows, K, np.random.default_rng(seed))
     assignments = np.full(Xn.shape[0], -1, dtype=np.int64)
     states = []
     prev = None
@@ -437,15 +513,15 @@ _LLOYD_CASES = {
 @pytest.mark.parametrize("block_rows", [None, 7, 1])
 @pytest.mark.parametrize("case", sorted(_LLOYD_CASES))
 def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows):
-    Xn, K = _LLOYD_CASES[case]()
+    X, K = _LLOYD_CASES[case]()
+    rows, Xn = _fit_rows(X)
     if block_rows is not None:
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * K)
     cfg = PipelineConfig(clusters=K, seed=3, kmeans_tol=0.0, kmeans_max_iters=40)
-    states = _reference_lloyd(Xn, cfg, seed=3)
+    states = _reference_lloyd(rows, Xn, cfg, seed=3)
     assert len(states) > 2
     for t, (assignments, centroids, _) in enumerate(states, start=1):
-        model = cluster._lloyd(Xn, Xn.astype(np.float32),
-                               dataclasses.replace(cfg, kmeans_max_iters=t),
+        model = cluster._lloyd(rows, dataclasses.replace(cfg, kmeans_max_iters=t),
                                np.random.default_rng(3))
         np.testing.assert_array_equal(model.assignments, assignments, err_msg=f"iteration {t}")
         assert model.centroids.tobytes() == centroids.tobytes(), f"iteration {t}"
@@ -458,54 +534,65 @@ def test_every_lloyd_iteration_matches_brute_force(monkeypatch, case, block_rows
 
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_near_tie_rows_take_the_pair_kernel_argmin(monkeypatch, block_rows):
-    # one row equidistant, in exact arithmetic, from two centroids: float32
-    # cannot order them, so the exact kernel decides between the two
+    # one row equidistant from two centroids, to the last bit: they differ only
+    # where the row and their midpoint are 0. float32 cannot order them, so the
+    # exact kernel decides between the two
     if block_rows is not None:           # 3-row blocks of 8 centroids; d = 24 > K
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * 8)
     bad = near_ties = rescans = rescan_ties = 0
     for trial in range(30):
         rng = np.random.default_rng(trial)
         d = 24
-        mid = _normalize(rng.normal(size=(1, d)))[0] * 0.9
-        delta = rng.normal(size=d)
-        delta -= (delta @ mid) / (mid @ mid) * mid
+        mid = rng.normal(size=d)
+        mid[20:] = 0.0
+        mid *= 0.9 / np.linalg.norm(mid)
+        delta = np.zeros(d)
+        delta[20:] = rng.normal(size=4)
         delta *= 0.05 / np.linalg.norm(delta)
         offset = rng.normal(size=d) * 0.05
-        offset -= (offset @ delta) / (delta @ delta) * delta
+        offset[20:] = 0.0
         others = _normalize(rng.normal(size=(6, d)))
         centroids = np.vstack([mid + delta, mid - delta, others])
         Xn = np.vstack([_normalize(others[rng.integers(0, 6, size=60)]
                                    + rng.normal(size=(60, d)) * 0.01),
                         _normalize((mid + offset)[None])])
-        Xn = Xn[rng.permutation(len(Xn))]
-        rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
-        assignments, _, _, ties = cluster._assign(Xn, rows32, centroids, np.full(len(Xn), -1),
-                                                  lb, np.ones(8, dtype=bool))
+        rows, Xn = _fit_rows(Xn[rng.permutation(len(Xn))])
+        lb = np.full(len(Xn), -np.inf)
+        assignments, _, _, ties = cluster._assign(rows, centroids, np.full(len(Xn), -1),
+                                                  lb, np.ones(8, dtype=bool), None)
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
         near_ties += ties
         # only the tie row can be rescanned: when its own distance is not below its rival's
         centroids[2] = _normalize(centroids[2:3] + 0.001)[0]
-        assignments, scanned, _, ties = cluster._assign(Xn, rows32, centroids, assignments,
-                                                        lb, np.arange(8) == 2)
+        assignments, scanned, _, ties = cluster._assign(rows, centroids, assignments, lb,
+                                                        np.arange(8) == 2,
+                                                        _own(Xn, centroids, assignments))
         bad += not np.array_equal(assignments, _brute_assign(Xn, centroids))
         rescans += scanned
         rescan_ties += ties
     assert bad == 0
     assert near_ties == 60                 # the tie row against each of its two centroids
-    assert 0 < rescans < 30 and rescan_ties == 2 * rescans
+    # its own distance equals its rival's, so it alone is scanned again, and decided exactly
+    assert rescans == 30 and rescan_ties == 2 * rescans
+
+
+def _own(Xn, centroids, assignments):
+    """Each row's _pair_d2 distance to its own centroid, as _assign reads it."""
+    return _pair_distances(Xn, centroids)[np.arange(len(Xn)), assignments]
 
 
 def _bounds_hold(lb, Xn, centroids, assignments):
-    """Every lower bound is at most each rival's distance."""
+    """Every lower bound is at most each rival's distance; NaN bounds nothing."""
     d2 = _pair_distances(Xn, centroids)
     d2[np.arange(len(Xn)), assignments] = np.inf
-    return bool(np.all(lb <= d2.min(axis=1)))
+    return bool(np.all(np.isnan(lb) | (lb <= d2.min(axis=1))))
 
 
-@pytest.mark.parametrize("block_rows", [None, 7, 1])
-def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, block_rows):
-    # rows on the bisector of two centroids, then moved off it by steps that
-    # end far outside the float32 margin, and rows at two duplicate centroids
+def _check_filter_margin(monkeypatch, block_rows, scale, certified=True):
+    """Rows on the bisector of two centroids, then moved off it by steps that
+    end far outside the float32 margin, and rows at two duplicate centroids;
+    every row multiplied by scale before the float32 rounding. ``certified``:
+    the row norms lie in cluster._FILTER_NORMS."""
     d = 16
     rng = np.random.default_rng(50)
     mid = _normalize(rng.normal(size=(1, d)))[0] * 0.9
@@ -515,6 +602,7 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
     dup = _normalize(rng.normal(size=(1, d)))[0] * 0.8
     others = _normalize(rng.normal(size=(4, d))) * 0.7
     centroids = np.vstack([mid + delta, mid - delta, dup, dup, others])
+    K = len(centroids)
     if block_rows is not None:
         monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * d)
     rows = []
@@ -526,25 +614,50 @@ def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, bl
             rows.append(mid + offset + step * delta / 0.05)
         rows.append(dup + rng.normal(size=d) * 1e-3)
     order = rng.permutation(len(rows))
-    Xn = _normalize(np.array(rows))[order]
+    fit_rows, Xn = _fit_rows(_normalize(np.array(rows))[order] * scale)
+    n = len(Xn)
+    assert np.isfinite(fit_rows.recip).all() == certified
+    assert np.isnan(fit_rows.recip).all() != certified
     # gaps of 0.2 step: only the steps of 1e-3 and 1e-2 clear twice the float32 margin
     assert 2 * cluster._margin(d) < 0.2 * 1e-3 * 0.9
-    rows32, lb = Xn.astype(np.float32), np.full(len(Xn), -np.inf)
+    lb = np.full(n, -np.inf)
     assignments, scanned, float64_rows, ties = cluster._assign(
-        Xn, rows32, centroids, np.full(len(Xn), -1), lb, np.ones(len(centroids), dtype=bool))
+        fit_rows, centroids, np.full(n, -1), lb, np.ones(K, dtype=bool), None)
     np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
     assert _bounds_hold(lb, Xn, centroids, assignments)
-    assert scanned == len(Xn)
-    assert float64_rows == len(Xn) - 10
-    assert ties == 2 * float64_rows        # each against its bisected pair or the duplicates
+    assert np.isnan(lb).sum() == (0 if certified else n)
+    assert scanned == n
+    if certified:
+        assert float64_rows == n - 10
+        assert ties == 2 * float64_rows    # each against its bisected pair or the duplicates
+    else:                                  # no float32 offset proves anything
+        assert float64_rows == n and ties == n * K
 
     # one rival moves: its distances come from the float32 pass over moved centroids
     centroids[4] = _normalize(mid[None] - 3 * delta)[0] * 0.9
     assignments, scanned, float64_rows, ties = cluster._assign(
-        Xn, rows32, centroids, assignments, lb, np.arange(len(centroids)) == 4)
+        fit_rows, centroids, assignments, lb, np.arange(K) == 4,
+        _own(Xn, centroids, assignments))
     np.testing.assert_array_equal(assignments, _brute_assign(Xn, centroids))
     assert _bounds_hold(lb, Xn, centroids, assignments)
-    assert 0 < scanned < len(Xn) and float64_rows > 0
+    assert np.isnan(lb).sum() == (0 if certified else n)
+    if certified:
+        assert 0 < scanned < n and float64_rows > 0
+    else:
+        assert scanned == float64_rows == n
+
+
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+def test_float32_filter_leaves_rows_inside_its_margin_to_float64(monkeypatch, block_rows):
+    _check_filter_margin(monkeypatch, block_rows, 1.0)
+
+
+@pytest.mark.parametrize("scale, certified",
+                         [(1e-20, True), (1e20, True), (1e-35, False), (1e35, False)])
+def test_float32_filter_holds_at_norms_far_from_one(monkeypatch, scale, certified):
+    # --embeddings vectors need not be unit length: the filter scales each row by
+    # its float32 reciprocal norm, and outside cluster._FILTER_NORMS it is off
+    _check_filter_margin(monkeypatch, None, scale, certified)
 
 
 def test_late_iterations_rescan_few_rows():
@@ -569,9 +682,10 @@ def test_kmeans_peak_memory_below_one_distance_matrix():
     assert peak < n * K * 8, f"peak {peak} bytes, one n x K float64 matrix is {n * K * 8}"
 
 
-def test_kmeans_holds_one_float64_copy_of_the_rows():
-    # the unit rows in float64, their float32 copy and the 4 MiB blocks; a
-    # second n x d float64 array (a normalising or inertia temporary) exceeds it
+def test_kmeans_holds_no_copy_of_the_rows():
+    # X is the caller's and not counted. The fit keeps at most eight per-row
+    # arrays of 8 bytes (norms, reciprocal norms, bounds, own distances,
+    # assignments) beside two 4 MiB blocks; a copy of the rows, even in float32, exceeds it
     n, d = 10_000, 256
     X = _random_matrix(np.random.default_rng(35), n, d)
     tracemalloc.start()
@@ -581,16 +695,31 @@ def test_kmeans_holds_one_float64_copy_of_the_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bound = n * d * (8 + 4) + 2 * cluster._BLOCK_BYTES
+    bound = n * 64 + 2 * cluster._BLOCK_BYTES
+    assert bound < n * d * 4
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
+def test_elbow_scan_holds_no_float64_copy_of_the_rows(monkeypatch):
+    # each K's fit and cosine SSE rebuild unit rows a block at a time
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1 << 20)
+    n, d = 4000, 256
+    X = _random_matrix(np.random.default_rng(36), n, d)
+    tracemalloc.start()
+    try:
+        elbow_scan(X, [10, 20, 40], PipelineConfig(seed=0, kmeans_restarts=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8, f"peak {peak} bytes, one n x d float64 array is {n * d * 8}"
+
+
 def test_repair_empty_moves_farthest_point():
-    Xn = _normalize(np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [0.0, 1.0]]))
+    rows, Xn = _fit_rows(np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [0.0, 1.0]]))
     centroids = np.vstack([Xn[:3].mean(axis=0), [5.0, 5.0]])
     assignments = np.zeros(4, dtype=np.int64)
     assignments[3] = 0
-    _repair_empty(Xn, centroids, assignments, K=2)
+    _repair_empty(rows, centroids, assignments, K=2)
     assert (assignments == 1).sum() == 1
     assert assignments[3] == 1             # the outlier is the farthest point
     np.testing.assert_array_equal(centroids[1], Xn[3])
@@ -601,7 +730,7 @@ def test_repair_empty_fills_several_clusters_like_one_at_a_time():
     rng = np.random.default_rng(42)
     for trial in range(30):
         n, K = int(rng.integers(12, 60)), int(rng.integers(5, 11))
-        Xn = _normalize(rng.normal(size=(n, 5)))
+        rows, Xn = _fit_rows(rng.normal(size=(n, 5)))
         # only a few clusters hold points; one of them may hold a single point
         assignments = rng.integers(0, 3, size=n)
         assignments[0] = 3
@@ -609,7 +738,7 @@ def test_repair_empty_fills_several_clusters_like_one_at_a_time():
         want_assign, want_centroids = assignments.copy(), centroids.copy()
         _reference_repair(Xn, want_centroids, want_assign, K)
         before = assignments.copy()
-        moved = _repair_empty(Xn, centroids, assignments, K)
+        moved = _repair_empty(rows, centroids, assignments, K)
         np.testing.assert_array_equal(assignments, want_assign, err_msg=f"trial {trial}")
         assert centroids.tobytes() == want_centroids.tobytes()
         assert sorted(moved.tolist()) == np.flatnonzero(assignments != before).tolist()
