@@ -152,7 +152,7 @@ def cmd_cluster(args: argparse.Namespace, cfg: PipelineConfig) -> None:
                                        _parse_k_scan(args.k_scan), cfg)
         points = [{"k": k, "sse": sse} for k, sse in result.points]
         corpus.write_json(workdir / ELBOW_FILE, {"points": points, "knee": result.knee}, indent=2)
-        print(f"{'K':>6} {'cosine_sse':>14}")
+        print(f"{'K':>6} {'sse':>14}")
         for k, sse in result.points:
             print(f"{k:>6} {sse:>14.4f}")
         if result.knee is not None:

@@ -1,10 +1,10 @@
 """Spherical k-means over document embeddings plus elbow-method model selection.
 
-Rows are L2-normalized internally, so the squared-Euclidean training
-objective and the cosine-based SSE used for the elbow scan order models the
-same way. Initialization is k-means++ with a seeded generator; every run is
-reproducible from (matrix, config) alone: the config's ``clusters``, ``seed``,
-``kmeans_restarts``, ``kmeans_max_iters`` and ``kmeans_tol``.
+Rows are L2-normalized internally, and the elbow scan reads each fit's own
+inertia, its squared-Euclidean SSE on those unit rows. Initialization is
+k-means++ with a seeded generator; every run is reproducible from (matrix,
+config) alone: the config's ``clusters``, ``seed``, ``kmeans_restarts``,
+``kmeans_max_iters`` and ``kmeans_tol``.
 
 Model files are binary: magic ``DQGKMC01``, K (u32 LE), d (u32 LE),
 n (u64 LE), inertia (f64 LE), centroids (K*d f32 LE, row-major),
@@ -23,14 +23,15 @@ import numpy as np
 
 from .config import PipelineConfig
 from .corpus import read_header, replacing
-from .errors import (DegenerateClusterError, DegenerateVectorError, InvalidConfigError,
-                     ValidationError)
+from .errors import DegenerateVectorError, InvalidConfigError, ValidationError
 
 MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
 
-# Byte budget of the rows x K distance block in the assignment step and in
-# cosine_sse; memory stays bounded however large n x K grows.
+# Byte budget of the rows x K distance block in the assignment step; memory
+# stays bounded however large n x K grows. The norm pass and the passes that
+# rebuild unit rows take an eighth of it: most run every iteration, and 4 MiB
+# blocks raised peak RSS by 3.6 MB at 10k x 128.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -95,7 +96,7 @@ class _Rows:
 def _rows(X: np.ndarray) -> _Rows:
     """X with its row norms."""
     norms = np.empty(len(X), dtype=np.float64)
-    step = _value_step(X.shape[1])
+    step = _rows_per_block(X.shape[1], _BLOCK_BYTES // 8)
     for start in range(0, len(X), step):
         block = slice(start, start + step)
         norms[block] = row_norms(X[block].astype(np.float64))
@@ -125,16 +126,9 @@ def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:
     return idx
 
 
-def _row_step(width: int) -> int:
-    """Rows per block whose rows x width float64 slice fits in _BLOCK_BYTES (at least one)."""
-    return max(1, _BLOCK_BYTES // (8 * width))
-
-
-def _row_blocks(n: int, width: int):
-    """Row slices of _row_step(width) rows."""
-    step = _row_step(width)
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _rows_per_block(width: int, budget: int) -> int:
+    """Rows per block whose rows x width float64 slice fits in budget bytes (at least one)."""
+    return max(1, budget // (8 * width))
 
 
 def _pair_d2(rows: np.ndarray, cents: np.ndarray, c_sq: np.ndarray) -> np.ndarray:
@@ -283,7 +277,9 @@ def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.
             moved_c2, moved_sq = c2[idx], c_sq32[idx]
             column = np.full(K, -1, dtype=np.int64)
             column[idx] = np.arange(idx.size)
-            for block in _row_blocks(n, width):
+            step = _rows_per_block(width, _BLOCK_BYTES)
+            for start in range(0, n, step):
+                block = slice(start, start + step)
                 v = _offsets32(X[block], recip[block], moved_c2, moved_sq)
                 col = column[assignments[block]]
                 hit = np.flatnonzero(col >= 0)
@@ -295,7 +291,7 @@ def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.
         scan = np.flatnonzero(~(own < lb))      # own < lb: nearer than any rival
     out = assignments.copy()
     whole = scan.size == n      # every row: read the rows in place, not gathered
-    step = _row_step(K if whole else width)
+    step = _rows_per_block(K if whole else width, _BLOCK_BYTES)
     decided = candidates = 0
     for start in range(0, scan.size, step):
         points = scan[start:start + step]
@@ -340,16 +336,10 @@ def _update_centroids(rows: _Rows, centroids: np.ndarray, assignments: np.ndarra
         centroids[k] = total / members[k].size
 
 
-def _value_step(d: int) -> int:
-    """Rows per block of 2^16 float64 values, an eighth of _BLOCK_BYTES (at least
-    one). The passes that rebuild unit rows use it: most run every iteration,
-    and 4 MiB blocks raised peak RSS by 3.6 MB at 10k x 128."""
-    return max(1, _BLOCK_BYTES // 8 // (8 * d))
-
-
 def _unit_blocks(rows: _Rows, idx: np.ndarray):
-    """(positions in idx, float64 unit rows X[idx[positions]]) in _value_step blocks."""
-    step = _value_step(rows.X.shape[1])
+    """(positions in idx, float64 unit rows X[idx[positions]]) in blocks of an
+    eighth of _BLOCK_BYTES."""
+    step = _rows_per_block(rows.X.shape[1], _BLOCK_BYTES // 8)
     for start in range(0, idx.size, step):
         block = slice(start, start + step)
         yield block, rows.unit(idx[block])
@@ -494,36 +484,17 @@ def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
     return best
 
 
-def cosine_sse(X: np.ndarray, model: KMeansModel) -> float:
-    """Sum of (1 - cosine to the nearest centroid) over X, the rows the model was fitted on."""
-    rows = _rows(X)
-    cen_norms = np.linalg.norm(model.centroids, axis=1)
-    zero = cen_norms == 0.0
-    if zero.all():
-        raise DegenerateClusterError("all centroids have zero norm")
-    unit_centroids = model.centroids / np.where(zero, 1.0, cen_norms)[:, None]
-    best = np.empty(len(X), dtype=np.float64)
-    # rows per block: the rebuilt rows and the cosines both fit in _BLOCK_BYTES
-    for block in _row_blocks(len(X), max(model.K, X.shape[1])):
-        cos = rows.unit(block) @ unit_centroids.T
-        cos[:, zero] = -np.inf   # zero-norm centroid is never nearest
-        best[block] = cos.max(axis=1)
-    np.clip(best, -1.0, 1.0, out=best)
-    return float(np.sum(1.0 - best))
-
-
 @dataclass
 class ElbowResult:
-    points: list[tuple[int, float]]    # (K, cosine SSE) per scanned K
+    points: list[tuple[int, float]]    # (K, the fit's inertia) per scanned K
     knee: int | None                   # K maximizing the discrete second difference
 
 
 def elbow_scan(X: np.ndarray, k_values: list[int], cfg: PipelineConfig) -> ElbowResult:
-    """Fit one model per K >= 1, ascending (cfg with its clusters replaced); locate the SSE knee."""
-    points: list[tuple[int, float]] = []
-    for k in k_values:
-        model = kmeans_fit(X, dataclasses.replace(cfg, clusters=k))
-        points.append((k, cosine_sse(X, model)))
+    """Fit one model per K >= 1, ascending (cfg with its clusters replaced); locate the
+    knee of the fits' inertias, each the SSE on the unit rows."""
+    points = [(k, kmeans_fit(X, dataclasses.replace(cfg, clusters=k)).inertia)
+              for k in k_values]
     knee: int | None = None
     if len(points) >= 3:
         best_curv = -np.inf

@@ -82,7 +82,8 @@ def load_ids(path: str | Path) -> list[str]:
 def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
     """The rows of an embedding file for ``doc_ids``, in that order.
 
-    Through the sidecar, rows may come in any order and cover more documents.
+    Through the sidecar, rows may come in any order and cover more documents;
+    a sidecar already in ``doc_ids`` order returns the loaded array, not a copy.
     """
     data = load_embeddings(path)
     ids_path = Path(str(path) + ".ids")
@@ -99,6 +100,8 @@ def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
         if row_id in id_to_row:
             raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
         id_to_row[row_id] = i
+    if ids == list(doc_ids):
+        return data
     try:
         rows = [id_to_row[doc_id] for doc_id in doc_ids]
     except KeyError as exc:

@@ -12,7 +12,6 @@ from rankforge.cluster import (
     KMeansModel,
     _kmeans_pp_init,
     _repair_empty,
-    cosine_sse,
     elbow_scan,
     kmeans_fit,
     load_model,
@@ -311,6 +310,26 @@ def test_inertia_is_the_sum_of_row_distances(monkeypatch, n, d, block_rows):
     assert model.inertia == float(np.sum(want))
 
 
+def test_block_sizes_follow_block_bytes_when_called(monkeypatch):
+    # _assign's distance blocks take _BLOCK_BYTES and the unit-row blocks an eighth
+    # of it; each patched budget gives 5-row blocks to one of them
+    n, d, K = 203, 12, 8
+    rows = cluster._rows(_random_matrix(np.random.default_rng(9), n, d))
+    centroids = _normalize(np.random.default_rng(10).normal(size=(K, d)))
+    calls = []
+    offsets32 = cluster._offsets32
+    monkeypatch.setattr(cluster, "_offsets32", lambda *a: calls.append(1) or offsets32(*a))
+    for budget, assign_blocks, unit_blocks in ((None, 1, 1), (5 * 8 * K, 41, 203),
+                                               (5 * 64 * d, 4, 41)):
+        if budget is not None:
+            monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
+        calls.clear()
+        cluster._assign(rows, centroids, np.full(n, -1), np.full(n, -np.inf),
+                        np.ones(K, dtype=bool), None)
+        assert len(calls) == assign_blocks, budget
+        assert len(list(cluster._unit_blocks(rows, np.arange(n)))) == unit_blocks, budget
+
+
 def test_blocked_assignment_matches_default(monkeypatch):
     rng = np.random.default_rng(32)
     X = _random_matrix(rng, 203, 12)
@@ -407,13 +426,18 @@ def test_rebuilt_rows_have_the_bits_of_whole_matrix_normalisation(monkeypatch, d
     # the fit rebuilds each float64 unit row it needs from X and the row's norm;
     # it must equal the row of one cast of all of X divided by np.linalg.norm's norms
     rng = np.random.default_rng(d)
-    n = 301
+    n = 300
     X = (rng.normal(size=(n, d)) * rng.lognormal(0.0, 3.0, size=(n, 1))).astype(np.float32)
     want = X.astype(np.float64)
     want /= np.linalg.norm(want, axis=1)[:, None]
     if block_rows is not None:           # norms over 7-row blocks, the last one short
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 8 * d)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 64 * d)
+    blocks = []
+    row_norms = cluster.row_norms
+    monkeypatch.setattr(cluster, "row_norms", lambda x: blocks.append(len(x)) or row_norms(x))
     rows = cluster._rows(X)
+    if block_rows is not None:
+        assert blocks == [7] * 42 + [6]
     assert rows.norms.tobytes() == np.linalg.norm(X.astype(np.float64), axis=1).tobytes()
     for idx in (np.arange(n),                                   # every row
                 np.sort(rng.choice(n, size=57, replace=False)),  # gathered
@@ -701,7 +725,7 @@ def test_kmeans_holds_no_copy_of_the_rows():
 
 
 def test_elbow_scan_holds_no_float64_copy_of_the_rows(monkeypatch):
-    # each K's fit and cosine SSE rebuild unit rows a block at a time
+    # each K's fit rebuilds unit rows a block at a time
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1 << 20)
     n, d = 4000, 256
     X = _random_matrix(np.random.default_rng(36), n, d)
@@ -757,6 +781,10 @@ def test_validate_rejects_bad_config():
     with pytest.raises(DegenerateVectorError):
         kmeans_fit(np.zeros((3, 2), dtype=np.float32),
                    PipelineConfig(clusters=1, seed=0))
+    X = _random_matrix(rng, 12, 5)
+    X[7] = 0.0
+    with pytest.raises(DegenerateVectorError, match="row 7"):
+        kmeans_fit(X, PipelineConfig(clusters=3, seed=1))
 
 
 def test_elbow_scan_finds_three_blobs():
@@ -764,10 +792,13 @@ def test_elbow_scan_finds_three_blobs():
     centers = np.eye(3) * 2.0
     data, _ = blob_matrix(rng, centers, per_blob=15, noise=0.05)
     X = data
-    result = elbow_scan(X, [1, 2, 3, 4, 5, 6],
-                        PipelineConfig(clusters=1, seed=0, kmeans_restarts=3))
+    cfg = PipelineConfig(clusters=1, seed=0, kmeans_restarts=3)
+    result = elbow_scan(X, [1, 2, 3, 4, 5, 6], cfg)
     assert [k for k, _ in result.points] == [1, 2, 3, 4, 5, 6]
     sses = [sse for _, sse in result.points]
+    # each point is its fit's inertia, bit for bit
+    assert sses == [kmeans_fit(X, dataclasses.replace(cfg, clusters=k)).inertia
+                    for k in range(1, 7)]
     assert all(b <= a + 1e-9 for a, b in zip(sses, sses[1:]))
     assert result.knee == 3
 
@@ -777,39 +808,6 @@ def test_elbow_scan_needs_three_points_for_knee():
     X = _random_matrix(rng, 10, 3)
     result = elbow_scan(X, [2, 3], PipelineConfig(clusters=2, seed=0, kmeans_restarts=1))
     assert result.knee is None
-
-
-def test_cosine_sse_decreases_with_k():
-    rng = np.random.default_rng(6)
-    centers = np.eye(3) * 2.0
-    data, _ = blob_matrix(rng, centers, per_blob=10, noise=0.1)
-    X = data
-    sses = []
-    for k in (1, 2, 3):
-        model = kmeans_fit(X, PipelineConfig(clusters=k, seed=0, kmeans_restarts=3))
-        sses.append(cosine_sse(X, model))
-    assert sses[0] > sses[1] > sses[2]
-
-
-def test_blocked_cosine_sse_matches_full_matrix(monkeypatch):
-    rng = np.random.default_rng(34)
-    X = _random_matrix(rng, 57, 6)
-    model = kmeans_fit(X, PipelineConfig(clusters=4, seed=1))
-    model.centroids[2] = 0.0               # a zero-norm centroid is never nearest
-    others = [0, 1, 3]
-    cos = _normalize(X) @ _normalize(model.centroids[others]).T
-    want = float(np.sum(1.0 - np.clip(cos.max(axis=1), -1.0, 1.0)))
-    assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
-    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 5 * 8 * model.K)
-    assert cosine_sse(X, model) == pytest.approx(want, rel=1e-12)
-
-
-def test_cosine_sse_rejects_a_zero_row():
-    X = _random_matrix(np.random.default_rng(35), 12, 5)
-    model = kmeans_fit(X, PipelineConfig(clusters=3, seed=1))
-    X[7] = 0.0
-    with pytest.raises(DegenerateVectorError, match="row 7"):
-        cosine_sse(X, model)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ def test_producers_return_the_array_that_stages_read(tmp_path):
     reordered = load_aligned(path, ids[::-1][:5])       # through the sidecar: a gather
     _assert_stage_array(reordered, 5, 16)
     np.testing.assert_array_equal(reordered, rows[::-1][:5])
+
+
+def test_load_aligned_holds_one_array_when_the_sidecar_is_in_order(tmp_path):
+    # the loaded array is returned as it is; a gather would hold a second n x d copy
+    n, d = 2000, 256
+    ids = [f"doc-{i}" for i in range(n)]
+    rows = np.random.default_rng(5).normal(size=(n, d)).astype(np.float32)
+    save_embeddings(rows, tmp_path / "e.bin", ids=ids)
+    tracemalloc.start()
+    try:
+        got = load_aligned(tmp_path / "e.bin", ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == rows.tobytes()
+    bound = n * d * 4 + n * 256             # the rows, the sidecar ids and their dict
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_hash_embed_is_unit_norm_and_seeded():
