@@ -238,15 +238,23 @@ def _kmeans_pp_init(rows: _Rows, K: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.ndarray,
-            moved: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+            moved: np.ndarray, own_sq: np.ndarray) -> tuple[np.ndarray, int, int, int]:
     """Nearest centroid per row by _pair_d2, lowest index on ties, found incrementally.
 
     ``lb[i]`` is at most the _pair_d2 distance from row i to every centroid
     other than its own, as of the previous call; -inf forces a whole-row scan
     and NaN, an uncertified row's bound, does too. A centroid whose bytes did
     not change has unchanged distances, so only the ``moved`` centroids can
-    lower it. lb is updated in place. ``own[i]`` is the _pair_d2 distance from
-    row i to its own centroid, read only when some centroid did not move.
+    lower it. lb is updated in place. ``own_sq[i]`` is row i's sum((x - c)**2)
+    to its own centroid c, read only when some centroid did not move.
+
+    A row keeps its centroid when own_sq plus the slack s = 16 (d + 4) e is
+    below lb, e being float64's epsilon and v = e/2. With x' as in _margin,
+    _pair_d2 is within (4d + 11) v of the exact 1 - 2 x'.c + ||c||^2 (_margin's
+    proof) and sum((x - c)**2) within (2d + 10) v + 4 (d + 2) v of it
+    (_kmeans_pp_init's). The kernels' gap, (10d + 29) v, is below s/2, with
+    (6d + 35) v to spare for higher-order terms, so the row's _pair_d2 is
+    below lb: its own centroid is nearer than any rival.
 
     Distances are found in float32 (_offsets32, on the rows of X and a
     float32 copy of the centroids), each within the margin of _pair_d2. A row
@@ -266,6 +274,7 @@ def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.
     c2, c_sq32 = centroids.astype(np.float32), c_sq.astype(np.float32)
     c2 *= -2.0
     margin = _margin(X.shape[1])
+    slack = 16.0 * (X.shape[1] + 4) * float(np.finfo(np.float64).eps)
     shift = 1.0 - margin        # float32 offset + shift: a bound for lb
     # rows per block: the distance slice and the gathered rows both fit in _BLOCK_BYTES
     width = max(K, X.shape[1])
@@ -288,7 +297,7 @@ def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.
                 del v       # one distance block alive at a time
                 rival += shift
                 np.minimum(lb[block], rival, out=lb[block])
-        scan = np.flatnonzero(~(own < lb))      # own < lb: nearer than any rival
+        scan = np.flatnonzero(~(own_sq + slack < lb))    # nearer than any rival
     out = assignments.copy()
     whole = scan.size == n      # every row: read the rows in place, not gathered
     step = _rows_per_block(K if whole else width, _BLOCK_BYTES)
@@ -345,36 +354,18 @@ def _unit_blocks(rows: _Rows, idx: np.ndarray):
         yield block, rows.unit(idx[block])
 
 
-def _sq_rows(x: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """sum((x - c)**2) for each unit row x and the centre c beside it; overwrites cents.
+def _sq_dists(rows: _Rows, idx: np.ndarray, centroids: np.ndarray,
+              labels: np.ndarray) -> np.ndarray:
+    """sum((x - c)**2) for each unit row x of idx[i] and its centre c = centroids[labels[i]].
 
     A value's bits depend on its row and centre alone.
     """
-    np.subtract(x, cents, out=cents)
-    np.square(cents, out=cents)
-    return cents.sum(axis=1)
-
-
-def _sq_dists(rows: _Rows, idx: np.ndarray, centroids: np.ndarray,
-              labels: np.ndarray) -> np.ndarray:
-    """sum((x - c)**2) for each unit row x of idx[i] and its centre c = centroids[labels[i]]."""
     d2 = np.empty(idx.size, dtype=np.float64)
     for block, x in _unit_blocks(rows, idx):
-        d2[block] = _sq_rows(x, centroids[labels[block]])
+        x -= centroids[labels[block]]
+        np.square(x, out=x)
+        d2[block] = x.sum(axis=1)
     return d2
-
-
-def _own_distances(rows: _Rows, idx: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-                   own: np.ndarray, own_sq: np.ndarray) -> None:
-    """Set own[i], the _pair_d2 distance of row i to c = centroids[labels[i]], and
-    own_sq[i], its sum((x - c)**2), for each listed row, rebuilding each row once."""
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    for block, x in _unit_blocks(rows, idx):
-        i = idx[block]
-        a = labels[i]
-        cents = centroids[a]
-        own[i] = _pair_d2(x, cents, c_sq[a])
-        own_sq[i] = _sq_rows(x, cents)
 
 
 def _repair_empty(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray,
@@ -413,10 +404,9 @@ def _lloyd(rows: _Rows, cfg: PipelineConfig, rng: np.random.Generator) -> KMeans
     centroids = _kmeans_pp_init(rows, K, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     lb = np.full(n, -np.inf)
-    # each row's _pair_d2 (own) and sum((x - c)**2) (own_sq, the inertia's terms) to
-    # its own centroid, recomputed only where the centroid's bytes or the row's
-    # assignment changed; the first iteration changes every row's
-    own, own_sq = np.empty(n), np.empty(n)
+    # each row's sum((x - c)**2) to its own centroid, the inertia's terms and the keep
+    # test's distance, refreshed only where its centroid's bytes or its assignment changed
+    own_sq = np.empty(n)
     moved = np.ones(K, dtype=bool)
     previous = np.empty_like(centroids)
     history: list[float] = []
@@ -427,7 +417,7 @@ def _lloyd(rows: _Rows, cfg: PipelineConfig, rng: np.random.Generator) -> KMeans
     for _ in range(cfg.kmeans_max_iters):
         previous[...] = centroids
         new_assignments, scanned, rows64, ties = _assign(rows, centroids, assignments,
-                                                         lb, moved, own)
+                                                         lb, moved, own_sq)
         rescanned.append(scanned)
         float64_rows += rows64
         near_ties += ties
@@ -441,7 +431,8 @@ def _lloyd(rows: _Rows, cfg: PipelineConfig, rng: np.random.Generator) -> KMeans
         moved = (centroids != previous).any(axis=1)
         stale = moved[new_assignments]
         stale[changed] = True
-        _own_distances(rows, np.flatnonzero(stale), centroids, new_assignments, own, own_sq)
+        stale = np.flatnonzero(stale)
+        own_sq[stale] = _sq_dists(rows, stale, centroids, new_assignments[stale])
         inertia = float(np.sum(own_sq))
         history.append(inertia)
         assignments = new_assignments

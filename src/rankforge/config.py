@@ -11,6 +11,7 @@ through ``querygen``.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, fields
 
@@ -24,8 +25,9 @@ _AT_LEAST = {
     "shots": 0, "decode_temperature": 0, "max_new_tokens": 1, "max_doc_chars": 1,
     "first_stage_hits": 2, "num_negatives": 1, "bm25_k1": 0,
     "threads": 1, "max_retries": 0, "ndcg_k": 1, "recall_k": 1,
+    # the least normal float: cosines over it stay finite, so the softmax is never NaN
+    "softmax_temperature": sys.float_info.min,
 }
-_POSITIVE = ("softmax_temperature", "request_timeout")
 _UNIT_INTERVAL = ("mmr_lambda", "bm25_b")
 _NON_EMPTY = ("endpoint", "model")
 
@@ -66,12 +68,9 @@ class PipelineConfig:
         for name, low in _AT_LEAST.items():
             if not getattr(self, name) >= low:
                 _reject(name, getattr(self, name), f">= {low}")
-        for name in _POSITIVE:
-            if not getattr(self, name) > 0:
-                _reject(name, getattr(self, name), "> 0")
         # socket.settimeout overflows on a longer timeout
-        if not self.request_timeout <= threading.TIMEOUT_MAX:
-            _reject("request_timeout", self.request_timeout, f"<= {threading.TIMEOUT_MAX}")
+        if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
+            _reject("request_timeout", self.request_timeout, f"in (0, {threading.TIMEOUT_MAX}]")
         for name in _UNIT_INTERVAL:
             if not 0 <= getattr(self, name) <= 1:
                 _reject(name, getattr(self, name), "in [0, 1]")

@@ -9,11 +9,14 @@ pooled, and maximal marginal relevance picks the final per-cluster set.
 
 Selection is reproducible: each (cluster, round) pair gets its own RNG
 stream spawned from the config seed, so one cluster's draws never depend on
-any other cluster's.
+any other cluster's. Every similarity is an einsum, numpy's own loop, not a
+BLAS product, and the softmax takes the C library's exp one value at a time,
+not numpy's SIMD exp: no selected bit depends on the BLAS kernel or the CPU.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -90,17 +93,18 @@ def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     if (norms == 0.0).any():
         raise DegenerateVectorError(f"zero-norm member vector in cluster {k}")
     mean = rows.mean(axis=0)
-    mean_norm = float(np.linalg.norm(mean))
+    mean_norm = math.sqrt(np.einsum("i,i->", mean, mean))
     if mean_norm == 0.0:
         raise DegenerateClusterError(f"cluster {k} member vectors average to zero")
-    return np.clip(rows @ mean / (norms * mean_norm), -1.0, 1.0), rows / norms[:, None]
+    sims = np.einsum("ij,j->i", rows, mean) / (norms * mean_norm)
+    return np.clip(sims, -1.0, 1.0), rows / norms[:, None]
 
 
 def softmax_probabilities(values: Sequence[float], temperature: float) -> np.ndarray:
     """Softmax of finite values at temperature > 0, max-subtracted; strictly positive, sums to 1."""
     z = np.asarray(values, dtype=np.float64) / temperature
     z = z - z.max()
-    e = np.exp(z)
+    e = np.array([math.exp(v) for v in z.tolist()])
     return e / e.sum()
 
 
@@ -156,7 +160,7 @@ def mmr_select(
         pick = int(ties[np.argmin(ordinals[ties])])
         selected.append(pick)
         remaining[pick] = False
-        np.maximum(redundancy, vectors @ vectors[pick], out=redundancy)
+        np.maximum(redundancy, np.einsum("ij,j->i", vectors, vectors[pick]), out=redundancy)
     return [pool[i] for i in selected]
 
 
@@ -187,7 +191,7 @@ def select_representatives(
         # in the pool is picked, lambda 0.5 scores every candidate exactly 0, and the
         # smaller ordinal wins
         vectors = unit[pool]
-        anchor_sims = vectors @ unit[int(np.argmax(sims_to_mean))]
+        anchor_sims = np.einsum("ij,j->i", vectors, unit[int(np.argmax(sims_to_mean))])
         # every round draws n_k distinct positions, so MMR always finds n_k in the pool
         chosen = mmr_select(pool, anchor_sims, vectors, cfg.mmr_lambda, n_k)
         selected.extend(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -208,6 +209,55 @@ def test_manifests_byte_identical_across_cwds(tmp_path, corpus_file, monkeypatch
                      "--out", "out"] + SMALL_PIPELINE) == 0
         manifests.append((home / "out" / cli.MANIFEST_FILE).read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def _cpu_switches() -> list[dict[str, str]]:
+    """Child environments that change what numpy computes with on this CPU: another
+    OpenBLAS kernel, and numpy's dispatch targets beyond its baseline switched off.
+
+    Only targets this CPU has are named; numpy rejects one the CPU lacks.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    switches = [{"OPENBLAS_CORETYPE": "Prescott"}]
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if targets:
+        switches.append({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    return switches
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:                       # numpy before 1.26 only prints its config
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the switches name x86-64 kernels and dispatch targets")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="OPENBLAS_CORETYPE acts on OpenBLAS only")
+def test_manifest_is_the_same_under_another_blas_kernel_and_simd_target(tmp_path):
+    # no artifact may follow the BLAS kernel or numpy's SIMD target; each run is
+    # a child process, so the switches act on it alone
+    corpus_path = write_corpus_jsonl(make_collection(150, seed=3), tmp_path / "corpus.jsonl")
+    script = "import sys; from rankforge import cli; sys.exit(cli.main(sys.argv[1:]))"
+    manifests = []
+    for i, switch in enumerate([{}] + _cpu_switches()):
+        home = tmp_path / f"run{i}"           # the manifest echoes the relative paths
+        home.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run-all", "--input", str(corpus_path),
+             "--workdir", "work", "--out", "out", *BASE_FLAGS, "--clusters", "5",
+             "--sample-size", "40", "--mmr-lambda", "0.5", "--seed", "7"],
+            capture_output=True, text=True, cwd=home,
+            env={**os.environ, **switch, "PYTHONPATH": child_pythonpath()})
+        assert result.returncode == 0, result.stderr
+        manifests.append((switch, (home / "out" / cli.MANIFEST_FILE).read_bytes()))
+    for switch, manifest in manifests[1:]:
+        assert manifest == manifests[0][1], f"the manifest moved under {switch}"
 
 
 def test_config_file_layering(tmp_path, corpus_file):

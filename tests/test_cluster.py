@@ -412,6 +412,28 @@ def test_pair_distance_bits_depend_only_on_the_pair(d):
             == want[7:8].tobytes())
 
 
+@pytest.mark.parametrize("d", [1, 2, 8, 128, 768])
+def test_keep_test_slack_covers_the_gap_between_the_two_kernels(d):
+    # _assign keeps a row when its sum((x - c)**2) plus the slack is below its bound
+    # on every rival's _pair_d2: the two kernels must agree within half the slack.
+    # Clusters lie at several spreads around their direction, so the distances
+    # range from near 0 to past 1, and each centroid is its members' mean
+    rng = np.random.default_rng(d)
+    n, K = 4000, 40
+    labels = rng.integers(0, K, size=n)
+    spread = rng.choice([1e-4, 1e-2, 0.3, 3.0], size=(K, 1))[labels]
+    X = _normalize(rng.normal(size=(K, d)))[labels] + rng.normal(size=(n, d)) * spread
+    fit_rows, rows = _fit_rows(X)
+    centroids = np.array([rows[labels == k].mean(axis=0) for k in range(K)])
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    pair = cluster._pair_d2(rows, centroids[labels], c_sq[labels])
+    sq = cluster._sq_dists(fit_rows, np.arange(n), centroids, labels)
+    slack = 16.0 * (d + 4) * np.finfo(np.float64).eps     # _assign's
+    gap = np.abs(sq - pair)
+    assert gap.max() <= slack / 2, f"gap {gap.max()}, half the slack {slack / 2}"
+    assert pair.min() < 0.01 and pair.max() > 1.0
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 128, 768])
 def test_row_norms_have_the_bits_of_linalg_norm(d):
     rng = np.random.default_rng(d)
@@ -601,8 +623,8 @@ def test_near_tie_rows_take_the_pair_kernel_argmin(monkeypatch, block_rows):
 
 
 def _own(Xn, centroids, assignments):
-    """Each row's _pair_d2 distance to its own centroid, as _assign reads it."""
-    return _pair_distances(Xn, centroids)[np.arange(len(Xn)), assignments]
+    """Each row's sum((x - c)**2) to its own centroid, as _assign reads it."""
+    return np.sum((Xn - centroids[assignments]) ** 2, axis=1)
 
 
 def _bounds_hold(lb, Xn, centroids, assignments):
@@ -708,8 +730,9 @@ def test_kmeans_peak_memory_below_one_distance_matrix():
 
 def test_kmeans_holds_no_copy_of_the_rows():
     # X is the caller's and not counted. The fit keeps at most eight per-row
-    # arrays of 8 bytes (norms, reciprocal norms, bounds, own distances,
-    # assignments) beside two 4 MiB blocks; a copy of the rows, even in float32, exceeds it
+    # arrays of 8 bytes (norms, reciprocal norms, bounds, each row's sum((x - c)**2)
+    # to its centroid, assignments) beside two 4 MiB blocks; a copy of the rows,
+    # even in float32, exceeds it
     n, d = 10_000, 256
     X = _random_matrix(np.random.default_rng(35), n, d)
     tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ OUT_OF_BOUNDS = [
     ("shots", -1), ("max_retries", -1),
     ("bm25_k1", -0.1), ("bm25_k1", NAN), ("bm25_k1", INF),
     ("softmax_temperature", 0.0), ("softmax_temperature", NAN), ("softmax_temperature", INF),
+    ("softmax_temperature", 1e-310),       # subnormal: cosines over it overflow
     ("request_timeout", 0.0), ("request_timeout", NAN), ("request_timeout", INF),
     ("request_timeout", 1e10),
     ("mmr_lambda", -0.1), ("mmr_lambda", 1.1), ("mmr_lambda", NAN),
@@ -59,7 +61,7 @@ def test_values_on_each_bound_are_accepted():
                    shots=0, decode_temperature=0.0, max_new_tokens=1, max_doc_chars=1,
                    first_stage_hits=2, num_negatives=1, bm25_k1=0.0, bm25_b=0.0,
                    mmr_lambda=0.0, threads=1, max_retries=0, ndcg_k=1, recall_k=1)
-    PipelineConfig(mmr_lambda=1.0, bm25_b=1.0, softmax_temperature=1e-9,
+    PipelineConfig(mmr_lambda=1.0, bm25_b=1.0, softmax_temperature=sys.float_info.min,
                    request_timeout=1e-9, endpoint="x", model="m")
 
 

@@ -9,6 +9,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -144,6 +145,13 @@ def test_softmax_temperature_sharpens():
     cold = softmax_probabilities(values, 0.1)
     hot = softmax_probabilities(values, 10.0)
     assert cold[1] > hot[1] > 0.5
+
+
+def test_softmax_at_the_least_allowed_temperature_is_finite():
+    # PipelineConfig bounds the temperature at the least normal float: cosines
+    # divided by it stay finite, so no probability is NaN
+    probs = softmax_probabilities([-1.0, 0.3, 1.0, 1.0], sys.float_info.min)
+    np.testing.assert_array_equal(probs, [0.0, 0.0, 0.5, 0.5])
 
 
 # ------------------------------------------------------------------ sampling
@@ -345,6 +353,11 @@ def _fit_fixture(seed=0):
     return X, model
 
 
+def _dot(a, b):
+    """One pair's dot product by einsum, as selection takes every similarity."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def oracle_select_representatives(X, model, cfg):
     """Independent re-derivation of the whole selection pass.
 
@@ -357,10 +370,12 @@ def oracle_select_representatives(X, model, cfg):
         members = np.flatnonzero(model.assignments == k)
         raw = X[members].astype(np.float64)
         mean = raw.mean(axis=0)
-        sims = raw @ mean / (np.linalg.norm(raw, axis=1) * np.linalg.norm(mean))
+        # the similarities are einsums, the exponentials the C library's
+        sims = [_dot(row, mean) for row in raw] / (np.linalg.norm(raw, axis=1)
+                                                   * math.sqrt(_dot(mean, mean)))
         sims = np.clip(sims, -1.0, 1.0)
         z = sims / cfg.softmax_temperature
-        e = np.exp(z - z.max())
+        e = np.array([math.exp(v) for v in z - z.max()])
         probs = e / e.sum()
 
         pool, seen = [], set()
@@ -380,9 +395,9 @@ def oracle_select_representatives(X, model, cfg):
 
         unit = raw / np.linalg.norm(raw, axis=1)[:, None]
         anchor = int(np.argmax(sims))
-        anchor_sims = [float(unit[q] @ unit[anchor]) for q in range(len(members))]
+        anchor_sims = [_dot(unit[q], unit[anchor]) for q in range(len(members))]
         chosen = mmr_oracle(pool, [anchor_sims[q] for q in pool],
-                            lambda a, b: float(unit[a] @ unit[b]), cfg.mmr_lambda, sizes[k])
+                            lambda a, b: _dot(unit[a], unit[b]), cfg.mmr_lambda, sizes[k])
         out.extend((int(members[q]), k, float(sims[q]), float(probs[q]), rank)
                    for rank, q in enumerate(chosen))
     return out
