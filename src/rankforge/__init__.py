@@ -10,20 +10,10 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     AccessDeniedError,
-    AggregateGenerationError,
     AlignmentError,
     DataError,
-    DegenerateClusterError,
-    DegenerateVectorError,
-    DuplicateIdError,
-    EmptyQueryError,
     EndpointError,
     FormatError,
-    InfeasibleBudgetError,
-    InvalidConfigError,
     RankforgeError,
-    SizeMismatchError,
-    TemplateError,
     UsageError,
-    ValidationError,
 )

@@ -29,7 +29,6 @@ from .errors import (
     DataError,
     EndpointError,
     FormatError,
-    InvalidConfigError,
     RankforgeError,
     UsageError,
 )
@@ -83,11 +82,11 @@ def _typed_entries(entries: dict[str, str], source: str) -> dict[str, object]:
     values: dict[str, object] = {}
     for key, raw in entries.items():
         if key not in _FIELD_TYPES:
-            raise InvalidConfigError(f"{source}: unknown config key {key!r}")
+            raise DataError(f"{source}: unknown config key {key!r}")
         try:
             values[key] = _FIELD_TYPES[key](raw)
         except ValueError:
-            raise InvalidConfigError(f"{source}: invalid value for {key}: {raw!r}") from None
+            raise DataError(f"{source}: invalid value for {key}: {raw!r}") from None
     return values
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .corpus import read_header, replacing
-from .errors import DegenerateVectorError, InvalidConfigError, ValidationError
+from .errors import DataError
 
 MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
@@ -102,7 +102,7 @@ def _rows(X: np.ndarray) -> _Rows:
         norms[block] = row_norms(X[block].astype(np.float64))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateVectorError(f"zero-norm embedding row {int(zero[0])}")
+        raise DataError(f"zero-norm embedding row {int(zero[0])}")
     recip = np.full(len(X), np.nan, dtype=np.float32)
     certified = (norms >= _FILTER_NORMS[0]) & (norms <= _FILTER_NORMS[1])
     recip[certified] = 1.0 / norms[certified]
@@ -463,7 +463,7 @@ def kmeans_fit(X: np.ndarray, cfg: PipelineConfig) -> KMeansModel:
     needs from X block by block.
     """
     if cfg.clusters > len(X):
-        raise InvalidConfigError(f"K ({cfg.clusters}) exceeds row count ({len(X)})")
+        raise DataError(f"K ({cfg.clusters}) exceeds row count ({len(X)})")
     rows = _rows(X)
     best: KMeansModel | None = None
     for restart in range(cfg.kmeans_restarts):
@@ -521,5 +521,5 @@ def load_model(path: str | Path) -> KMeansModel:
         centroids = np.fromfile(fh, dtype="<f4", count=K * d).reshape(K, d).astype(np.float64)
         assignments = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     if n and (assignments >= K).any():
-        raise ValidationError(f"{path}: assignment out of range [0, {K})")
+        raise DataError(f"{path}: assignment out of range [0, {K})")
     return KMeansModel(K=K, centroids=centroids, assignments=assignments, inertia=inertia)

@@ -1,7 +1,7 @@
 """The pipeline's one configuration type: every setting, its default and its bounds.
 
 Stages read the fields by the names users set them under. A value out of
-bounds raises InvalidConfigError when the object is built, so the CLI
+bounds raises DataError when the object is built, so the CLI
 rejects it before any stage runs. Checks that need the data (K against
 the document count, the sample budget against cluster sizes) stay with the
 stage that has it. No numpy here: the mock LLM server imports this module
@@ -15,7 +15,7 @@ import sys
 import threading
 from dataclasses import dataclass, fields
 
-from .errors import InvalidConfigError
+from .errors import DataError
 
 # Lowest allowed value per field; fields not listed have the bounds further down.
 _AT_LEAST = {
@@ -88,4 +88,4 @@ class PipelineConfig:
 
 
 def _reject(name: str, value: object, rule: str) -> None:
-    raise InvalidConfigError(f"{name} must be {rule}, got {value!r}")
+    raise DataError(f"{name} must be {rule}, got {value!r}")

@@ -23,8 +23,7 @@ from pathlib import Path
 from typing import (IO, TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Iterator,
                     NamedTuple, Sequence)
 
-from .errors import (AlignmentError, DuplicateIdError, FormatError, SizeMismatchError,
-                     ValidationError)
+from .errors import AlignmentError, DataError, FormatError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,7 +136,7 @@ def read_header(fh: BinaryIO, layout: struct.Struct, magic: bytes,
     """Check the header at the start of a binary file; returns its fields after the magic.
 
     The header must be whole and start with ``magic``, and the file must hold
-    exactly ``payload_bytes(*fields)`` bytes after it.
+    exactly ``payload_bytes(*fields)`` bytes after it; otherwise ``FormatError``.
     """
     header = fh.read(layout.size)
     if len(header) < layout.size:
@@ -148,7 +147,7 @@ def read_header(fh: BinaryIO, layout: struct.Struct, magic: bytes,
     expected = payload_bytes(*fields)
     size = os.fstat(fh.fileno()).st_size - layout.size
     if size != expected:
-        raise SizeMismatchError(f"{fh.name}: header needs {expected} payload bytes, found {size}")
+        raise FormatError(f"{fh.name}: header needs {expected} payload bytes, found {size}")
     return fields
 
 
@@ -200,7 +199,7 @@ def _document(obj: dict, line_number: int) -> Document:
         # the embeddings `.ids` sidecar holds one id per line
         raise FormatError(f"`_id` {doc_id!r} contains a line break", line_number)
     if "\x00" in title or "\x00" in text:
-        raise ValidationError(f"line {line_number}: NUL byte in document {doc_id!r}")
+        raise DataError(f"line {line_number}: NUL byte in document {doc_id!r}")
     return Document(id=doc_id, title=title, text=text)
 
 
@@ -210,7 +209,7 @@ def load_collection(path: str | Path) -> dict[str, Document]:
     for line_number, obj in read_records(path, _DOC_FIELDS):
         doc = _document(obj, line_number)
         if doc.id in docs:
-            raise DuplicateIdError(f"duplicate `_id` {doc.id!r} at line {line_number}")
+            raise DataError(f"duplicate `_id` {doc.id!r} at line {line_number}")
         docs[doc.id] = doc
     return docs
 

@@ -19,14 +19,7 @@ import numpy as np
 
 from .corpus import (TokenizedCollection, encode_lines, read_header, read_text, replacing,
                      tokenize)
-from .errors import (
-    AlignmentError,
-    DegenerateVectorError,
-    FormatError,
-    InvalidConfigError,
-    SizeMismatchError,
-    ValidationError,
-)
+from .errors import AlignmentError, DataError, FormatError
 
 MAGIC = b"DQGEMB01"
 _HEADER = struct.Struct("<8sQI")
@@ -57,7 +50,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     finite = np.isfinite(data.max(axis=1)) & np.isfinite(data.min(axis=1))
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
-        raise ValidationError(f"{path}: non-finite value in row {bad}")
+        raise DataError(f"{path}: non-finite value in row {bad}")
     return data
 
 
@@ -65,7 +58,7 @@ def save_embeddings(data: np.ndarray, path: str | Path, ids: list[str] | None = 
     """Write an ``(n, d)`` array in the binary format; optionally emit the `.ids` sidecar."""
     n, d = data.shape
     if ids is not None and len(ids) != n:
-        raise SizeMismatchError(f"{len(ids)} ids for {n} rows")
+        raise DataError(f"{len(ids)} ids for {n} rows")
     with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, n, d))
         fh.write(np.ascontiguousarray(data, dtype="<f4"))   # the buffer, not a copy
@@ -95,13 +88,13 @@ def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
     ids = load_ids(ids_path)
     if len(ids) != len(data):
         raise AlignmentError(f"sidecar has {len(ids)} ids for {len(data)} embedding rows")
+    if ids == list(doc_ids):    # distinct ids (the caller's), so no duplicate to find
+        return data
     id_to_row: dict[str, int] = {}
     for i, row_id in enumerate(ids):
         if row_id in id_to_row:
             raise AlignmentError(f"duplicate id {row_id!r} in embedding sidecar")
         id_to_row[row_id] = i
-    if ids == list(doc_ids):
-        return data
     try:
         rows = [id_to_row[doc_id] for doc_id in doc_ids]
     except KeyError as exc:
@@ -138,10 +131,10 @@ def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
     produce an identical vector.
     """
     if d < 8:
-        raise InvalidConfigError(f"hash_embed dimension must be >= 8, got {d}")
+        raise DataError(f"hash_embed dimension must be >= 8, got {d}")
     tokens = tokenize(text)
     if not tokens:
-        raise DegenerateVectorError("hash_embed on text with no tokens")
+        raise DataError("hash_embed on text with no tokens")
     vec = np.zeros(d, dtype=np.float64)
     bucket_and_sign = _term_hasher(d, seed)
     for token in tokens:
@@ -149,7 +142,7 @@ def hash_embed(text: str, d: int, seed: int) -> np.ndarray:
         vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise DegenerateVectorError("hash_embed accumulated to the zero vector")
+        raise DataError("hash_embed accumulated to the zero vector")
     return (vec / norm).astype(np.float32)
 
 
@@ -179,7 +172,7 @@ def embed_collection(tokens: TokenizedCollection, d: int, seed: int) -> np.ndarr
         if degenerate.size:
             first = lo + int(degenerate[0])
             what = "no tokens" if tokens.lengths[first] == 0 else "tokens that cancel out"
-            raise DegenerateVectorError(f"document {tokens.doc_ids[first]!r} has {what}")
+            raise DataError(f"document {tokens.doc_ids[first]!r} has {what}")
         sums /= norms[:, None]
         rows[lo:hi] = sums
     return rows

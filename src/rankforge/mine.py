@@ -98,12 +98,8 @@ class Bm25Index:
             np.add.at(scores, ords, term_weights)
         return scores
 
-    def top_k(self, query_text: str, k: int) -> np.ndarray:
-        """Top-k ordinals with positive score, ordered by score desc then ordinal asc."""
-        return _top_k(self.score_all(tokenize(query_text)), k)
-
     def search(self, query_text: str, k: int) -> list[tuple[int, float]]:
-        """``top_k`` as (ordinal, score) pairs."""
+        """The top k (ordinal, score) pairs with positive score, by score desc then ordinal asc."""
         scores = self.score_all(tokenize(query_text))
         return [(int(o), float(scores[o])) for o in _top_k(scores, k)]
 
@@ -161,7 +157,8 @@ def mine_negatives(
     The tail is the last ``num_negatives + 1`` hits: with the positive removed,
     its last ``num_negatives`` are those of the whole list.
     """
-    tail = index.top_k(query_text, cfg.first_stage_hits)[-(cfg.num_negatives + 1):]
+    hits = _top_k(index.score_all(tokenize(query_text)), cfg.first_stage_hits)
+    tail = hits[-(cfg.num_negatives + 1):]
     negatives = [int(o) for o in tail if o != positive_ordinal][-cfg.num_negatives:]
     return negatives, len(negatives) < cfg.num_negatives
 

@@ -106,7 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8631)
     args = parser.parse_args(argv)
     server = _Server((args.host, args.port), _Handler)
-    print(f"mock LLM listening on http://{args.host}:{args.port}")
+    host, port = server.server_address[:2]     # the bound port when --port is 0
+    print(f"mock LLM listening on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -24,14 +24,7 @@ from typing import Sequence
 
 from .config import PipelineConfig
 from .corpus import read_records, read_text, tokenize, write_jsonl
-from .errors import (
-    AccessDeniedError,
-    AggregateGenerationError,
-    EmptyQueryError,
-    EndpointError,
-    FormatError,
-    TemplateError,
-)
+from .errors import AccessDeniedError, DataError, EndpointError, FormatError
 
 log = logging.getLogger(__name__)
 
@@ -81,13 +74,13 @@ def load_template(path: str | Path) -> PromptTemplate:
     try:
         obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise TemplateError(f"{path}: invalid JSON ({exc})") from None
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
-        raise TemplateError(f"{path}: expected a JSON object")
+        raise DataError(f"{path}: expected a JSON object")
     names = [f.name for f in fields(PromptTemplate)]
     bad = [name for name in names if not isinstance(obj.get(name), str)]
     if bad:
-        raise TemplateError(f"{path}: template fields {bad} are missing or not strings")
+        raise DataError(f"{path}: template fields {bad} are missing or not strings")
     return PromptTemplate(**{name: obj[name] for name in names})
 
 
@@ -131,12 +124,12 @@ def build_prompt(
     Reads ``max_doc_chars`` from cfg; examples holds the first ``shots`` examples.
     """
     if tmpl.target_block_format.count("{document}") != 1:
-        raise TemplateError("target block must contain {document} exactly once")
+        raise DataError("target block must contain {document} exactly once")
     if examples and (
         "{document}" not in tmpl.example_block_format
         or "{query}" not in tmpl.example_block_format
     ):
-        raise TemplateError("example block must contain {document} and {query}")
+        raise DataError("example block must contain {document} and {query}")
     parts: list[str] = []
     if tmpl.preamble:
         parts.append(tmpl.preamble)
@@ -148,12 +141,9 @@ def build_prompt(
 
 
 def parse_completion(raw: str) -> str:
-    """First line, stripped of whitespace and surrounding quotes; empty is an error."""
+    """First line, stripped of whitespace and surrounding quotes; ``""`` when nothing is left."""
     first_line = raw.split("\n", 1)[0]
-    cleaned = first_line.strip().strip(_QUOTE_CHARS).strip()
-    if not cleaned:
-        raise EmptyQueryError("completion parsed to an empty query")
-    return cleaned
+    return first_line.strip().strip(_QUOTE_CHARS).strip()
 
 
 def deterministic_completion(prompt: str) -> str:
@@ -228,9 +218,8 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
                     transport_failures += 1
                     log.warning("generation failed for doc %s: %s", prompt.doc_id, raw)
                     continue
-                try:
-                    query_text = parse_completion(raw)
-                except EmptyQueryError:
+                query_text = parse_completion(raw)
+                if not query_text:
                     log.warning("dropping doc %s: completion parsed empty", prompt.doc_id)
                     continue
                 queries.append(SyntheticQuery(doc_id=prompt.doc_id, query_text=query_text,
@@ -239,7 +228,7 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
             pool.shutdown(cancel_futures=True)
             raise
     if prompts and transport_failures == len(prompts):
-        raise AggregateGenerationError(transport_failures)
+        raise EndpointError(f"all {transport_failures} generation requests failed")
     return queries
 
 

@@ -26,12 +26,7 @@ import numpy as np
 from .cluster import KMeansModel, groups, row_norms
 from .config import PipelineConfig
 from .corpus import read_records, write_jsonl
-from .errors import (
-    DegenerateClusterError,
-    DegenerateVectorError,
-    InfeasibleBudgetError,
-    InvalidConfigError,
-)
+from .errors import DataError
 
 
 @dataclass
@@ -60,12 +55,12 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
     c = [int(x) for x in cluster_sizes]
     n_clusters = len(c)
     if any(ck < 1 for ck in c):
-        raise InvalidConfigError("every cluster must have at least one member")
+        raise DataError("every cluster must have at least one member")
     collection_size = sum(c)
     if total < n_clusters:
-        raise InfeasibleBudgetError(f"budget {total} < cluster count {n_clusters}")
+        raise DataError(f"budget {total} < cluster count {n_clusters}")
     if total > collection_size:
-        raise InfeasibleBudgetError(f"budget {total} > collection size {collection_size}")
+        raise DataError(f"budget {total} > collection size {collection_size}")
 
     spare = total - n_clusters
     sizes = [1 + (ck * spare) // collection_size for ck in c]
@@ -91,17 +86,21 @@ def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     """Cosine of non-empty cluster k's float64 rows to their raw mean, and the unit-length rows."""
     norms = row_norms(rows)
     if (norms == 0.0).any():
-        raise DegenerateVectorError(f"zero-norm member vector in cluster {k}")
+        raise DataError(f"zero-norm member vector in cluster {k}")
     mean = rows.mean(axis=0)
     mean_norm = math.sqrt(np.einsum("i,i->", mean, mean))
     if mean_norm == 0.0:
-        raise DegenerateClusterError(f"cluster {k} member vectors average to zero")
+        raise DataError(f"cluster {k} member vectors average to zero")
     sims = np.einsum("ij,j->i", rows, mean) / (norms * mean_norm)
     return np.clip(sims, -1.0, 1.0), rows / norms[:, None]
 
 
 def softmax_probabilities(values: Sequence[float], temperature: float) -> np.ndarray:
-    """Softmax of finite values at temperature > 0, max-subtracted; strictly positive, sums to 1."""
+    """Softmax of finite values at temperature > 0, max-subtracted; sums to 1.
+
+    At least the largest value gets a positive probability; at a small
+    temperature the others may underflow to exactly 0.
+    """
     z = np.asarray(values, dtype=np.float64) / temperature
     z = z - z.max()
     e = np.array([math.exp(v) for v in z.tolist()])
@@ -122,7 +121,7 @@ def sample_without_replacement(p: Sequence[float], n: int, rng: np.random.Genera
         cum = np.cumsum(weights)
         mass = float(cum[-1])
         if mass <= 0.0:
-            raise InfeasibleBudgetError("probability mass exhausted before n draws")
+            raise DataError("probability mass exhausted before n draws")
         target = rng.random() * mass
         idx = int(np.searchsorted(cum, target, side="right"))
         if idx >= weights.size:
@@ -182,6 +181,10 @@ def select_representatives(
         sims_to_mean, unit = centroid_similarities(X[members].astype(np.float64), k)
         probs = softmax_probabilities(sims_to_mean, cfg.softmax_temperature)
         n_k = int(sizes[k])
+        drawable = int(np.count_nonzero(probs))
+        if drawable < n_k:
+            raise DataError(f"cluster {k}: softmax_temperature {cfg.softmax_temperature!r} gives "
+                            f"{drawable} members a nonzero probability, fewer than its budget {n_k}")
         # the pool of all rounds, in order of first draw
         pool = list(dict.fromkeys(
             pos for r in range(cfg.sample_rounds)

@@ -738,7 +738,7 @@ def _bad_field_exits_two(finished, tmp_path, capsys, file, field, value, argv):
 @pytest.mark.parametrize("field, value", [
     ("_id", None), ("_id", True), ("_id", 1.5), ("_id", ["a"]), ("_id", {"a": 1}), ("_id", ABSENT),
     ("text", None), ("text", 5), ("text", ["x"]), ("text", ABSENT),
-    ("title", ["x"]), ("title", 5), ("title", False),
+    ("title", ["x"]), ("title", 5), ("title", False), ("_id", ""),
 ])
 def test_collection_fields_have_their_types(finished, tmp_path, capsys, field, value):
     argv = ["ingest", "--input", tmp_path / "corpus.jsonl", "--workdir", tmp_path / "w2"]
@@ -817,6 +817,20 @@ def test_generate_needs_as_many_examples_as_shots(finished, tmp_path, capsys):
     assert not (tmp_path / "w" / cli.QUERIES_FILE).exists()
     assert _run(["generate", "--workdir", tmp_path / "w", "--examples", examples,
                  "--shots", "2"]) == 0
+
+
+def test_generate_rejects_a_selected_document_not_in_the_collection(finished, tmp_path, capsys):
+    shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+    work = tmp_path / "w"
+    (work / cli.QUERIES_FILE).unlink()
+    selected = (work / cli.SELECTED_FILE).read_text(encoding="utf-8").splitlines(keepends=True)
+    selected[1] = json.dumps(dict(json.loads(selected[1]), doc_id="no-such-doc")) + "\n"
+    (work / cli.SELECTED_FILE).write_text("".join(selected), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["generate", "--workdir", work]) == 2
+    assert capsys.readouterr().err == \
+        "error: selected document 'no-such-doc' missing from collection\n"
+    assert not (work / cli.QUERIES_FILE).exists()
 
 
 def test_generate_takes_the_longest_request_timeout(finished, tmp_path):

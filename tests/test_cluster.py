@@ -20,13 +20,7 @@ from rankforge.cluster import (
 from rankforge.config import PipelineConfig
 from rankforge.corpus import tokenize_collection
 from rankforge.embeddings import embed_collection
-from rankforge.errors import (
-    DegenerateVectorError,
-    FormatError,
-    InvalidConfigError,
-    SizeMismatchError,
-    ValidationError,
-)
+from rankforge.errors import DataError, FormatError
 from tests.conftest import blob_matrix, make_collection
 
 
@@ -795,18 +789,18 @@ def test_repair_empty_fills_several_clusters_like_one_at_a_time():
 def test_validate_rejects_bad_config():
     rng = np.random.default_rng(1)
     X = _random_matrix(rng, 5, 3)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^clusters must be >= 1"):
         PipelineConfig(clusters=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match=r"^K \(6\) exceeds row count \(5\)$"):
         kmeans_fit(X, PipelineConfig(clusters=6, seed=0))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^kmeans_restarts must be >= 1"):
         PipelineConfig(clusters=2, kmeans_restarts=0)
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(DataError, match="^zero-norm embedding row 0$"):
         kmeans_fit(np.zeros((3, 2), dtype=np.float32),
                    PipelineConfig(clusters=1, seed=0))
     X = _random_matrix(rng, 12, 5)
     X[7] = 0.0
-    with pytest.raises(DegenerateVectorError, match="row 7"):
+    with pytest.raises(DataError, match="^zero-norm embedding row 7$"):
         kmeans_fit(X, PipelineConfig(clusters=3, seed=1))
 
 
@@ -866,7 +860,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     short = tmp_path / "short.bin"
     short.write_bytes(bytes(blob[:-4]))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(FormatError, match="header needs .* payload bytes, found"):
         load_model(short)
     short.write_bytes(bytes(blob[:20]))
     with pytest.raises(FormatError, match="too short for header"):
@@ -877,5 +871,5 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad_assign[-4:] = (10_000).to_bytes(4, "little")
     bad_path = tmp_path / "range.bin"
     bad_path.write_bytes(bytes(bad_assign))
-    with pytest.raises(ValidationError, match="assignment out of range"):
+    with pytest.raises(DataError, match="assignment out of range"):
         load_model(bad_path)

@@ -9,7 +9,7 @@ import pytest
 
 from rankforge import cli
 from rankforge.config import PipelineConfig
-from rankforge.errors import InvalidConfigError
+from rankforge.errors import DataError
 from tests.conftest import make_collection, write_corpus_jsonl
 from tests.test_cli import BASE_FLAGS
 
@@ -43,7 +43,7 @@ RUNNABLE = BASE_FLAGS + ["--clusters", "3", "--sample-size", "9", "--sample-roun
 
 @pytest.mark.parametrize("name,value", OUT_OF_BOUNDS)
 def test_out_of_bounds_value_is_rejected_before_any_stage(tmp_path, name, value):
-    with pytest.raises(InvalidConfigError, match=f"^{name} must be"):
+    with pytest.raises(DataError, match=f"^{name} must be"):
         PipelineConfig(**{name: value})
 
     corpus = write_corpus_jsonl(make_collection(45, seed=1), tmp_path / "corpus.jsonl")
@@ -63,6 +63,21 @@ def test_values_on_each_bound_are_accepted():
                    mmr_lambda=0.0, threads=1, max_retries=0, ndcg_k=1, recall_k=1)
     PipelineConfig(mmr_lambda=1.0, bm25_b=1.0, softmax_temperature=sys.float_info.min,
                    request_timeout=1e-9, endpoint="x", model="m")
+
+
+def test_a_temperature_that_leaves_too_few_drawable_members_is_named(tmp_path, capsys):
+    # 1e-5 underflows every softmax probability of cluster 0 but two, under its budget of 3
+    corpus = write_corpus_jsonl(make_collection(45, seed=1), tmp_path / "corpus.jsonl")
+    flags = ["--min-chars", "0", "--clusters", "3", "--sample-size", "9", "--sample-rounds", "3",
+             "--seed", "7"]
+    for temperature, code in (("1e-4", 0), ("1e-5", 2)):
+        argv = ["run-all", "--input", str(corpus), "--workdir", str(tmp_path / temperature),
+                "--out", str(tmp_path / temperature / "out"), "--softmax-temperature", temperature]
+        capsys.readouterr()
+        assert cli.main(argv + flags) == code, temperature
+    assert capsys.readouterr().err.endswith(
+        "error: cluster 0: softmax_temperature 1e-05 gives 2 members a nonzero probability, "
+        "fewer than its budget 3\n")
 
 
 def test_every_field_is_a_run_all_flag_and_a_readme_row():

@@ -19,7 +19,7 @@ from rankforge.corpus import (
     tokenize,
     tokenize_collection,
 )
-from rankforge.errors import AlignmentError, DuplicateIdError, FormatError, ValidationError
+from rankforge.errors import AlignmentError, DataError, FormatError
 from tests.conftest import make_collection
 
 
@@ -86,7 +86,7 @@ def test_load_rejects_duplicate_ids(tmp_path):
     path.write_text(
         '{"_id": "a", "text": "one"}\n{"_id": "a", "text": "two"}\n', encoding="utf-8"
     )
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DataError, match="^duplicate `_id` 'a' at line 2$"):
         load_collection(path)
 
 
@@ -105,7 +105,7 @@ def test_load_rejects_missing_fields(tmp_path):
 def test_load_rejects_nul_bytes(tmp_path):
     path = tmp_path / "nul.jsonl"
     path.write_text('{"_id": "a", "text": "bad\\u0000byte"}\n', encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="^line 1: NUL byte in document 'a'$"):
         load_collection(path)
 
 

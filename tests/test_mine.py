@@ -14,13 +14,7 @@ from rankforge.config import PipelineConfig
 from rankforge.corpus import (Document, TokenizedCollection, render_document, tokenize,
                              tokenize_collection)
 from rankforge.embeddings import embed_collection
-from rankforge.errors import (
-    AlignmentError,
-    DataError,
-    FormatError,
-    InvalidConfigError,
-    SizeMismatchError,
-)
+from rankforge.errors import AlignmentError, DataError, FormatError
 from rankforge.mine import (
     Bm25Index,
     TrainingPair,
@@ -283,11 +277,11 @@ def test_mine_negatives_invariants_bulk():
 
 
 def test_mining_config_validation():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^first_stage_hits must be >= 2, got 1$"):
         PipelineConfig(first_stage_hits=1, num_negatives=1)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^num_negatives must be >= 1, got 0$"):
         PipelineConfig(first_stage_hits=10, num_negatives=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match=r"^num_negatives must be < first_stage_hits \(10\)"):
         PipelineConfig(first_stage_hits=10, num_negatives=10)
     PipelineConfig()                               # defaults are valid
 
@@ -379,8 +373,8 @@ def test_index_load_rejects_corruption(tmp_path):
 
     rejects(blob[:20], FormatError, "too short for header", "header")
     rejects(b"WRONGMAG" + blob[8:], FormatError, "bad magic", "magic")
-    rejects(blob[:-3], SizeMismatchError, "found", "short")
-    rejects(blob + b"\x00\x00", SizeMismatchError, "found", "long")
+    rejects(blob[:-3], FormatError, "payload bytes, found", "short")
+    rejects(blob + b"\x00\x00", FormatError, "payload bytes, found", "long")
     table = mine._HEADER.size                           # the term table follows the header
     rejects(blob[:table] + b"\xff" + blob[table + 1:], FormatError, "not UTF-8", "utf8")
     first_break = blob.index(b"\n", table)

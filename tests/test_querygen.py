@@ -3,7 +3,10 @@
 import http.client
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -13,15 +16,7 @@ import pytest
 
 from rankforge import httpclient, querygen
 from rankforge.config import PipelineConfig
-from rankforge.errors import (
-    AccessDeniedError,
-    AggregateGenerationError,
-    EmptyQueryError,
-    EndpointError,
-    FormatError,
-    InvalidConfigError,
-    TemplateError,
-)
+from rankforge.errors import AccessDeniedError, DataError, EndpointError, FormatError
 from rankforge.httpclient import HttpCompletionClient
 from rankforge.mockllm import MockLLMServer, _Handler
 from rankforge.querygen import (
@@ -43,6 +38,7 @@ from rankforge.querygen import (
     save_queries,
     truncate_at_whitespace,
 )
+from tests.conftest import child_pythonpath
 
 TMPL = PromptTemplate(
     preamble="Write a query.",
@@ -96,13 +92,13 @@ def test_build_prompt_zero_shot_and_empty_preamble():
 
 def test_build_prompt_validates_slots():
     bad_target = PromptTemplate("p", "{document} {query}", "no slot here", "\n")
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataError, match="^target block must contain .* exactly once$"):
         build_prompt(bad_target, [], "doc", _settings(shots=0))
     double = PromptTemplate("p", "{document} {query}", "{document} {document}", "\n")
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataError, match="^target block must contain .* exactly once$"):
         build_prompt(double, [], "doc", _settings(shots=0))
     bad_example = PromptTemplate("p", "{document} only", "{document}", "\n")
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataError, match="^example block must contain "):
         build_prompt(bad_example, EXAMPLES, "doc", _settings())
 
 
@@ -166,10 +162,8 @@ def test_parse_completion_cleanup():
     assert parse_completion('"quoted query"') == "quoted query"
     assert parse_completion(" “smart quotes” \nsecond line") == "smart quotes"
     assert parse_completion("first line\nsecond line") == "first line"
-    with pytest.raises(EmptyQueryError):
-        parse_completion("")
-    with pytest.raises(EmptyQueryError):
-        parse_completion('  ""  \nmore')
+    assert parse_completion("") == ""
+    assert parse_completion('  ""  \nmore') == ""
 
 
 # ----------------------------------------------------------------- templates
@@ -186,12 +180,14 @@ def test_builtin_template_and_examples_load():
 def test_load_template_missing_field(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"preamble": "x"}), encoding="utf-8")
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataError, match=r"template fields \[.*'example_separator'\] are missing"):
         load_template(path)
     fields = json.loads(builtin_template_path().read_text(encoding="utf-8"))
-    for bad in ('{"preamble": ', json.dumps(dict(fields, preamble=5)), json.dumps(list(fields))):
+    for bad, error in (('{"preamble": ', "invalid JSON"),
+                       (json.dumps(dict(fields, preamble=5)), r"template fields \['preamble'\]"),
+                       (json.dumps(list(fields)), "expected a JSON object")):
         path.write_text(bad, encoding="utf-8")
-        with pytest.raises(TemplateError):
+        with pytest.raises(DataError, match=error):
             load_template(path)
     path.write_bytes(json.dumps(fields).encode("utf-8") + b"\n\"caf\xe9\"\n")
     with pytest.raises(FormatError, match="line 2: .* is not UTF-8 text"):
@@ -295,9 +291,8 @@ def test_generate_queries_drops_failures_and_blanks():
 
 def test_generate_queries_raises_when_all_fail():
     prompts = [QueryPrompt("a", "FAIL"), QueryPrompt("b", "FAIL")]
-    with pytest.raises(AggregateGenerationError) as err:
+    with pytest.raises(EndpointError, match="^all 2 generation requests failed$"):
         generate_queries(SelectiveClient(), prompts, _settings(threads=2))
-    assert err.value.failed == 2
 
 
 def test_generate_queries_empty_input():
@@ -388,10 +383,29 @@ def test_http_client_sends_contract_fields():
     full = deterministic_completion(body["prompt"])
     assert "ab" in full and full.split("ab")[0] != full.split("a")[0]
     with MockLLMServer() as server:
-        data = json.dumps(dict(body, stop="ab")).encode()
-        status, _, reply = _post(server.endpoint, data, {"Content-Length": str(len(data))})
-    assert status == 200
-    assert json.loads(reply)["choices"][0]["text"] == full.split("ab")[0]
+        # ... and null is no stop sequence at all
+        for stop, want in (("ab", full.split("ab")[0]), (None, full)):
+            data = json.dumps(dict(body, stop=stop)).encode()
+            status, _, reply = _post(server.endpoint, data, {"Content-Length": str(len(data))})
+            assert status == 200, stop
+            assert json.loads(reply)["choices"][0]["text"] == want, stop
+
+
+def test_mock_server_main_prints_the_port_it_bound():
+    # `--port 0` binds a free port; the URL printed must be the one that answers
+    with subprocess.Popen([sys.executable, "-m", "rankforge.mockllm", "--port", "0"],
+                          stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": child_pythonpath()}) as server:
+        try:
+            line = server.stdout.readline()
+            listening = re.fullmatch(r"mock LLM listening on (http://127\.0\.0\.1:(\d+))\n", line)
+            assert listening and int(listening.group(2)) != 0, line
+            client = HttpCompletionClient(listening.group(1) + "/v1/completions", model="m")
+            prompt = "Doc: a b\nQuery:"
+            assert client.complete(prompt, _settings()) == deterministic_completion(prompt)
+            client.close()
+        finally:
+            server.terminate()
 
 
 def test_mock_server_rejects_bad_json():
@@ -566,7 +580,7 @@ def test_http_client_retries_a_reply_without_a_string_completion(choice, monkeyp
         out = generate_queries(client, prompts, _settings(max_retries=2, threads=1))
         assert [(q.doc_id, q.query_text) for q in out] == [("a", "good one"), ("c", "good two")]
         assert seen.count("bad") == 3 and sleeps == [0.5, 1.0]
-        with pytest.raises(AggregateGenerationError):
+        with pytest.raises(EndpointError, match="^all 2 generation requests failed$"):
             generate_queries(client, prompts[1:2] * 2, _settings(max_retries=2, threads=1))
         client.close()
     assert seen.count("bad") == 9
@@ -671,9 +685,9 @@ def test_http_client_rejects_urls_it_cannot_reach(monkeypatch):
 
 
 def test_generation_settings_validate():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^decode_temperature must be >= 0"):
         PipelineConfig(decode_temperature=-0.1)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^shots must be >= 0"):
         PipelineConfig(shots=-1)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^max_doc_chars must be >= 1"):
         PipelineConfig(max_doc_chars=0)

@@ -21,13 +21,7 @@ from rankforge.cluster import groups, kmeans_fit
 from rankforge.config import PipelineConfig
 from rankforge.corpus import filter_min_length, tokenize_collection
 from rankforge.embeddings import embed_collection
-from rankforge.errors import (
-    DegenerateClusterError,
-    DegenerateVectorError,
-    FormatError,
-    InfeasibleBudgetError,
-    InvalidConfigError,
-)
+from rankforge.errors import DataError, FormatError
 from rankforge.selection import (
     _round_rng,
     allocate_sizes,
@@ -105,11 +99,11 @@ def test_allocation_monotone_in_cluster_size():
 
 
 def test_allocation_rejects_infeasible():
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(DataError, match="^budget 1 < cluster count 2$"):
         allocate_sizes([5, 5], 1)          # fewer slots than clusters
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(DataError, match="^budget 5 > collection size 4$"):
         allocate_sizes([2, 2], 5)          # more slots than documents
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^every cluster must have at least one member$"):
         allocate_sizes([3, 0], 3)
 
 
@@ -201,9 +195,9 @@ def test_sampling_matches_manual_inversion():
 
 
 def test_sampling_errors():
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(DataError, match="^probability mass exhausted before n draws$"):
         sample_without_replacement([0.5, 0.5], 3, np.random.default_rng(0))
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(DataError, match="^probability mass exhausted before n draws$"):
         sample_without_replacement([1.0, 0.0], 2, np.random.default_rng(0))
 
 
@@ -334,9 +328,9 @@ def test_centroid_similarities_uses_raw_member_mean():
 
 
 def test_centroid_similarities_degenerate_cases():
-    with pytest.raises(DegenerateClusterError, match="cluster 0 member vectors average to zero"):
+    with pytest.raises(DataError, match="cluster 0 member vectors average to zero"):
         centroid_similarities(np.asarray([[1.0, 0.0], [-1.0, 0.0]]), 0)
-    with pytest.raises(DegenerateVectorError, match="zero-norm member vector in cluster 2"):
+    with pytest.raises(DataError, match="zero-norm member vector in cluster 2"):
         centroid_similarities(np.asarray([[1.0, 0.0], [0.0, 0.0]]), 2)
 
 
@@ -529,9 +523,9 @@ def test_load_selected_rejects_bad_lines(tmp_path):
 
 
 def test_sampling_config_validation():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^softmax_temperature must be >= "):
         PipelineConfig(sample_size=5, softmax_temperature=0.0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match="^sample_rounds must be >= 1, got 0$"):
         PipelineConfig(sample_size=5, sample_rounds=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(DataError, match=r"^mmr_lambda must be in \[0, 1\], got 1.1$"):
         PipelineConfig(sample_size=5, mmr_lambda=1.1)
