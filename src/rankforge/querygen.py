@@ -239,9 +239,8 @@ def save_queries(queries: Sequence[SyntheticQuery], path: str | Path) -> None:
 
 
 def load_queries(path: str | Path) -> list[SyntheticQuery]:
-    types = {"doc_id": (str,), "query": (str,), "raw": (str, type(None)),
-             "model": (str, type(None))}
+    """Read back the records ``save_queries`` writes; every field is a string."""
+    types = {"doc_id": (str,), "query": (str,), "raw": (str,), "model": (str,)}
     return [SyntheticQuery(doc_id=obj["doc_id"], query_text=obj["query"],
-                           raw_completion=obj.get("raw") or obj["query"],
-                           model_name=obj.get("model") or "unknown")
+                           raw_completion=obj["raw"], model_name=obj["model"])
             for _, obj in read_records(path, types)]

@@ -48,9 +48,8 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
 
     cluster_sizes names at least one cluster (``clusters >= 1``). After the
     proportional split, the P leftover units go to the P largest clusters
-    (ties by ascending index). Budgets are then capped at cluster size,
-    redistributing overflow one unit at a time to the largest cluster with
-    remaining capacity.
+    (ties by ascending index). Budgets are then capped at cluster size, and
+    the excess fills the clusters with room in that same largest-first order.
     """
     c = [int(x) for x in cluster_sizes]
     n_clusters = len(c)
@@ -69,15 +68,12 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
     for k in by_size[:leftover]:
         sizes[k] += 1
 
-    overflow = 0
-    for k in range(n_clusters):
-        if sizes[k] > c[k]:
-            overflow += sizes[k] - c[k]
-            sizes[k] = c[k]
-    while overflow > 0:
-        k = min((j for j in range(n_clusters) if sizes[j] < c[j]), key=lambda j: (-c[j], j))
-        sizes[k] += 1
-        overflow -= 1
+    sizes = [min(s, ck) for s, ck in zip(sizes, c)]
+    excess = total - sum(sizes)
+    for k in by_size:
+        extra = min(excess, c[k] - sizes[k])
+        sizes[k] += extra
+        excess -= extra
 
     return Allocation(sizes=np.asarray(sizes, dtype=np.int64))
 

@@ -777,7 +777,8 @@ def test_selected_fields_have_their_types(finished, tmp_path, capsys, field, val
 @pytest.mark.parametrize("field, value", [
     ("doc_id", None), ("doc_id", ["x"]), ("doc_id", ABSENT),
     ("query", 5), ("query", None), ("query", ABSENT),
-    ("raw", 5), ("model", False),
+    ("raw", 5), ("raw", None), ("raw", ABSENT),
+    ("model", False), ("model", None), ("model", ABSENT),
 ])
 def test_query_fields_have_their_types(finished, tmp_path, capsys, field, value):
     _bad_field_exits_two(finished, tmp_path, capsys, f"w/{cli.QUERIES_FILE}", field, value,

@@ -225,15 +225,18 @@ def test_save_load_queries_roundtrip_keeps_the_raw_completion(tmp_path):
 
 def test_load_queries_rejects_bad_lines(tmp_path):
     path = tmp_path / "q.jsonl"
-    path.write_text('{"doc_id": "a", "query": "q"}\n\n{"doc_id": "b"}\n', encoding="utf-8")
+    good = '{"doc_id": "a", "query": "q", "raw": "q", "model": "m"}\n'
+    path.write_text(good + '\n{"doc_id": "b"}\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 3: `query` is missing"):
         load_queries(path)
-    path.write_text('{"doc_id": "a", "query": "q"}\n"doc_id query"\n', encoding="utf-8")
+    path.write_text(good + '"doc_id query"\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 2: expected a JSON object"):
         load_queries(path)
-    for bad, field in (('{"doc_id": ["x"], "query": "q"}', "doc_id"),
-                       ('{"doc_id": "a", "query": 5}', "query")):
-        path.write_text('{"doc_id": "a", "query": "q"}\n' + bad + "\n", encoding="utf-8")
+    for bad, field in (('{"doc_id": ["x"], "query": "q", "raw": "q", "model": "m"}', "doc_id"),
+                       ('{"doc_id": "a", "query": 5, "raw": "q", "model": "m"}', "query"),
+                       ('{"doc_id": "a", "query": "q", "raw": null, "model": "m"}', "raw"),
+                       ('{"doc_id": "a", "query": "q", "raw": "q", "model": null}', "model")):
+        path.write_text(good + bad + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"line 2: `{field}` must be a string"):
             load_queries(path)
 

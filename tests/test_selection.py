@@ -83,6 +83,34 @@ def test_allocation_invariants_randomized():
         assert all(1 <= s <= ck for s, ck in zip(sizes, c))
 
 
+def overflow_loop_allocation(c: list[int], total: int) -> list[int]:
+    """The capped rule as first written: each excess unit goes to the largest cluster with room."""
+    sizes = [min(s, ck) for s, ck in zip(fraction_allocation(c, total), c)]
+    for _ in range(total - sum(sizes)):
+        k = min((j for j in range(len(c)) if sizes[j] < c[j]), key=lambda j: (-c[j], j))
+        sizes[k] += 1
+    return sizes
+
+
+def test_allocation_matches_overflow_loop():
+    rng = np.random.default_rng(4)
+    capped = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # heavy-tailed sizes and budgets near the collection size, so caps bind often
+        c = [int(x) for x in 1 + rng.zipf(1.6, n) % 200]
+        total = int(rng.integers(max(n, sum(c) - 2 * n), sum(c) + 1))
+        capped += any(s > ck for s, ck in zip(fraction_allocation(c, total), c))
+        assert allocate_sizes(c, total).sizes.tolist() == overflow_loop_allocation(c, total)
+    assert capped > 100
+    for n in (1000, 3000):      # one large cluster plus singletons, every document selected
+        c = [1] * (n - 1) + [5 * n]
+        assert allocate_sizes(c, sum(c)).sizes.tolist() == c == overflow_loop_allocation(c, sum(c))
+        c = [5 * n] + [1] * (n - 1)
+        total = sum(c) - 7
+        assert allocate_sizes(c, total).sizes.tolist() == overflow_loop_allocation(c, total)
+
+
 def test_allocation_monotone_in_cluster_size():
     # a strictly larger cluster never receives a smaller uncapped budget
     rng = np.random.default_rng(2)
