@@ -238,7 +238,7 @@ def cmd_generate(args: argparse.Namespace, cfg: PipelineConfig) -> None:
                 text=querygen.build_prompt(template, examples, corpus.render_document(doc), cfg),
             )
         )
-    client = querygen.make_client(cfg.endpoint, cfg.model)
+    client = querygen.make_client(cfg)
     try:
         queries = querygen.generate_queries(client, prompts, cfg)
     finally:

@@ -22,9 +22,9 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .config import PipelineConfig
 from .errors import AccessDeniedError, EndpointError
-from .querygen import STOP
 
 API_KEY_ENV = "RANKFORGE_API_KEY"
+STOP = ("\n",)        # stop sequences of every request (a JSON list on the wire)
 BACKOFF_BASE = 0.5    # seconds; the wait before retry i is BACKOFF_BASE * 2**i
 
 
@@ -50,13 +50,19 @@ class HttpCompletionClient:
 
     Connections are kept alive and pooled: a request takes an idle connection or
     opens one, so there is one per concurrent worker thread. ``close`` shuts the
-    idle ones. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are read here,
-    once per client.
+    idle ones. Every request setting of cfg (endpoint, model, decoding,
+    retries, timeout) and ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are
+    read here, once per client.
     """
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
-        self.endpoint = endpoint
-        self.model = model
+    def __init__(self, cfg: PipelineConfig, api_key: str | None = None):
+        endpoint = cfg.endpoint
+        self.model = cfg.model
+        self._max_retries = cfg.max_retries
+        self._timeout = cfg.request_timeout
+        # the request fields after the prompt, in the order they are sent
+        self._decoding = {"temperature": cfg.decode_temperature,
+                          "max_tokens": cfg.max_new_tokens, "stop": STOP}
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._headers = {"Content-Type": "application/json"}
         if api_key:
@@ -85,25 +91,19 @@ class HttpCompletionClient:
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
-    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
-        body = json.dumps({
-            "model": self.model,
-            "prompt": prompt,
-            "temperature": cfg.decode_temperature,
-            "max_tokens": cfg.max_new_tokens,
-            "stop": STOP,
-        }).encode()
+    def complete(self, prompt: str) -> str:
+        body = json.dumps({"model": self.model, "prompt": prompt, **self._decoding}).encode()
         last_error: Exception | None = None
-        for attempt in range(cfg.max_retries + 1):
+        for attempt in range(self._max_retries + 1):
             try:
-                return self._post(body, cfg.request_timeout)
+                return self._post(body)
             except (OSError, http.client.HTTPException,
                     KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
-            if attempt < cfg.max_retries:
+            if attempt < self._max_retries:
                 time.sleep(BACKOFF_BASE * (2 ** attempt))
         raise EndpointError(
-            f"request failed after {cfg.max_retries + 1} attempts: "
+            f"request failed after {self._max_retries + 1} attempts: "
             f"{type(last_error).__name__}: {last_error}"
         )
 
@@ -114,15 +114,15 @@ class HttpCompletionClient:
         for conn in idle:
             conn.close()
 
-    def _post(self, body: bytes, timeout: float) -> str:
+    def _post(self, body: bytes) -> str:
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
-            conn = self._connection_class(self._host, self._port)
+            conn = self._connection_class(self._host, self._port, timeout=self._timeout)
             if self._tunnel is not None:
                 conn.set_tunnel(*self._tunnel)
         try:
-            status, reason, data = self._exchange(conn, body, timeout)
+            status, reason, data = self._exchange(conn, body)
         finally:
             with self._lock:
                 self._idle.append(conn)
@@ -140,14 +140,11 @@ class HttpCompletionClient:
             raise TypeError(f"completion text is {type(text).__name__}, not a string")
         return text
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes,
-                  timeout: float) -> tuple[int, str, bytes]:
+    def _exchange(self, conn: http.client.HTTPConnection,
+                  body: bytes) -> tuple[int, str, bytes]:
         """Send one request on conn and read its whole reply; on failure conn is closed."""
-        conn.timeout = timeout          # for the next connect
         reused = conn.sock is not None
         try:
-            if reused:
-                conn.sock.settimeout(timeout)
             try:
                 conn.request("POST", self._target, body, self._headers)
                 resp = conn.getresponse()

@@ -28,8 +28,6 @@ from .errors import AccessDeniedError, DataError, EndpointError, FormatError
 
 log = logging.getLogger(__name__)
 
-STOP = ("\n",)        # stop sequences of every request (a JSON list on the wire)
-
 _SLOT_RE = re.compile(r"\{(document|query)\}")
 _QUOTE_CHARS = "\"'`“”‘’"
 
@@ -164,26 +162,23 @@ class MockCompletionClient:
     def __init__(self, model: str = "mock"):
         self.model = model
 
-    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
-        text = deterministic_completion(prompt)
-        for stop in STOP:
-            text = text.split(stop)[0]
-        return text
+    def complete(self, prompt: str) -> str:
+        return deterministic_completion(prompt)
 
     def close(self) -> None:
         """Nothing to release; present so every client can be closed alike."""
 
 
-def make_client(endpoint: str, model: str):
-    """Pick the client for an endpoint; `mock:` prefixes run in process.
+def make_client(cfg: PipelineConfig):
+    """The client for cfg's endpoint, holding every request setting; `mock:` runs in process.
 
     The HTTP client's module, and with it the standard library's HTTP stack,
     is imported only here, so no other stage loads it.
     """
-    if endpoint.startswith("mock:"):
-        return MockCompletionClient(model=model)
+    if cfg.endpoint.startswith("mock:"):
+        return MockCompletionClient(model=cfg.model)
     from .httpclient import HttpCompletionClient
-    return HttpCompletionClient(endpoint, model=model)
+    return HttpCompletionClient(cfg)
 
 
 def generate_queries(client, prompts: Sequence[QueryPrompt],
@@ -202,7 +197,7 @@ def generate_queries(client, prompts: Sequence[QueryPrompt],
         if denied:      # set before this worker took the prompt: send nothing
             raise denied[0]
         try:
-            return client.complete(prompt.text, cfg)
+            return client.complete(prompt.text)
         except AccessDeniedError as exc:
             denied.append(exc)
             raise

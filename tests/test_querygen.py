@@ -71,6 +71,11 @@ def _settings(**kw) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+def _client(endpoint: str, api_key: str | None = None, **kw) -> HttpCompletionClient:
+    """An HTTP client for endpoint, model "m", built from _settings(**kw)."""
+    return HttpCompletionClient(_settings(endpoint=endpoint, model="m", **kw), api_key=api_key)
+
+
 # ------------------------------------------------------------ prompt building
 
 def test_build_prompt_layout():
@@ -243,30 +248,12 @@ def test_load_queries_rejects_bad_lines(tmp_path):
 
 # ---------------------------------------------------------------- generation
 
-class FlakyClient:
-    """Fails the first `failures` calls per prompt, then succeeds."""
-
-    def __init__(self, failures: int):
-        self.model = "flaky"
-        self.failures = failures
-        self.attempts: dict[str, int] = {}
-        self.lock = threading.Lock()
-
-    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
-        with self.lock:
-            seen = self.attempts.get(prompt, 0)
-            self.attempts[prompt] = seen + 1
-        if seen < self.failures:
-            raise EndpointError("transient")
-        return "a fine query"
-
-
 class SelectiveClient:
     """Hard-fails prompts containing FAIL, returns blanks for BLANK."""
 
     model = "selective"
 
-    def complete(self, prompt: str, cfg: PipelineConfig) -> str:
+    def complete(self, prompt: str) -> str:
         if "FAIL" in prompt:
             raise EndpointError("permanent")
         if "BLANK" in prompt:
@@ -312,8 +299,10 @@ def test_deterministic_completion_is_stable():
 
 
 def test_make_client_dispatch():
-    assert isinstance(make_client("mock:anything", "m"), MockCompletionClient)
-    assert isinstance(make_client("http://example.test/v1", "m"), HttpCompletionClient)
+    mock = make_client(_settings(endpoint="mock:anything", model="m"))
+    assert isinstance(mock, MockCompletionClient) and mock.model == "m"
+    assert isinstance(make_client(_settings(endpoint="http://example.test/v1")),
+                      HttpCompletionClient)
 
 
 # ------------------------------------------------------------- HTTP endpoint
@@ -339,7 +328,7 @@ def test_http_client_against_mock_server(connections):
     sys.setswitchinterval(1e-5)
     try:
         with MockLLMServer() as server:
-            client = HttpCompletionClient(server.endpoint, model="m")
+            client = _client(server.endpoint)
             prompts = [QueryPrompt(f"d{i}", f"Document: alpha beta {i}\nRelevant Query:")
                        for i in range(120)]
             out = generate_queries(client, prompts, _settings(threads=8))
@@ -352,9 +341,9 @@ def test_http_client_against_mock_server(connections):
 
 
 def test_http_client_retries_then_raises():
-    client = HttpCompletionClient("http://127.0.0.1:1/nope", model="m")
+    client = _client("http://127.0.0.1:1/nope", max_retries=1)
     with pytest.raises(EndpointError):
-        client.complete("prompt", _settings(max_retries=1))
+        client.complete("prompt")
 
 
 def _post(endpoint: str, body: bytes, headers: dict[str, str]) -> tuple[int, dict, bytes]:
@@ -403,9 +392,9 @@ def test_mock_server_main_prints_the_port_it_bound():
             line = server.stdout.readline()
             listening = re.fullmatch(r"mock LLM listening on (http://127\.0\.0\.1:(\d+))\n", line)
             assert listening and int(listening.group(2)) != 0, line
-            client = HttpCompletionClient(listening.group(1) + "/v1/completions", model="m")
+            client = _client(listening.group(1) + "/v1/completions")
             prompt = "Doc: a b\nQuery:"
-            assert client.complete(prompt, _settings()) == deterministic_completion(prompt)
+            assert client.complete(prompt) == deterministic_completion(prompt)
             client.close()
         finally:
             server.terminate()
@@ -445,8 +434,8 @@ def recording(monkeypatch):
 
 def test_http_client_payload_and_auth_header(recording):
     with MockLLMServer(handler=recording) as server:
-        client = HttpCompletionClient(server.endpoint, model="m", api_key="sekret")
-        text = client.complete("Doc: x y\nQuery:", _settings(max_new_tokens=9))
+        client = _client(server.endpoint, api_key="sekret", max_new_tokens=9)
+        text = client.complete("Doc: x y\nQuery:")
         client.close()
     assert text == deterministic_completion("Doc: x y\nQuery:")
     [(path, headers, body)] = recording.seen
@@ -459,9 +448,9 @@ def test_http_client_payload_and_auth_header(recording):
 
 def test_http_client_reuses_one_connection(connections):
     with MockLLMServer() as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
+        client = _client(server.endpoint)
         for i in range(20):
-            assert client.complete(f"Doc: word{i}\nQuery:", _settings()) == \
+            assert client.complete(f"Doc: word{i}\nQuery:") == \
                 deterministic_completion(f"Doc: word{i}\nQuery:")
         client.close()
     assert len(connections) == 1
@@ -471,11 +460,11 @@ def test_http_client_kept_alive_requests_do_not_stall():
     # with Nagle's algorithm on the server, each reply's body waits for the
     # client's delayed ACK: 50 requests then take more than 2 s
     with MockLLMServer() as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
-        client.complete("warm up", _settings())
+        client = _client(server.endpoint)
+        client.complete("warm up")
         start = time.perf_counter()
         for i in range(50):
-            client.complete(f"Doc: word{i}\nQuery:", _settings())
+            client.complete(f"Doc: word{i}\nQuery:")
         elapsed = time.perf_counter() - start
         client.close()
     assert elapsed < 1.0
@@ -504,10 +493,10 @@ def test_http_client_survives_servers_that_close(handler, monkeypatch):
     sleeps = []
     monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     with MockLLMServer(handler=handler) as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
+        # no retries: a dropped kept-alive connection is resent, not retried
+        client = _client(server.endpoint, max_retries=0)
         for i in range(5):
-            # no retries: a dropped kept-alive connection is resent, not retried
-            assert client.complete(f"Doc: word{i}\nQuery:", _settings(max_retries=0)) == \
+            assert client.complete(f"Doc: word{i}\nQuery:") == \
                 deterministic_completion(f"Doc: word{i}\nQuery:")
         client.close()
     assert sleeps == []
@@ -528,9 +517,9 @@ def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkey
     monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.5)
     monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     with MockLLMServer(handler=Scripted) as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
+        client = _client(server.endpoint, max_retries=2)
         with pytest.raises(EndpointError, match=f"HTTP {status}"):
-            client.complete("prompt", _settings(max_retries=2))
+            client.complete("prompt")
         client.close()
     assert len(seen) == requests
     assert sleeps == [0.5, 1.0][: requests - 1]
@@ -553,9 +542,9 @@ def test_generate_stops_at_the_first_refused_credential(status, threads, monkeyp
     sys.setswitchinterval(1e-6)
     try:
         with MockLLMServer(handler=Refusing) as server:
-            client = HttpCompletionClient(server.endpoint, model="m")
+            client = _client(server.endpoint, max_retries=3)
             with pytest.raises(AccessDeniedError, match=f"HTTP {status}"):
-                generate_queries(client, prompts, _settings(threads=threads, max_retries=3))
+                generate_queries(client, prompts, _settings(threads=threads))
             client.close()
     finally:
         sys.setswitchinterval(interval)
@@ -579,12 +568,12 @@ def test_http_client_retries_a_reply_without_a_string_completion(choice, monkeyp
     monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
     prompts = [QueryPrompt("a", "good one"), QueryPrompt("b", "bad"), QueryPrompt("c", "good two")]
     with MockLLMServer(handler=Malformed) as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
-        out = generate_queries(client, prompts, _settings(max_retries=2, threads=1))
+        client = _client(server.endpoint, max_retries=2)
+        out = generate_queries(client, prompts, _settings(threads=1))
         assert [(q.doc_id, q.query_text) for q in out] == [("a", "good one"), ("c", "good two")]
         assert seen.count("bad") == 3 and sleeps == [0.5, 1.0]
         with pytest.raises(EndpointError, match="^all 2 generation requests failed$"):
-            generate_queries(client, prompts[1:2] * 2, _settings(max_retries=2, threads=1))
+            generate_queries(client, prompts[1:2] * 2, _settings(threads=1))
         client.close()
     assert seen.count("bad") == 9
 
@@ -601,30 +590,36 @@ def test_http_client_failure_names_the_exception_type(choice, error, monkeypatch
 
     monkeypatch.setattr(httpclient.time, "sleep", lambda seconds: None)
     with MockLLMServer(handler=Malformed) as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
+        client = _client(server.endpoint, max_retries=1)
         with pytest.raises(EndpointError) as failure:
-            client.complete("prompt", _settings(max_retries=1))
+            client.complete("prompt")
         client.close()
     assert str(failure.value) == f"request failed after 2 attempts: {error}"
 
 
-def test_http_client_timeout_is_per_request():
+def test_http_client_timeout_holds_on_a_kept_alive_connection():
+    seen = []
+
     class Slow(_Handler):
         def do_POST(self):  # noqa: N802
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((body["prompt"], self.client_address))
             if body["prompt"] == "slow":
                 time.sleep(1.0)
             self._reply(200, {"choices": [{"text": body["prompt"]}]})
 
     with MockLLMServer(handler=Slow) as server:
-        client = HttpCompletionClient(server.endpoint, model="m")
-        assert client.complete("fast", _settings(request_timeout=30.0)) == "fast"
-        # the kept-alive connection now waits at most 0.1 s for each read
+        client = _client(server.endpoint, max_retries=1, request_timeout=0.1)
+        assert client.complete("fast") == "fast"
+        # the connection the fast call opened and kept waits at most 0.1 s for each read
         start = time.perf_counter()
         with pytest.raises(EndpointError, match="timed out"):
-            client.complete("slow", _settings(max_retries=1, request_timeout=0.1))
+            client.complete("slow")
         client.close()
     assert time.perf_counter() - start < 0.9
+    # the first slow request went out on the fast call's connection
+    assert [prompt for prompt, _ in seen] == ["fast", "slow", "slow"]
+    assert seen[0][1] == seen[1][1] != seen[2][1]
 
 
 def test_mock_server_ignores_a_client_that_hung_up(capfd):
@@ -660,15 +655,15 @@ def test_http_client_goes_through_the_environment_proxy(recording, monkeypatch):
         address = urlsplit(proxy.endpoint)
         monkeypatch.setenv("HTTP_PROXY", f"http://user:p%40ss@{address.netloc}")
         # the endpoint host does not resolve: only the proxy can answer
-        client = HttpCompletionClient("http://llm.invalid:8000/v1/completions?x=1", model="m")
-        assert client.complete("Doc: a b\nQuery:", _settings()) == \
+        client = _client("http://llm.invalid:8000/v1/completions?x=1")
+        assert client.complete("Doc: a b\nQuery:") == \
             deterministic_completion("Doc: a b\nQuery:")
         client.close()
         # NO_PROXY sends a request straight to its host
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
         monkeypatch.setenv("NO_PROXY", f"example.test, {address.hostname}")
-        client = HttpCompletionClient(proxy.endpoint, model="m")
-        client.complete("Doc: c d\nQuery:", _settings())
+        client = _client(proxy.endpoint)
+        client.complete("Doc: c d\nQuery:")
         client.close()
     (target, headers, _), (direct, direct_headers, _) = recording.seen
     assert target == "http://llm.invalid:8000/v1/completions?x=1"
@@ -678,13 +673,34 @@ def test_http_client_goes_through_the_environment_proxy(recording, monkeypatch):
     assert "Proxy-Authorization" not in direct_headers
 
 
+def test_https_goes_through_a_proxy_tunnel(monkeypatch):
+    # an https endpoint behind a proxy is reached by CONNECT; this proxy refuses the tunnel
+    seen = []
+
+    class RefusingProxy(_Handler):
+        def do_CONNECT(self):  # noqa: N802
+            seen.append((self.path, self.headers["Proxy-Authorization"]))
+            self._reply(502, {"error": "no tunnel"})
+
+    with MockLLMServer(handler=RefusingProxy) as proxy:
+        monkeypatch.setenv("HTTPS_PROXY", f"http://user:p%40ss@{urlsplit(proxy.endpoint).netloc}")
+        # the endpoint host does not resolve: only the proxy is ever connected to
+        client = _client("https://llm.invalid/v1/completions", max_retries=0)
+        with pytest.raises(EndpointError) as failure:
+            client.complete("Doc: a b\nQuery:")
+        client.close()
+    assert str(failure.value) == ("request failed after 1 attempts: "
+                                  "OSError: Tunnel connection failed: 502 Bad Gateway")
+    assert seen == [("llm.invalid:443", "Basic dXNlcjpwQHNz")]     # user:p@ss
+
+
 def test_http_client_rejects_urls_it_cannot_reach(monkeypatch):
     for endpoint in ("x", "ftp://host/v1", "http:///v1", "http://host:99999/v1"):
         with pytest.raises(EndpointError, match="endpoint"):
-            HttpCompletionClient(endpoint, model="m")
+            _client(endpoint)
     monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
     with pytest.raises(EndpointError, match="proxy"):
-        HttpCompletionClient("http://host/v1", model="m")
+        _client("http://host/v1")
 
 
 def test_generation_settings_validate():

@@ -192,6 +192,13 @@ def test_sampling_never_picks_zero_weight():
         draws = sample_without_replacement(p, 2, np.random.default_rng(seed))
         assert 1 not in draws
 
+    # a target past the last running sum falls back to the last positive weight
+    class Top:
+        def random(self):
+            return 1.0
+
+    assert sample_without_replacement([0.5, 0.5, 0.0], 1, Top()) == [1]
+
 
 def test_sampling_first_draw_frequency():
     p = np.asarray([0.5, 0.3, 0.2])
