@@ -29,9 +29,9 @@ MAGIC = b"DQGKMC01"
 _HEADER = struct.Struct("<8sIIQd")
 
 # Byte budget of the rows x K distance block in the assignment step; memory
-# stays bounded however large n x K grows. The norm pass and the passes that
-# rebuild unit rows take an eighth of it: most run every iteration, and 4 MiB
-# blocks raised peak RSS by 3.6 MB at 10k x 128.
+# stays bounded however large n x K grows. The norm pass and row_blocks take an
+# eighth of it: most of their passes run every iteration, and 4 MiB blocks
+# raised peak RSS by 3.6 MB at 10k x 128.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -328,30 +328,25 @@ def _assign(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray, lb: np.
     return out, int(scan.size), decided, candidates
 
 
-def _update_centroids(rows: _Rows, centroids: np.ndarray, assignments: np.ndarray,
-                      clusters: np.ndarray) -> None:
-    """Each listed centroid becomes the mean of its members, taken in ascending row order.
-
-    The members' unit rows are rebuilt a block at a time, and their sum is
-    carried into the next block as its first row. For d >= 2 numpy's mean over
-    axis 0 adds the rows one after another, so this gives its bits; for d = 1
-    every unit row is +-1, and every order gives the same exact sum.
-    """
-    members = groups(assignments, centroids.shape[0])
-    for k in clusters:
-        total = None
-        for _, x in _unit_blocks(rows, members[k]):
-            total = np.add.reduce(x if total is None else np.vstack((total, x)), axis=0)
-        centroids[k] = total / members[k].size
-
-
-def _unit_blocks(rows: _Rows, idx: np.ndarray):
-    """(positions in idx, float64 unit rows X[idx[positions]]) in blocks of an
-    eighth of _BLOCK_BYTES."""
-    step = _rows_per_block(rows.X.shape[1], _BLOCK_BYTES // 8)
+def row_blocks(rows: _Rows, idx: np.ndarray, unit: bool):
+    """(positions in idx, the float64 rows X[idx[positions]], divided by their
+    norms when unit) in blocks of an eighth of _BLOCK_BYTES; one block when d = 1."""
+    d = rows.X.shape[1]
+    step = max(idx.size, 1) if d == 1 else _rows_per_block(d, _BLOCK_BYTES // 8)
     for start in range(0, idx.size, step):
         block = slice(start, start + step)
-        yield block, rows.unit(idx[block])
+        yield block, rows.unit(idx[block]) if unit else rows.X[idx[block]].astype(np.float64)
+
+
+def row_mean(rows: _Rows, idx: np.ndarray, unit: bool) -> np.ndarray:
+    """The mean of the rows of row_blocks(rows, idx, unit), with the bits of numpy's
+    mean over axis 0 of all of them at once. The sum is carried into the next block
+    as its first row: numpy adds rows one after another when d >= 2, and sums a
+    d = 1 column pairwise, which row_blocks keeps in one block."""
+    total = None
+    for _, x in row_blocks(rows, idx, unit):
+        total = np.add.reduce(x if total is None else np.vstack((total, x)), axis=0)
+    return total / idx.size
 
 
 def _sq_dists(rows: _Rows, idx: np.ndarray, centroids: np.ndarray,
@@ -361,7 +356,7 @@ def _sq_dists(rows: _Rows, idx: np.ndarray, centroids: np.ndarray,
     A value's bits depend on its row and centre alone.
     """
     d2 = np.empty(idx.size, dtype=np.float64)
-    for block, x in _unit_blocks(rows, idx):
+    for block, x in row_blocks(rows, idx, unit=True):
         x -= centroids[labels[block]]
         np.square(x, out=x)
         d2[block] = x.sum(axis=1)
@@ -427,7 +422,9 @@ def _lloyd(rows: _Rows, cfg: PipelineConfig, rng: np.random.Generator) -> KMeans
         changed = np.flatnonzero(new_assignments != assignments)
         touched = np.concatenate((assignments[changed], new_assignments[changed]))
         touched = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=K))
-        _update_centroids(rows, centroids, new_assignments, touched)
+        members = groups(new_assignments, K)
+        for k in touched:       # the mean of the members' unit rows, in ascending row order
+            centroids[k] = row_mean(rows, members[k], unit=True)
         moved = (centroids != previous).any(axis=1)
         stale = moved[new_assignments]
         stale[changed] = True

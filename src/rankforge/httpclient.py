@@ -25,7 +25,8 @@ from .errors import AccessDeniedError, EndpointError
 
 API_KEY_ENV = "RANKFORGE_API_KEY"
 STOP = ("\n",)        # stop sequences of every request (a JSON list on the wire)
-BACKOFF_BASE = 0.5    # seconds; the wait before retry i is BACKOFF_BASE * 2**i
+# seconds; the wait before retry i is BACKOFF_BASE * 2**i, capped at request_timeout
+BACKOFF_BASE = 0.5
 
 
 def _environment_proxy(scheme: str, host: str) -> tuple[str, int, dict[str, str]] | None:
@@ -94,6 +95,7 @@ class HttpCompletionClient:
     def complete(self, prompt: str) -> str:
         body = json.dumps({"model": self.model, "prompt": prompt, **self._decoding}).encode()
         last_error: Exception | None = None
+        wait = BACKOFF_BASE     # doubled in float, so it ends at inf, never in an overflow
         for attempt in range(self._max_retries + 1):
             try:
                 return self._post(body)
@@ -101,7 +103,8 @@ class HttpCompletionClient:
                     KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
             if attempt < self._max_retries:
-                time.sleep(BACKOFF_BASE * (2 ** attempt))
+                time.sleep(min(wait, self._timeout))
+                wait *= 2.0
         raise EndpointError(
             f"request failed after {self._max_retries + 1} attempts: "
             f"{type(last_error).__name__}: {last_error}"

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import KMeansModel, groups, row_norms
+from .cluster import KMeansModel, _rows, _Rows, groups, row_blocks, row_mean
 from .config import PipelineConfig
 from .corpus import read_records, write_jsonl
 from .errors import DataError
@@ -78,17 +78,17 @@ def allocate_sizes(cluster_sizes: Sequence[int], total: int) -> Allocation:
     return Allocation(sizes=np.asarray(sizes, dtype=np.int64))
 
 
-def centroid_similarities(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine of non-empty cluster k's float64 rows to their raw mean, and the unit-length rows."""
-    norms = row_norms(rows)
-    if (norms == 0.0).any():
-        raise DataError(f"zero-norm member vector in cluster {k}")
-    mean = rows.mean(axis=0)
+def centroid_similarities(rows: _Rows, members: np.ndarray, k: int) -> np.ndarray:
+    """Cosine of each member of non-empty cluster k to the raw mean of its rows."""
+    mean = row_mean(rows, members, unit=False)
     mean_norm = math.sqrt(np.einsum("i,i->", mean, mean))
     if mean_norm == 0.0:
         raise DataError(f"cluster {k} member vectors average to zero")
-    sims = np.einsum("ij,j->i", rows, mean) / (norms * mean_norm)
-    return np.clip(sims, -1.0, 1.0), rows / norms[:, None]
+    sims = np.empty(members.size)
+    for block, x in row_blocks(rows, members, unit=False):
+        sims[block] = np.einsum("ij,j->i", x, mean)
+    sims /= rows.norms[members] * mean_norm
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def softmax_probabilities(values: Sequence[float], temperature: float) -> np.ndarray:
@@ -149,13 +149,15 @@ def mmr_select(
     redundancy = np.full(len(pool), -np.inf)   # max similarity to the picks so far
     remaining = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
-    while len(selected) < min(n, len(pool)):
+    for _ in range(min(n, len(pool))):
+        if selected:    # the last pick's similarities, read only by a later pick
+            np.maximum(redundancy, np.einsum("ij,j->i", vectors, vectors[selected[-1]]),
+                       out=redundancy)
         score = relevance - (1.0 - lam) * redundancy if selected else relevance
         ties = np.flatnonzero(remaining & (score == score[remaining].max()))
         pick = int(ties[np.argmin(ordinals[ties])])
         selected.append(pick)
         remaining[pick] = False
-        np.maximum(redundancy, np.einsum("ij,j->i", vectors, vectors[pick]), out=redundancy)
     return [pool[i] for i in selected]
 
 
@@ -172,9 +174,10 @@ def select_representatives(
     ``seed``, ``softmax_temperature``, ``sample_rounds`` and ``mmr_lambda`` from cfg.
     """
     sizes = allocate_sizes(model.cluster_sizes(), cfg.sample_size).sizes
+    rows = _rows(X)
     selected: list[SelectedDoc] = []
     for k, members in enumerate(groups(model.assignments, model.K)):
-        sims_to_mean, unit = centroid_similarities(X[members].astype(np.float64), k)
+        sims_to_mean = centroid_similarities(rows, members, k)
         probs = softmax_probabilities(sims_to_mean, cfg.softmax_temperature)
         n_k = int(sizes[k])
         drawable = int(np.count_nonzero(probs))
@@ -188,9 +191,10 @@ def select_representatives(
         ))
         # relevance and redundancy come from one kernel on the same rows: once an anchor
         # in the pool is picked, lambda 0.5 scores every candidate exactly 0, and the
-        # smaller ordinal wins
-        vectors = unit[pool]
-        anchor_sims = np.einsum("ij,j->i", vectors, unit[int(np.argmax(sims_to_mean))])
+        # smaller ordinal wins. Only the pool and the anchor get unit rows.
+        vectors = rows.unit(members[pool])
+        anchor_sims = np.einsum("ij,j->i", vectors,
+                                rows.unit(members[int(np.argmax(sims_to_mean))]))
         # every round draws n_k distinct positions, so MMR always finds n_k in the pool
         chosen = mmr_select(pool, anchor_sims, vectors, cfg.mmr_lambda, n_k)
         selected.extend(
@@ -198,7 +202,6 @@ def select_representatives(
                         prob=float(probs[pos]), rank_in_cluster=rank)
             for rank, pos in enumerate(chosen)
         )
-        del unit, vectors   # the next cluster's rows are built without this one's beside them
     return selected
 
 

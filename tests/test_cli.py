@@ -211,6 +211,36 @@ def test_manifests_byte_identical_across_cwds(tmp_path, corpus_file, monkeypatch
     assert manifests[0] == manifests[1]
 
 
+DELIVERABLES = Path(__file__).with_name("deliverables.json")
+
+
+def test_deliverables_match_the_recorded_hashes(tmp_path, monkeypatch):
+    # The bytes depend on the numpy build, the C library's exp and log and the
+    # machine, so deliverables.json keys its hashes by them. Under a key with no
+    # record the hashes are printed (pytest -s shows them) and a second run in
+    # another directory must give the same ones.
+    key = f"numpy {np.__version__}, {' '.join(platform.libc_ver())}, {platform.machine()}"
+    recorded = json.loads(DELIVERABLES.read_text())["run-all 3000"].get(key)
+    write_corpus_jsonl(make_collection(3000, seed=7), tmp_path / "corpus.jsonl")
+    runs = []
+    for home in ("a",) if recorded else ("a", "b"):
+        (tmp_path / home).mkdir()
+        monkeypatch.chdir(tmp_path / home)          # the manifest echoes the relative paths
+        assert _run(["run-all", "--input", "../corpus.jsonl", "--workdir", "work",
+                     "--out", "out", "--min-chars", "100", "--hash-embed-dim", "128",
+                     "--clusters", "3", "--kmeans-restarts", "1", "--sample-size", "30",
+                     "--mmr-lambda", "0.5"]) == 0
+        out = tmp_path / home / "out"
+        runs.append({name: sha256_file(out / file) for name, file in (
+            ("manifest", cli.MANIFEST_FILE), ("triples", cli.TRIPLES_FILE),
+            ("pointwise", cli.POINTWISE_FILE))})
+    if recorded:
+        assert runs[0] == recorded, f"the deliverables moved under {key}"
+    else:
+        print(f"no record for {key}: {json.dumps(runs[0])}")
+        assert runs[0] == runs[1]
+
+
 def _cpu_switches() -> list[dict[str, str]]:
     """Child environments that change what numpy computes with on this CPU: another
     OpenBLAS kernel, and numpy's dispatch targets beyond its baseline switched off.

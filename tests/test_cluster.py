@@ -305,8 +305,8 @@ def test_inertia_is_the_sum_of_row_distances(monkeypatch, n, d, block_rows):
 
 
 def test_block_sizes_follow_block_bytes_when_called(monkeypatch):
-    # _assign's distance blocks take _BLOCK_BYTES and the unit-row blocks an eighth
-    # of it; each patched budget gives 5-row blocks to one of them
+    # _assign's distance blocks take _BLOCK_BYTES and row_blocks an eighth of it;
+    # each patched budget gives 5-row blocks to one of them
     n, d, K = 203, 12, 8
     rows = cluster._rows(_random_matrix(np.random.default_rng(9), n, d))
     centroids = _normalize(np.random.default_rng(10).normal(size=(K, d)))
@@ -321,7 +321,8 @@ def test_block_sizes_follow_block_bytes_when_called(monkeypatch):
         cluster._assign(rows, centroids, np.full(n, -1), np.full(n, -np.inf),
                         np.ones(K, dtype=bool), None)
         assert len(calls) == assign_blocks, budget
-        assert len(list(cluster._unit_blocks(rows, np.arange(n)))) == unit_blocks, budget
+        for unit in (True, False):
+            assert len(list(cluster.row_blocks(rows, np.arange(n), unit))) == unit_blocks, budget
 
 
 def test_blocked_assignment_matches_default(monkeypatch):

@@ -525,6 +525,25 @@ def test_http_client_retries_only_what_retrying_can_fix(status, requests, monkey
     assert sleeps == [0.5, 1.0][: requests - 1]
 
 
+def test_http_client_backoff_is_capped_at_the_request_timeout(monkeypatch):
+    # uncapped, retry 20 would wait 0.5 * 2**19 s, and from retry 40 on the wait
+    # overflows time.sleep's time_t
+    class Unavailable(_Handler):
+        def do_POST(self):  # noqa: N802
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self._reply(503, {"error": "busy"})
+
+    sleeps = []
+    monkeypatch.setattr(httpclient, "BACKOFF_BASE", 0.5)
+    monkeypatch.setattr(httpclient.time, "sleep", sleeps.append)
+    with MockLLMServer(handler=Unavailable) as server:
+        client = _client(server.endpoint, max_retries=60, request_timeout=2.0)
+        with pytest.raises(EndpointError, match="^request failed after 61 attempts: "):
+            client.complete("prompt")
+        client.close()
+    assert sleeps == [0.5, 1.0] + [2.0] * 58
+
+
 @pytest.mark.parametrize("status, threads", [(401, 2), (403, 2), (401, 8)])
 def test_generate_stops_at_the_first_refused_credential(status, threads, monkeypatch):
     # a refused key fails every prompt alike: each worker sends at most one request.

@@ -10,14 +10,15 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from rankforge import selection
-from rankforge.cluster import groups, kmeans_fit
+from rankforge import cluster, selection
+from rankforge.cluster import KMeansModel, groups, kmeans_fit
 from rankforge.config import PipelineConfig
 from rankforge.corpus import filter_min_length, tokenize_collection
 from rankforge.embeddings import embed_collection
@@ -340,19 +341,25 @@ def test_mmr_handles_small_pools_and_bad_args():
 
 # ------------------------------------------------- centroid similarities
 
+def _similarities(rows, members=None, k=0):
+    """centroid_similarities of the listed rows (all of them by default) as one cluster."""
+    rows = cluster._rows(np.asarray(rows))
+    return centroid_similarities(rows, np.arange(len(rows.X)) if members is None
+                                 else np.asarray(members), k)
+
+
 def test_centroid_similarities_hand_case():
-    sims, unit = centroid_similarities(np.asarray([[1.0, 0.0], [0.0, 1.0]]), 0)
+    sims = _similarities([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(sims, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
-    np.testing.assert_array_equal(unit, [[1.0, 0.0], [0.0, 1.0]])
-    sims, unit = centroid_similarities(np.asarray([[5.0, 5.0]]), 1)
-    np.testing.assert_allclose(sims, [1.0], atol=1e-12)
-    np.testing.assert_allclose(unit, [[math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-15)
+    np.testing.assert_allclose(_similarities([[5.0, 5.0]], k=1), [1.0], atol=1e-12)
+    # only the members count: a row outside the cluster moves nothing
+    assert _similarities([[1.0, 0.0], [9.0, 9.0], [0.0, 1.0]], [0, 2]).tobytes() == sims.tobytes()
 
 
 def test_centroid_similarities_uses_raw_member_mean():
     # raw-mean direction (dominated by the long vector) differs from the
     # mean of normalized rows; the raw mean is what counts here
-    sims, _ = centroid_similarities(np.asarray([[10.0, 0.0], [0.0, 1.0]]), 0)
+    sims = _similarities([[10.0, 0.0], [0.0, 1.0]])
     mean = np.asarray([5.0, 0.5])
     expected = [
         float(np.dot([10, 0], mean) / (10 * np.linalg.norm(mean))),
@@ -364,9 +371,12 @@ def test_centroid_similarities_uses_raw_member_mean():
 
 def test_centroid_similarities_degenerate_cases():
     with pytest.raises(DataError, match="cluster 0 member vectors average to zero"):
-        centroid_similarities(np.asarray([[1.0, 0.0], [-1.0, 0.0]]), 0)
-    with pytest.raises(DataError, match="zero-norm member vector in cluster 2"):
-        centroid_similarities(np.asarray([[1.0, 0.0], [0.0, 0.0]]), 2)
+        _similarities([[1.0, 0.0], [-1.0, 0.0]])
+    # select takes the row norms from k-means' norm pass, which names the row
+    X = np.asarray([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=np.float32)
+    model = KMeansModel(K=2, centroids=np.eye(2), assignments=np.array([0, 1, 1]), inertia=0.0)
+    with pytest.raises(DataError, match="^zero-norm embedding row 2$"):
+        select_representatives(X, model, PipelineConfig(sample_size=2))
 
 
 # ------------------------------------------------- full selection pass
@@ -479,8 +489,9 @@ def test_mmr_after_an_anchor_in_the_pool_picks_the_smallest_ordinal(monkeypatch)
         model = kmeans_fit(X, cfg)
         pools.clear()
         selected = select_representatives(X, model, cfg)
+        rows = cluster._rows(X)
         for k, (pool, members) in enumerate(zip(pools, groups(model.assignments, model.K))):
-            sims, _ = centroid_similarities(X[members].astype(np.float64), k)
+            sims = centroid_similarities(rows, members, k)
             anchor = int(np.argmax(sims))
             if anchor not in pool:
                 continue
@@ -520,6 +531,56 @@ def test_select_representatives_deterministic():
     assert [(d.ordinal, d.prob) for d in a] == [(d.ordinal, d.prob) for d in b]
     c = select_representatives(X, model, dataclasses.replace(cfg, seed=10))
     assert [d.ordinal for d in a] != [d.ordinal for d in c]
+
+
+def _clustered(rng, n, d, K):
+    """Rows of widely spread norms beside K random clusters of them (a model with
+    its assignments only)."""
+    X = (rng.normal(size=(n, d)) * rng.lognormal(0.0, 8.0, size=(n, 1))).astype(np.float32)
+    X[:, 0] = np.abs(X[:, 0]) + 0.1      # no cluster mean is zero
+    labels = rng.permutation(np.arange(n) % K)
+    return X, KMeansModel(K=K, centroids=np.zeros((K, d)), assignments=labels, inertia=0.0)
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates", "d=1"])
+def test_blocked_selection_matches_one_block(monkeypatch, case):
+    # no workload's clusters span more than a few row blocks: 7-row and 1-row
+    # blocks must give the bits of one block, the mean those of numpy's mean of
+    # the whole cluster. numpy sums a d = 1 column pairwise, so a sum carried from
+    # block to block would move the bits there
+    rng = np.random.default_rng(41)
+    d = 1 if case == "d=1" else 12
+    X, model = _clustered(rng, 400, d, 8)
+    if case == "duplicates":
+        X = X[rng.integers(0, 6, size=len(X))]
+    cfg = PipelineConfig(sample_size=40, seed=3, mmr_lambda=0.5)
+    want = select_representatives(X, model, cfg)
+    for block_rows in (7, 1):
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", block_rows * 64 * d)
+        assert select_representatives(X, model, cfg) == want, block_rows
+        rows = cluster._rows(X)
+        for members in groups(model.assignments, model.K):
+            mean = cluster.row_mean(rows, members, unit=False)
+            assert mean.tobytes() == X[members].astype(np.float64).mean(axis=0).tobytes()
+
+
+def test_selection_holds_the_pool_not_the_cluster():
+    # Two clusters of 10,000 rows: select keeps each row's norm and a few other
+    # scalars, one float64 row block beside its float32 gather, and the pool's
+    # unit rows; a float64 copy of one cluster exceeds that
+    n, d, K = 20_000, 64, 2
+    X, model = _clustered(np.random.default_rng(42), n, d, K)
+    cfg = PipelineConfig(sample_size=100, seed=1, mmr_lambda=0.5)
+    tracemalloc.start()
+    try:
+        select_representatives(X, model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pool_rows = cfg.sample_rounds * cfg.sample_size
+    bound = pool_rows * d * 8 + cluster._BLOCK_BYTES // 8 * 3 // 2 + n * 12 * 8
+    assert bound < n // K * d * 8
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_selected_roundtrip(tmp_path):
