@@ -127,9 +127,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     # The index and the embedding read only the token stream; the documents are only
     # written back out. The index's temporaries come and go before the n x d embedding.
     tokens = corpus.tokenize_collection(docs)
-    index = mine.build_index(tokens)
+    ids, index = tokens.doc_ids, mine.build_index(tokens)
     if getattr(args, "embeddings", None):
-        matrix = embeddings.load_aligned(args.embeddings, index.doc_ids)
+        matrix = embeddings.load_aligned(args.embeddings, ids)
     else:
         matrix = embeddings.embed_collection(tokens, cfg.hash_embed_dim, cfg.seed)
     del tokens
@@ -137,8 +137,8 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     corpus.save_collection(docs, workdir / COLLECTION_FILE)
-    embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=index.doc_ids)
-    mine.save_index(index, workdir / INDEX_FILE)
+    embeddings.save_embeddings(matrix, workdir / EMBEDDINGS_FILE, ids=ids)
+    mine.save_index(index, ids, workdir / INDEX_FILE)
     print(f"ingest: kept {len(docs)} of {n_read} documents, embedding dim {matrix.shape[1]}")
 
 
@@ -257,7 +257,7 @@ def cmd_mine(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     except AlignmentError:
         raise AlignmentError(f"{INDEX_FILE} does not index the documents of {IDS_FILE}; "
                              "rerun `rankforge ingest`") from None
-    pairs = mine.assemble_pairs(index, queries, cfg)
+    pairs = mine.assemble_pairs(index, ids, queries, cfg)
     mine.save_pairs(pairs, workdir / PAIRS_FILE)
     shortfalls = sum(1 for p in pairs if p.shortfall)
     negatives = sum(len(p.negative_doc_ids) for p in pairs)

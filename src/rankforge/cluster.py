@@ -14,6 +14,7 @@ assignments (n u32 LE).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,10 +81,18 @@ _FILTER_NORMS = (2.0 ** -100, 2.0 ** 100)
 @dataclass(frozen=True)
 class _Rows:
     """The fit's rows: the caller's X, read but never changed, beside each row's
-    float64 norm and the float32 reciprocal of it that scales the float32 filter."""
+    float64 norm and, built on first read, the float32 reciprocal of it that
+    scales the float32 filter."""
     X: np.ndarray
     norms: np.ndarray       # float64, all positive
-    recip: np.ndarray       # float32 1 / norm; NaN outside _FILTER_NORMS
+
+    @functools.cached_property
+    def recip(self) -> np.ndarray:
+        """float32 1 / norm; NaN outside _FILTER_NORMS."""
+        recip = np.full(len(self.norms), np.nan, dtype=np.float32)
+        certified = (self.norms >= _FILTER_NORMS[0]) & (self.norms <= _FILTER_NORMS[1])
+        recip[certified] = 1.0 / self.norms[certified]
+        return recip
 
     def unit(self, idx) -> np.ndarray:
         """The float64 unit rows X[idx], with the bits of casting all of X and
@@ -103,10 +112,7 @@ def _rows(X: np.ndarray) -> _Rows:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"zero-norm embedding row {int(zero[0])}")
-    recip = np.full(len(X), np.nan, dtype=np.float32)
-    certified = (norms >= _FILTER_NORMS[0]) & (norms <= _FILTER_NORMS[1])
-    recip[certified] = 1.0 / norms[certified]
-    return _Rows(X, norms, recip)
+    return _Rows(X, norms)
 
 
 def _pp_index(d2: np.ndarray, rng: np.random.Generator) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def load_ids(path: str | Path) -> list[str]:
     return [doc_id for doc_id in read_text(path).splitlines() if doc_id]
 
 
-def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
+def load_aligned(path: str | Path, doc_ids: list[str]) -> np.ndarray:
     """The rows of an embedding file for ``doc_ids``, in that order.
 
     Through the sidecar, rows may come in any order and cover more documents;
@@ -88,7 +88,7 @@ def load_aligned(path: str | Path, doc_ids: Sequence[str]) -> np.ndarray:
     ids = load_ids(ids_path)
     if len(ids) != len(data):
         raise AlignmentError(f"sidecar has {len(ids)} ids for {len(data)} embedding rows")
-    if ids == list(doc_ids):    # distinct ids (the caller's), so no duplicate to find
+    if ids == doc_ids:          # distinct ids (the caller's), so no duplicate to find
         return data
     id_to_row: dict[str, int] = {}
     for i, row_id in enumerate(ids):

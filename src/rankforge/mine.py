@@ -55,23 +55,22 @@ class Bm25Index:
 
     The postings of ``terms[t]`` are ``ords[indptr[t]:indptr[t + 1]]``,
     ascending document ordinals, with their term frequencies in ``tfs``.
+    Like the index file it holds no document ids, and it keeps its arrays as given.
     """
 
-    def __init__(self, doc_ids: Sequence[str], doc_lengths: np.ndarray, terms: Sequence[str],
-                 indptr: np.ndarray, ords: np.ndarray, tfs: np.ndarray,
+    def __init__(self, doc_lengths: np.ndarray, terms: list[str], indptr: np.ndarray,
+                 ords: np.ndarray, tfs: np.ndarray,
                  k1: float = PipelineConfig.bm25_k1, b: float = PipelineConfig.bm25_b):
-        self.doc_ids = list(doc_ids)
-        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
-        self.terms = list(terms)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.doc_lengths, self.terms, self.indptr = doc_lengths, terms, indptr
         self.ords, self.tfs = ords, tfs
         self.k1, self.b = float(k1), float(b)
-        self.avgdl = float(self.doc_lengths.mean()) if len(self.doc_ids) else 0.0
+        # mean accumulates integer lengths in float64, whatever their integer type
+        self.avgdl = float(doc_lengths.mean()) if doc_lengths.size else 0.0
         self._weights: dict[int, np.ndarray] = {}   # term id -> BM25 weight of each posting
 
     @property
     def n_docs(self) -> int:
-        return len(self.doc_ids)
+        return self.doc_lengths.size
 
     def score_all(self, query_tokens: Sequence[str]) -> np.ndarray:
         """Score every document; repeated query tokens contribute once per occurrence.
@@ -145,8 +144,7 @@ def build_index(tokens: TokenizedCollection) -> Bm25Index:
     ords = np.remainder(keys, n, out=np.empty(keys.size, dtype=np.uint32), casting="unsafe")
     keys //= n                          # now the term rank of each posting
     indptr = np.searchsorted(keys, np.arange(len(by_term) + 1))
-    return Bm25Index(tokens.doc_ids, tokens.lengths,
-                     [tokens.terms[t] for t in by_term], indptr, ords, tfs)
+    return Bm25Index(tokens.lengths, [tokens.terms[t] for t in by_term], indptr, ords, tfs)
 
 
 def mine_negatives(
@@ -163,11 +161,12 @@ def mine_negatives(
     return negatives, len(negatives) < cfg.num_negatives
 
 
-def assemble_pairs(
-    index: Bm25Index, queries: Sequence[SyntheticQuery], cfg: PipelineConfig
-) -> list[TrainingPair]:
-    """One training pair per query, in query order; positives are looked up by distinct id."""
-    ordinals = {doc_id: o for o, doc_id in enumerate(index.doc_ids)}
+def assemble_pairs(index: Bm25Index, doc_ids: Sequence[str], queries: Sequence[SyntheticQuery],
+                   cfg: PipelineConfig) -> list[TrainingPair]:
+    """One training pair per query, in query order; ``doc_ids[o]`` names ordinal o, and
+    one pass over it maps only the queried ids to their ordinals."""
+    wanted = {q.doc_id for q in queries}
+    ordinals = {doc_id: o for o, doc_id in enumerate(doc_ids) if doc_id in wanted}
     pairs = []
     for q in queries:
         positive = ordinals.get(q.doc_id)
@@ -178,7 +177,7 @@ def assemble_pairs(
             TrainingPair(
                 query_text=q.query_text,
                 positive_doc_id=q.doc_id,
-                negative_doc_ids=tuple(index.doc_ids[o] for o in negatives),
+                negative_doc_ids=tuple(doc_ids[o] for o in negatives),
                 shortfall=shortfall,
             )
         )
@@ -208,12 +207,12 @@ def _ids_digest(doc_ids: Sequence[str]) -> bytes:
     return hashlib.sha256(encode_lines(doc_ids)).digest()
 
 
-def save_index(index: Bm25Index, path: str | Path) -> None:
-    """Serialize the index; byte-stable because terms and postings are sorted."""
+def save_index(index: Bm25Index, doc_ids: Sequence[str], path: str | Path) -> None:
+    """Serialize the index of ``doc_ids``; byte-stable because terms and postings are sorted."""
     terms = encode_lines(index.terms)
     with replacing(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, index.n_docs, len(index.terms), len(index.ords), len(terms),
-                              _ids_digest(index.doc_ids)))
+                              _ids_digest(doc_ids)))
         fh.write(terms)
         for values, dtype in ((index.doc_lengths, "<u4"), (index.indptr, "<u8"),
                               (index.ords, "<u4"), (index.tfs, "<u4")):
@@ -264,4 +263,4 @@ def load_index(path: str | Path, doc_ids: Sequence[str], k1: float = PipelineCon
     wrong = lengths != doc_lengths
     if wrong.any():
         raise FormatError(f"{path}: document {int(wrong.argmax())}'s length is not its tf sum")
-    return Bm25Index(doc_ids, doc_lengths, terms, indptr, ords, tfs, k1=k1, b=b)
+    return Bm25Index(doc_lengths, terms, indptr, ords, tfs, k1=k1, b=b)

@@ -99,7 +99,7 @@ def softmax_probabilities(values: Sequence[float], temperature: float) -> np.nda
     """
     z = np.asarray(values, dtype=np.float64) / temperature
     z = z - z.max()
-    e = np.array([math.exp(v) for v in z.tolist()])
+    e = np.fromiter(map(math.exp, z), np.float64, z.size)
     return e / e.sum()
 
 

@@ -208,7 +208,7 @@ def test_index_and_embedding_read_only_the_token_stream(tmp_path):
     from_docs = tokenize_collection(docs)
     assert from_docs.terms != by_hand.terms                 # first-seen order differs
     for name, tokens in (("hand", by_hand), ("docs", from_docs)):
-        save_index(build_index(tokens), tmp_path / f"{name}.idx")
+        save_index(build_index(tokens), tokens.doc_ids, tmp_path / f"{name}.idx")
     assert (tmp_path / "hand.idx").read_bytes() == (tmp_path / "docs.idx").read_bytes()
     for d, seed in ((8, 0), (32, 5)):
         assert (embed_collection(by_hand, d, seed).tobytes()
@@ -294,18 +294,43 @@ def test_assemble_pairs_order_and_unknown_id():
         SyntheticQuery(doc_id="d0", query_text="quantum", raw_completion="", model_name="m"),
     ]
     cfg = PipelineConfig(first_stage_hits=5, num_negatives=2)
-    pairs = assemble_pairs(index, queries, cfg)
+    pairs = assemble_pairs(index, coll.doc_ids, queries, cfg)
     assert [p.positive_doc_id for p in pairs] == ["d1", "d0"]
     assert all(p.positive_doc_id not in p.negative_doc_ids for p in pairs)
     bad = [SyntheticQuery(doc_id="nope", query_text="q", raw_completion="", model_name="m")]
     with pytest.raises(DataError):
-        assemble_pairs(index, bad, PipelineConfig())
+        assemble_pairs(index, coll.doc_ids, bad, PipelineConfig())
+
+
+def test_assemble_pairs_maps_only_the_queried_ids():
+    # 200,000 documents, all holding "common" and every 50th "rare" too: an id ->
+    # ordinal dict of the whole collection alone takes about 10 MiB
+    n = 200_000
+    rare = np.arange(0, n, 50, dtype=np.uint32)
+    lengths = np.ones(n, dtype=np.uint32)
+    lengths[rare] = 2
+    index = Bm25Index(lengths, ["common", "rare"], np.array([0, n, n + rare.size]),
+                      np.concatenate((np.arange(n, dtype=np.uint32), rare)),
+                      np.ones(n + rare.size, dtype=np.uint32))
+    ids = [f"doc-{i:06d}" for i in range(n)]
+    queries = [SyntheticQuery(doc_id=ids[o], query_text=text, raw_completion="", model_name="m")
+               for o, text in ((100, "rare common"), (7, "common"), (n - 50, "rare"))]
+    tracemalloc.start()
+    try:
+        pairs = assemble_pairs(index, ids, queries, PipelineConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [p.positive_doc_id for p in pairs] == [q.doc_id for q in queries]
+    assert all(p.negative_doc_ids and not p.shortfall for p in pairs)
+    # a few float64 score, weight and hit arrays of n values, 1.5 MiB each
+    assert peak < 10 << 20, f"peak {peak} bytes"
 
 
 # --------------------------------------------------------------- file format
 
 def _index_fields(index):
-    return dict(doc_ids=index.doc_ids, doc_lengths=index.doc_lengths, terms=index.terms,
+    return dict(doc_lengths=index.doc_lengths, terms=index.terms,
                 indptr=index.indptr, ords=index.ords, tfs=index.tfs)
 
 
@@ -330,46 +355,47 @@ def test_index_roundtrip_and_byte_stability(tmp_path):
     docs = [Document(id=f"dök{i} ✓" if i % 2 else doc.id, title=doc.title, text=doc.text)
             for i, doc in enumerate(base.values())]
     coll = {d.id: d for d in docs}
+    ids = [d.id for d in docs]
     index = build_index(tokenize_collection(coll))
     path_a = tmp_path / "a.idx"
-    save_index(index, path_a)
-    loaded = load_index(path_a, [d.id for d in docs], k1=1.1, b=0.3)
-    assert loaded.doc_ids == [d.id for d in docs]
+    save_index(index, ids, path_a)
+    loaded = load_index(path_a, ids, k1=1.1, b=0.3)
     assert loaded.k1 == 1.1 and loaded.b == 0.3
     assert loaded.terms == index.terms
     for name in ("doc_lengths", "indptr", "ords", "tfs"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name), err_msg=name)
 
     path_b = tmp_path / "b.idx"
-    save_index(loaded, path_b)
+    save_index(loaded, ids, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
     # scoring equivalence after the roundtrip, and k1/b taken at load
     query = ["game", "recipe", "orbit", "game"]
-    np.testing.assert_array_equal(load_index(path_a, index.doc_ids).score_all(query),
+    np.testing.assert_array_equal(load_index(path_a, ids).score_all(query),
                                   index.score_all(query))
     want = bm25_oracle([tokenize(render_document(d)) for d in docs], query, k1=1.1, b=0.3)
     np.testing.assert_allclose(loaded.score_all(query), want, atol=1e-6)
 
 
-def _saved_variant(tmp_path, index, name, **fields):
+def _saved_variant(tmp_path, index, ids, name, **fields):
     path = tmp_path / f"{name}.idx"
-    save_index(Bm25Index(**{**_index_fields(index), **fields}), path)
+    save_index(Bm25Index(**{**_index_fields(index), **fields}), ids, path)
     return path
 
 
 def test_index_load_rejects_corruption(tmp_path):
     coll = make_collection(5, seed=2)
+    ids = list(coll)
     index = build_index(tokenize_collection(coll))
     path = tmp_path / "i.idx"
-    save_index(index, path)
+    save_index(index, ids, path)
     blob = path.read_bytes()
 
     def rejects(data: bytes, error: type, match: str, name: str):
         bad = tmp_path / f"{name}.idx"
         bad.write_bytes(data)
         with pytest.raises(error, match=match):
-            load_index(bad, index.doc_ids)
+            load_index(bad, ids)
 
     rejects(blob[:20], FormatError, "too short for header", "header")
     rejects(b"WRONGMAG" + blob[8:], FormatError, "bad magic", "magic")
@@ -380,15 +406,15 @@ def test_index_load_rejects_corruption(tmp_path):
     first_break = blob.index(b"\n", table)
     rejects(blob[:first_break] + b"x" + blob[first_break + 1:], FormatError,
             f"does not hold {len(index.terms)} lines", "lines")
-    swapped = list(index.doc_ids)
+    swapped = list(ids)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    for doc_ids in (swapped, index.doc_ids[:-1], index.doc_ids + ["extra"]):
+    for doc_ids in (swapped, ids[:-1], ids + ["extra"]):
         with pytest.raises(AlignmentError, match="does not index the given document ids"):
             load_index(path, doc_ids)
 
     def variant_rejects(match: str, name: str, **fields):
         with pytest.raises(FormatError, match=match):
-            load_index(_saved_variant(tmp_path, index, name, **fields), index.doc_ids)
+            load_index(_saved_variant(tmp_path, index, ids, name, **fields), ids)
 
     terms = list(index.terms)
     terms[1], terms[2] = terms[2], terms[1]
@@ -423,16 +449,17 @@ def test_index_load_rejects_corruption(tmp_path):
 def test_index_load_checks_lengths_without_postings_sized_copies(tmp_path, monkeypatch):
     n_docs, n_terms = 1000, 100                     # every term in every document
     nnz = n_docs * n_terms
-    index = Bm25Index([f"d{i}" for i in range(n_docs)], np.full(n_docs, 2 * n_terms),
+    ids = [f"d{i}" for i in range(n_docs)]
+    index = Bm25Index(np.full(n_docs, 2 * n_terms),
                       [f"t{t:03d}" for t in range(n_terms)], np.arange(0, nnz + 1, n_docs),
                       np.tile(np.arange(n_docs, dtype=np.uint32), n_terms),
                       np.full(nnz, 2, dtype=np.uint32))
     path = tmp_path / "i.idx"
-    save_index(index, path)
+    save_index(index, ids, path)
     monkeypatch.setattr(mine, "_BLOCK_TOKENS", 4096)
     tracemalloc.start()
     try:
-        loaded = load_index(path, index.doc_ids)
+        loaded = load_index(path, ids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -78,6 +78,6 @@ def test_mining_calls_mine_negatives_through_module_globals(monkeypatch):
     queries = [SyntheticQuery(doc_id=doc.id, query_text=" ".join(doc.text.split()[:3]),
                               raw_completion="", model_name="m") for doc in list(coll.values())[:5]]
     calls = _counting(monkeypatch, mine, "mine_negatives")
-    pairs = mine.assemble_pairs(index, queries, PipelineConfig(num_negatives=2))
+    pairs = mine.assemble_pairs(index, list(coll), queries, PipelineConfig(num_negatives=2))
     assert len(pairs) == len(queries)
     assert len(calls) == len(queries)

@@ -177,6 +177,22 @@ def test_softmax_at_the_least_allowed_temperature_is_finite():
     np.testing.assert_array_equal(probs, [0.0, 0.0, 0.5, 0.5])
 
 
+def test_softmax_holds_no_python_float_per_value():
+    # math.exp one value at a time, as before, so the bits stay; but a list of
+    # n Python floats (24 bytes each, plus 8 per list slot) exceeds the bound
+    z = np.random.default_rng(8).normal(size=100_000)
+    want = np.array([math.exp(v) for v in (z - z.max()).tolist()])
+    tracemalloc.start()
+    try:
+        got = softmax_probabilities(z, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == (want / want.sum()).tobytes()
+    bound = 4 * 8 * z.size                  # four float64 arrays of the input's length
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
 # ------------------------------------------------------------------ sampling
 
 def test_sampling_is_deterministic_and_complete():
@@ -581,6 +597,19 @@ def test_selection_holds_the_pool_not_the_cluster():
     bound = pool_rows * d * 8 + cluster._BLOCK_BYTES // 8 * 3 // 2 + n * 12 * 8
     assert bound < n // K * d * 8
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_selection_builds_no_float32_filter_scale(monkeypatch):
+    # only k-means' float32 filter reads the reciprocal norms; select never asks
+    X, model = _fit_fixture(seed=3)
+    cfg = PipelineConfig(sample_size=12, seed=2, mmr_lambda=0.5)
+    want = select_representatives(X, model, cfg)
+
+    def unread(rows):
+        raise AssertionError("select built the float32 filter scale")
+
+    monkeypatch.setattr(cluster._Rows, "recip", property(unread))
+    assert select_representatives(X, model, cfg) == want
 
 
 def test_selected_roundtrip(tmp_path):
